@@ -10,8 +10,8 @@ import json
 import os
 import sys
 
-from .core import (InvalidSolutionError, SolutionFormatError, canonical_form,
-                   check, diagonal_image, load_rmap, promote, rmap_to_dict)
+from .core import (InvalidSolutionError, SolutionFormatError, check,
+                   diagonal_image, load_rmap, promote, rmap_to_dict)
 from .groebner import (check_overlaps, constant_rules, normal_word_count,
                        solution_rules)
 from .invariants import (check_fineq, descriptor, descriptor_diagnostics,
@@ -172,15 +172,16 @@ def cmd_analyze(args):
 
 
 def cmd_enumerate(args):
-    if args.n < 1 or args.n > 6:
-        print(json.dumps({"error": "n must lie in 1..6"}), file=sys.stderr)
-        return EXIT_IO
     budget = args.budget
-    if budget is None:
-        env = os.environ.get("YBX_BUDGET_SECS")
-        budget = float(env) if env else None
-    opts = EnumOptions(args.n, up_to_iso=args.up_to_iso, jobs=args.jobs,
-                       budget_secs=budget)
+    env = os.environ.get("YBX_BUDGET_SECS")
+    try:
+        if budget is None and env:
+            budget = float(env)
+        opts = EnumOptions(args.n, up_to_iso=args.up_to_iso, jobs=args.jobs,
+                           budget_secs=budget)
+    except ValueError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return EXIT_IO
     result = enumerate_solutions(opts)
     for s in result.solutions:
         _emit(rmap_to_dict(_as_rmap(s)), False)
@@ -192,8 +193,8 @@ def cmd_enumerate(args):
     }
     if result.complete:
         diag_of_class = {}
-        for s in result.solutions:
-            diag_of_class[canonical_form(s)] = len(diagonal_image(s))
+        for canon, s in zip(result.canonical, result.solutions):
+            diag_of_class[canon] = len(diagonal_image(s))
         by_size = {}
         for size in diag_of_class.values():
             by_size[size] = by_size.get(size, 0) + 1

@@ -36,7 +36,7 @@ def _check_table(table, n, name):
         if len(row) != n:
             raise SolutionFormatError(f"{name} rows must have length {n}")
         for v in row:
-            if not (isinstance(v, int) and 0 <= v < n):
+            if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < n):
                 raise SolutionFormatError(f"{name} entries must lie in [0, {n})")
 
 
@@ -346,7 +346,7 @@ def rmap_from_dict(data):
         lam = data["lambda"]
     except (KeyError, TypeError) as exc:
         raise SolutionFormatError("missing field: n and lambda are required") from exc
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise SolutionFormatError("n must be an integer")
     lam = tuple(tuple(row) for row in lam)
     _check_table(lam, n, "lambda")

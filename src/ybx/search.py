@@ -2,14 +2,20 @@
 
 Since rho is forced to q(lam[x][y]) on idempotent candidates, the search
 space is tuples (lam_0, ..., lam_{n-1}) of permutations.  The backtracker
-assigns them in point order (permutations in lexicographic order) and
-prunes with two sound filters:
+assigns them in point order and works on permutation ids: Sym(n) is
+indexed once per n, in lexicographic order, with a composition table,
+inverse lookups and one compatibility bitmask per permutation.  Two
+sound filters prune:
 
-  - the first Yang-Baxter identity, as a permutation identity
-    lam_x lam_y = lam_w lam_u with w = lam_x(y) and u = q(w), evaluated as
-    soon as all four rows are assigned;
   - equal-length words act either identically or without fixed points, so
-    a quotient lam_x lam_y^-1 with a fixed point kills the branch.
+    every quotient lam_i lam_j^-1 is the identity or fixed-point-free.
+    Bit b of ``compat[a]`` records that relation between ids a and b, and
+    the candidates for the next row are the AND of the masks of the rows
+    already assigned;
+  - the first Yang-Baxter identity, as a permutation identity
+    lam_x lam_y = lam_w lam_u with w = lam_x(y) and u = q(w), compared
+    as composition-table ids as soon as all four rows are assigned.  Each
+    depth checks only the quadruples that involve the row just assigned.
 
 A completed tuple still receives the full exhaustive verification before
 it is emitted; the pruning is an optimisation, never a proof.
@@ -17,13 +23,14 @@ it is emitted; the pruning is an optimisation, never a proof.
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 
-from .core import (canonical_form, check, diagonal_image, promote,
-                   rmap_from_lambda, solution_from_lambda)
+from .core import (InvalidSolutionError, canonical_form, diagonal_image,
+                   promote, rmap_from_lambda, solution_from_lambda)
 from .invariants import (Descriptor, canonical_group_table, check_fineq,
                          reconstruct, torsion)
-from .perms import compose, has_fixed_point, identity, inverse, is_perm
+from .perms import compose, inverse, is_perm
 
 MAX_POINTS = 6
 MAX_CLASSIFY = 5
@@ -40,94 +47,127 @@ class EnumOptions:
 
     def __post_init__(self):
         if not (1 <= self.n <= MAX_POINTS):
-            raise ValueError(f"enumeration is limited to n <= {MAX_POINTS}")
+            raise ValueError(f"n must lie in 1..{MAX_POINTS}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        # written so that NaN fails as well
+        if self.budget_secs is not None and not self.budget_secs >= 0:
+            raise ValueError("budget must be a non-negative number of seconds")
 
 
 @dataclass(frozen=True)
 class EnumResult:
     solutions: tuple
     complete: bool
+    canonical: tuple   # canonical_form of each solution, in the same order
 
 
-def _sort_key(s):
-    return (canonical_form(s), s.lam)
+@lru_cache(maxsize=MAX_POINTS)
+def _sym_index(n):
+    """Sym(n) indexed for the row search, as (perms, comp, inv, compat).
+
+    ``perms`` lists Sym(n) in lexicographic order; a permutation's id is
+    its position.  ``comp[a][b]`` is the id of perms[a] . perms[b];
+    ``inv[a][w] = perms[a].index(w)``, so q(w) = inv[id of lam_w][w]; bit
+    b of ``compat[a]`` is set iff perms[a] perms[b]^-1 is the identity or
+    has no fixed point.  Built on first use for each n, so an n = 5 run
+    never builds the n = 6 tables.
+    """
+    perms = tuple(sorted(permutations(range(n))))
+    ids = {p: a for a, p in enumerate(perms)}
+    comp = tuple(tuple(ids[compose(p, r)] for r in perms) for p in perms)
+    # a . b^-1 fixes a point iff a and b agree somewhere
+    agree = [[0] * n for _ in range(n)]   # agree[i][v]: ids mapping i to v
+    for a, p in enumerate(perms):
+        for i, v in enumerate(p):
+            agree[i][v] |= 1 << a
+    everything = (1 << len(perms)) - 1
+    compat = []
+    for a, p in enumerate(perms):
+        meets = 0
+        for i, v in enumerate(p):
+            meets |= agree[i][v]
+        compat.append((everything ^ meets) | (1 << a))
+    return perms, comp, tuple(inverse(p) for p in perms), tuple(compat)
 
 
 def _complete_tuple(rows):
     """Full verification of a finished lam tuple; None when it fails."""
-    m = rmap_from_lambda(rows)
-    if not check(m).ok:
+    try:
+        return promote(rmap_from_lambda(rows))
+    except InvalidSolutionError:
         return None
-    return promote(m)
-
-
-def _prefix_ok(rows, j, prune_fixedpoint, prune_ybe):
-    """Filters evaluated after rows[j] was assigned."""
-    if prune_fixedpoint:
-        inv_j = inverse(rows[j])
-        for i in range(j):
-            quot = compose(rows[i], inv_j)
-            if quot != identity(len(quot)) and has_fixed_point(quot):
-                return False
-    if prune_ybe:
-        for x in range(j + 1):
-            lx = rows[x]
-            for y in range(j + 1):
-                w = lx[y]
-                if w > j:
-                    continue
-                u = rows[w].index(w)
-                if u > j:
-                    continue
-                if compose(lx, rows[y]) != compose(rows[w], rows[u]):
-                    return False
-    return True
 
 
 def _search_slice(n, first, prune_fixedpoint, prune_ybe, deadline=None):
     """All verified solutions whose lam_0 equals the given permutation.
 
-    Returns (solutions, complete); an expired deadline stops the walk.
+    Returns ([(canonical form, solution), ...], complete); an expired
+    deadline stops the walk.
     """
-    perms_lex = sorted(permutations(range(n)))
-    rows = [first]
-    if not _prefix_ok(rows, 0, prune_fixedpoint, prune_ybe):
-        return [], True
+    perms, comp, inv, compat = _sym_index(n)
+    masks = (compat if prune_fixedpoint
+             else ((1 << len(perms)) - 1,) * len(perms))
+    ids = [perms.index(tuple(first))]
     found = []
     complete = True
 
-    def walk():
+    def holds(x, y, j):
+        """YBE1 at (x, y); vacuous until rows w and u = q(w) are assigned."""
+        ix = ids[x]
+        w = perms[ix][y]
+        if w > j:
+            return True
+        iw = ids[w]
+        u = inv[iw][w]
+        return u > j or comp[ix][ids[y]] == comp[iw][ids[u]]
+
+    def ybe_ok(j):
+        """YBE1 at the (x, y) whose quadruple (x, y, w, u) peaks at row j.
+
+        Quadruples on rows below j were checked at an earlier depth.
+        """
+        for k in range(j + 1):
+            if not (holds(j, k, j) and holds(k, j, j)):
+                return False
+        # x, y < j: the quadruple reaches row j through w = j or u = q(w) = j
+        for w in range(j + 1):
+            if w == j or inv[ids[w]][w] == j:
+                for x in range(j):
+                    y = inv[ids[x]][w]
+                    if y < j and not holds(x, y, j):
+                        return False
+        return True
+
+    def walk(domain):
         nonlocal complete
         if deadline is not None and time.monotonic() > deadline:
             complete = False
             return
-        j = len(rows)
+        j = len(ids)
         if j == n:
-            sol = _complete_tuple(tuple(rows))
+            sol = _complete_tuple(tuple(perms[a] for a in ids))
             if sol is not None:
-                found.append(sol)
+                found.append((canonical_form(sol), sol))
             return
-        for p in perms_lex:
-            rows.append(p)
-            if _prefix_ok(rows, j, prune_fixedpoint, prune_ybe):
-                walk()
-            rows.pop()
+        rest = domain
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            ids.append(a)
+            if not prune_ybe or ybe_ok(j):
+                walk(domain & masks[a])
+            ids.pop()
             if not complete:
                 return
 
-    if n == 1:
-        sol = _complete_tuple(tuple(rows))
-        if sol is not None:
-            found.append(sol)
-    else:
-        walk()
+    walk(masks[ids[0]])
     return found, complete
 
 
 def _slice_worker(args):
-    n, first, pf, py = args
-    sols, complete = _search_slice(n, first, pf, py)
-    return sols, complete
+    return _search_slice(*args)
 
 
 def enumerate_solutions(opts):
@@ -136,57 +176,45 @@ def enumerate_solutions(opts):
     With ``up_to_iso`` only the first member of each isomorphism class is
     kept.  The top-level choice of lam_0 partitions the search; with
     ``jobs > 1`` the slices run in a process pool and are merged in a
-    fixed order, so the output does not depend on the worker count.
-    A budget forces the sequential path (the deadline is checked inside
-    the walk) and an expired one yields a partial, incomplete result.
+    fixed order, so the output does not depend on the worker count.  An
+    expired budget stops every slice and yields a partial, incomplete
+    result.
     """
     n = opts.n
-    firsts = sorted(permutations(range(n)))
+    # workers compare against the same deadline: the monotonic clock is
+    # system-wide (CLOCK_MONOTONIC on Linux)
     deadline = (time.monotonic() + opts.budget_secs
                 if opts.budget_secs is not None else None)
-    all_sols = []
-    complete = True
-
-    if opts.jobs > 1 and deadline is None:
+    args = [(n, f, opts.prune_fixedpoint, opts.prune_ybe, deadline)
+            for f in _sym_index(n)[0]]
+    if opts.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(n, f, opts.prune_fixedpoint, opts.prune_ybe) for f in firsts]
         with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-            for sols, done in pool.map(_slice_worker, args):
-                all_sols.extend(sols)
-                complete = complete and done
+            slices = list(pool.map(_slice_worker, args))
     else:
-        for f in firsts:
-            if deadline is not None and time.monotonic() > deadline:
-                complete = False
-                break
-            sols, done = _search_slice(n, f, opts.prune_fixedpoint,
-                                       opts.prune_ybe, deadline)
-            all_sols.extend(sols)
-            complete = complete and done
-            if not done:
-                break
+        slices = map(_slice_worker, args)
 
-    all_sols.sort(key=_sort_key)
+    keyed = []
+    complete = True
+    for found, done in slices:
+        keyed.extend(found)
+        complete = complete and done
+    keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
     if opts.up_to_iso:
-        seen = set()
-        kept = []
-        for s in all_sols:
-            c = canonical_form(s)
-            if c not in seen:
-                seen.add(c)
-                kept.append(s)
-        all_sols = kept
-    return EnumResult(tuple(all_sols), complete)
+        keyed = [cs for i, cs in enumerate(keyed)
+                 if i == 0 or cs[0] != keyed[i - 1][0]]
+    return EnumResult(tuple(s for _, s in keyed), complete,
+                      tuple(c for c, _ in keyed))
 
 
 def brute_force_solutions(n):
     """Unpruned oracle: verify every lam tuple in Sym(n)^n."""
     out = []
     for rows in product(sorted(permutations(range(n))), repeat=n):
-        m = rmap_from_lambda(rows)
-        if check(m).ok:
-            out.append(promote(m))
-    out.sort(key=_sort_key)
+        sol = _complete_tuple(rows)
+        if sol is not None:
+            out.append(sol)
+    out.sort(key=lambda s: (canonical_form(s), s.lam))
     return out
 
 
@@ -218,8 +246,8 @@ def classify(n):
         raise ValueError(f"classification is limited to n <= {MAX_CLASSIFY}")
     result = enumerate_solutions(EnumOptions(n))
     groups = {}
-    for s in result.solutions:
-        groups.setdefault(canonical_form(s), []).append(s)
+    for canon, s in zip(result.canonical, result.solutions):
+        groups.setdefault(canon, []).append(s)
     records = []
     for canon in sorted(groups):
         rep = groups[canon][0]
@@ -384,8 +412,7 @@ def check_prime_classification(p, budget_secs=None):
         result = enumerate_solutions(EnumOptions(5, budget_secs=budget_secs))
         if not result.complete:
             return True
-        enumerated = {canonical_form(s) for s in result.solutions}
-        return enumerated == type1 | type2
+        return set(result.canonical) == type1 | type2
     enumerated = {rec.canonical for rec in classify(p)}
     return enumerated == type1 | type2
 

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from ybx.core import RMap, rmap_to_dict
 from ybx.fixtures import SOL_SWAP2, SOL_Z2
@@ -42,6 +45,18 @@ def test_verify_invalid(tmp_path):
 def test_verify_missing_file():
     r = run_cli("verify", "/nonexistent/nowhere.json")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 2, "lambda": [[False, True], [False, True]]},
+    {"n": True, "lambda": [[0]]},
+], ids=["entries", "n"])
+def test_verify_rejects_bool_points(tmp_path, data):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    r = run_cli("verify", str(path))
+    assert r.returncode == 2
+    assert "error" in json.loads(r.stderr)
 
 
 def test_verify_parse_error(tmp_path):
@@ -121,6 +136,35 @@ def test_enumerate_budget_exceeded():
 def test_enumerate_budget_env():
     r = run_cli("enumerate", "-n", "4", env={"YBX_BUDGET_SECS": "0"})
     assert r.returncode == 4
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("-n", "4"),
+     "f22f3c23965d9d312185c26acd78633ad9465523d6b5df467a45fd67ccdc4b21"),
+    (("-n", "5"),
+     "38b5fed2a50d8f3cd47be2d705686021180d0e91506db0085d5357648537b674"),
+    (("-n", "5", "--up-to-iso"),
+     "b49eb54f5db02891a47d269ee7ee1b02ea0073e12c37d553fa2859a06f40959d"),
+], ids=["n4", "n5", "n5-iso"])
+def test_enumerate_stdout_pinned(argv, digest):
+    # digests of the stdout of a row search that composed permutation
+    # tuples directly, independent of the id tables and bitmasks
+    r = run_cli("enumerate", *argv)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+def test_enumerate_budget_env_not_a_number():
+    r = run_cli("enumerate", "-n", "2", env={"YBX_BUDGET_SECS": "abc"})
+    assert r.returncode == 2
+    assert "error" in json.loads(r.stderr)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_enumerate_jobs_must_be_positive(jobs):
+    r = run_cli("enumerate", "-n", "2", "--jobs", jobs)
+    assert r.returncode == 2
+    assert "error" in json.loads(r.stderr)
 
 
 def test_enumerate_size_refusal():

@@ -4,9 +4,10 @@ from ybx.core import canonical_form, diagonal_image, iso_check
 from ybx.fixtures import SOL_SWAP2, SOL_Z2, SOL_Z3INV, SOL_PROJ3
 from ybx.invariants import roundtrip
 from ybx.monoid import is_cancellative
-from ybx.search import (EnumOptions, brute_force_solutions, by_diag_size,
-                        check_partition_count, check_prime_classification,
-                        classify, enumerate_solutions, from_group_automorphism,
+from ybx.search import (EnumOptions, _search_slice, brute_force_solutions,
+                        by_diag_size, check_partition_count,
+                        check_prime_classification, classify,
+                        enumerate_solutions, from_group_automorphism,
                         from_permutation, from_rees_example, is_latin,
                         partition_number)
 
@@ -58,8 +59,10 @@ def test_enumerate_n3_contains_fixtures():
 
 def test_enumerate_soundness():
     from ybx.core import RMap, check
-    for s in enumerate_solutions(EnumOptions(3)).solutions:
+    result = enumerate_solutions(EnumOptions(3))
+    for s, canon in zip(result.solutions, result.canonical, strict=True):
         assert check(RMap(s.n, s.lam, s.rho)).ok
+        assert canon == canonical_form(s)
 
 
 def test_enumerate_size_guard():
@@ -76,6 +79,29 @@ def test_enumerate_jobs_deterministic():
     one = enumerate_solutions(EnumOptions(3, jobs=1))
     two = enumerate_solutions(EnumOptions(3, jobs=2))
     assert lam_tuples(one) == lam_tuples(two)
+
+
+def test_enumerate_jobs_and_budget_compose():
+    one = enumerate_solutions(EnumOptions(4, jobs=1))
+    two = enumerate_solutions(EnumOptions(4, jobs=2, budget_secs=60))
+    assert two.complete and lam_tuples(two) == lam_tuples(one)
+    expired = enumerate_solutions(EnumOptions(4, jobs=2, budget_secs=0))
+    assert not expired.complete
+
+
+@pytest.mark.parametrize("first, count", [
+    ((0, 1, 2, 3, 4, 5), 201),
+    ((1, 2, 3, 4, 5, 0), 14),
+], ids=["identity", "6-cycle"])
+def test_n6_slice_counts(first, count):
+    # counts found by a row search that composed permutation tuples
+    # directly, independent of the id tables and bitmasks
+    from ybx.core import RMap, check
+    found, complete = _search_slice(6, first, True, True)
+    assert complete and len(found) == count
+    for _, s in found:
+        assert s.lam[0] == first
+        assert check(RMap(s.n, s.lam, s.rho)).ok
 
 
 def test_classify_counts():
