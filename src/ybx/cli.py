@@ -28,6 +28,11 @@ EXIT_DISCREPANCY = 3
 EXIT_BUDGET = 4
 
 
+def _fail(message):
+    print(json.dumps({"error": message}), file=sys.stderr)
+    return EXIT_IO
+
+
 def _emit(obj, pretty):
     if pretty:
         print(json.dumps(obj, sort_keys=True, indent=2))
@@ -39,8 +44,7 @@ def cmd_verify(args):
     try:
         m = load_rmap(args.path)
     except (OSError, SolutionFormatError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_IO
+        return _fail(str(exc))
     report = check(m)
     _emit(report.to_json(), args.pretty)
     return EXIT_OK if report.ok else EXIT_INVALID
@@ -81,7 +85,7 @@ def _analyze_report(s, max_len, center_deg):
 
     singleton = len(image) == 1
     report = {
-        "verification": check(_as_rmap(s)).to_json(),
+        "verification": check(s).to_json(),
         "n": s.n,
         "q": list(s.q),
         "diagonal": list(image),
@@ -143,11 +147,6 @@ def _analyze_report(s, max_len, center_deg):
     return report
 
 
-def _as_rmap(s):
-    from .core import RMap
-    return RMap(s.n, s.lam, s.rho)
-
-
 def _witness_json(witness):
     if witness is None:
         return None
@@ -157,12 +156,9 @@ def _witness_json(witness):
 
 def cmd_analyze(args):
     try:
-        m = load_rmap(args.path)
+        s = promote(load_rmap(args.path))
     except (OSError, SolutionFormatError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_IO
-    try:
-        s = promote(m)
+        return _fail(str(exc))
     except InvalidSolutionError as exc:
         _emit({"verification": exc.report.to_json()}, args.pretty)
         return EXIT_INVALID
@@ -180,11 +176,10 @@ def cmd_enumerate(args):
         opts = EnumOptions(args.n, up_to_iso=args.up_to_iso, jobs=args.jobs,
                            budget_secs=budget)
     except ValueError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_IO
+        return _fail(str(exc))
     result = enumerate_solutions(opts)
     for s in result.solutions:
-        _emit(rmap_to_dict(_as_rmap(s)), False)
+        _emit(rmap_to_dict(s), False)
     summary = {
         "n": args.n,
         "count": len(result.solutions),
@@ -207,24 +202,22 @@ def cmd_enumerate(args):
 
 def _load_params(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        params = json.load(fh)
+    if not isinstance(params, dict):
+        raise SolutionFormatError("params must be a JSON object")
+    return params
 
 
 def cmd_construct(args):
     try:
         params = _load_params(args.params)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_IO
-
-    try:
         if args.type == "perm":
             s = from_permutation(params["images"])
-            _emit(rmap_to_dict(_as_rmap(s)), args.pretty)
+            _emit(rmap_to_dict(s), args.pretty)
             return EXIT_OK
         if args.type == "group-aut":
             s = from_group_automorphism(params["table"], params["phi"])
-            _emit(rmap_to_dict(_as_rmap(s)), args.pretty)
+            _emit(rmap_to_dict(s), args.pretty)
             return EXIT_OK
         if args.type == "descriptor":
             dsc = descriptor_from_dict(params)
@@ -234,9 +227,8 @@ def cmd_construct(args):
                                     params["A"], params["t"], params["f"],
                                     params["psi"])
             return _emit_descriptor_reports(res.descriptor, args.pretty)
-    except (KeyError, ValueError, SolutionFormatError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_IO
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return _fail(str(exc))
     raise AssertionError("unreachable")
 
 
@@ -280,11 +272,9 @@ def cmd_groebner(args):
         _emit(out, args.pretty)
         return EXIT_OK
     try:
-        m = load_rmap(args.path)
-        s = promote(m)
+        s = promote(load_rmap(args.path))
     except (OSError, SolutionFormatError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_IO
+        return _fail(str(exc))
     except InvalidSolutionError as exc:
         _emit({"verification": exc.report.to_json()}, args.pretty)
         return EXIT_INVALID
@@ -354,6 +344,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "groebner" and args.constant_lambda is None and not args.path:
         parser.error("groebner needs a path or --constant-lambda")
+    for name in ("max_len", "center", "constant_lambda", "max_deg"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            return _fail(f"--{name.replace('_', '-')} must be >= 1")
     return args.func(args)
 
 

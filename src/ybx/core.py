@@ -348,19 +348,20 @@ def rmap_from_dict(data):
         raise SolutionFormatError("missing field: n and lambda are required") from exc
     if isinstance(n, bool) or not isinstance(n, int):
         raise SolutionFormatError("n must be an integer")
-    lam = tuple(tuple(row) for row in lam)
-    _check_table(lam, n, "lambda")
     rho = data.get("rho")
-    if rho is None:
-        try:
-            q = diagonal_map(lam)
-        except SolutionFormatError as exc:
-            raise SolutionFormatError(
-                "rho is missing and cannot be derived: " + str(exc)) from exc
-        rho = tuple(tuple(q[v] for v in row) for row in lam)
-    else:
-        rho = tuple(tuple(row) for row in rho)
-    return RMap(n, lam, rho)
+    try:
+        lam = tuple(tuple(row) for row in lam)
+        rho = None if rho is None else tuple(tuple(row) for row in rho)
+    except TypeError as exc:
+        raise SolutionFormatError("lambda and rho must be lists of rows") from exc
+    _check_table(lam, n, "lambda")
+    if rho is not None:
+        return RMap(n, lam, rho)
+    try:
+        return rmap_from_lambda(lam)
+    except SolutionFormatError as exc:
+        raise SolutionFormatError(
+            "rho is missing and cannot be derived: " + str(exc)) from exc
 
 
 def rmap_to_dict(m):

@@ -47,18 +47,20 @@ class RewriteSystem:
             object.__setattr__(self, "order", tuple(range(self.n)))
         object.__setattr__(self, "rules", tuple(sorted(set(self.rules))))
         rank = {v: i for i, v in enumerate(self.order)}
-        seen = set()
+        lookup = {}
         for rule in self.rules:
             if len(rule.lhs) != 2 or len(rule.rhs) != 2:
                 raise ValueError("rules must be quadratic")
             if not _deglex_less(rule.rhs, rule.lhs, rank):
                 raise ValueError(f"rule {rule} does not decrease the word order")
-            if rule.lhs in seen:
+            if rule.lhs in lookup:
                 raise ValueError(f"two rules share the left side {rule.lhs}")
-            seen.add(rule.lhs)
+            lookup[rule.lhs] = rule.rhs
+        object.__setattr__(self, "_lookup", lookup)
 
     def rule_map(self):
-        return {r.lhs: r.rhs for r in self.rules}
+        """Left side -> right side in the order of the rules; shared, not a copy."""
+        return self._lookup
 
     def to_json(self):
         return {"n": self.n,
@@ -112,14 +114,13 @@ def check_overlaps(rs):
     """Unresolved length-3 ambiguities; an empty list certifies confluence."""
     rules = rs.rule_map()
     unresolved = []
-    for (a, b) in sorted(rules):
-        for (b2, c) in sorted(rules):
-            if b2 != b:
-                continue
-            left = reduce(rs, rules[(a, b)] + (c,))
-            right = reduce(rs, (a,) + rules[(b, c)])
-            if left != right:
-                unresolved.append(((a, b, c), left, right))
+    for (a, b), image in rules.items():
+        for c in range(rs.n):
+            if (b, c) in rules:
+                left = reduce(rs, image + (c,))
+                right = reduce(rs, (a,) + rules[(b, c)])
+                if left != right:
+                    unresolved.append(((a, b, c), left, right))
     return unresolved
 
 

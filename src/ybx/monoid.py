@@ -7,7 +7,9 @@ central elements c_u = (d, u) realise the groups of quotients of the
 components; torsion elements are the degree-0 fractions.
 
 The growth oracle is deliberately independent of the pair model: it
-rewrites free words with a union-find and counts congruence classes.
+uses only r and a union-find.  It builds the word classes of degree L+1
+from the classes of degree L times one appended letter, not from all
+n^(L+1) words; a solution has n classes in each degree.
 """
 
 from dataclasses import dataclass
@@ -111,15 +113,9 @@ class GrowthReport:
         return (Discrepancy("growth-counts-disagree", (self.model, self.oracle)),)
 
 
-def _word_classes(s, length):
-    """Number of congruence classes of free words of a given length.
-
-    Words are base-n integers; each adjacent pair may be rewritten through
-    r, and classes are the components of the resulting graph.
-    """
+def _word_classes(s, max_len):
+    """Number of congruence classes of free words of each length 1..max_len."""
     n = s.n
-    size = n ** length
-    parent = list(range(size))
 
     def find(w):
         while parent[w] != w:
@@ -127,27 +123,37 @@ def _word_classes(s, length):
             w = parent[w]
         return w
 
-    rewrite = [[(s.lam[a][b], s.rho[a][b]) for b in range(n)] for a in range(n)]
-    strides = [n ** (length - 1 - i) for i in range(length)]
-    for w in range(size):
-        rest = w
-        digits = []
-        for st in strides:
-            digits.append(rest // st)
-            rest %= st
-        for i in range(length - 1):
-            a, b = digits[i], digits[i + 1]
-            a2, b2 = rewrite[a][b]
-            if (a2, b2) != (a, b):
-                w2 = w + (a2 - a) * strides[i] + (b2 - b) * strides[i + 1]
-                ra, rb = find(w), find(w2)
-                if ra != rb:
-                    parent[rb] = ra
-    return sum(1 for w in range(size) if find(w) == w)
+    rewrite = [[(s.lam[b][a], s.rho[b][a]) for a in range(n)] for b in range(n)]
+    # entries[c * n + b] is the class of w.b for w in class c; the empty
+    # prefix is class 0 and single letters are their own classes
+    entries = list(range(n))
+    counts = [n]
+    for _ in range(max_len - 1):
+        size = counts[-1] * n
+        parent = list(range(size))   # node (C, a) is C * n + a
+        for i, cls in enumerate(entries):
+            c, b = divmod(i, n)
+            for a in range(n):
+                b2, a2 = rewrite[b][a]
+                if (b2, a2) != (b, a):
+                    ra, rb = find(cls * n + a), find(entries[c * n + b2] * n + a2)
+                    if ra != rb:
+                        parent[rb] = ra
+        ids = {}
+        entries = [ids.setdefault(find(node), len(ids)) for node in range(size)]
+        counts.append(len(ids))
+    return tuple(counts)
 
 
 def growth(s, max_len):
-    """Per-degree element counts, via the pair model and via word rewriting."""
+    """Per-degree element counts, via the pair model and via word rewriting.
+
+    Word classes are counted level by level.  A rewrite of a length-(L+1)
+    word lies inside its length-L prefix or acts on its last pair, so the
+    nodes of level L+1 are the pairs (class of the prefix, last letter),
+    and r(b, a) = (b', a') joins the node of w.b.a to that of w.b'.a'.
+    A degree costs classes * n^2 steps, not L * n^L.
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     model = []
@@ -156,8 +162,7 @@ def growth(s, max_len):
     for _ in range(max_len - 1):
         level = {mul(s, e, MElem(1, y)) for e in level for y in range(s.n)}
         model.append(len(level))
-    oracle = [_word_classes(s, length) for length in range(1, max_len + 1)]
-    return GrowthReport(tuple(model), tuple(oracle))
+    return GrowthReport(tuple(model), _word_classes(s, max_len))
 
 
 def is_cancellative(s, max_len):
@@ -173,11 +178,10 @@ def is_cancellative(s, max_len):
     for k in range(1, max_len + 1):
         for x in range(n):
             for y in range(x + 1, n):
-                for l in range(1, max_len + 1):
-                    for z in range(n):
-                        if lam_k[k][x][z] == lam_k[k][y][z]:
-                            return False, ("right", MElem(k, x), MElem(k, y),
-                                           MElem(l, z))
+                for z in range(n):
+                    if lam_k[k][x][z] == lam_k[k][y][z]:
+                        return False, ("right", MElem(k, x), MElem(k, y),
+                                       MElem(1, z))
     for l in range(1, max_len + 1):
         for z in range(n):
             row = lam_k[l][z]

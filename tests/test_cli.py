@@ -251,3 +251,94 @@ def test_output_determinism(tmp_path):
     a = run_cli("analyze", path)
     b = run_cli("analyze", path)
     assert a.stdout == b.stdout
+
+
+def _family_rows(family, n):
+    """Z_n with x -> -x, or constant rows of the n-cycle or the identity."""
+    if family == "zn-neg":
+        return [tuple((x - y) % n for y in range(n)) for x in range(n)]
+    if family == "cycle":
+        return [tuple((y + 1) % n for y in range(n))] * n
+    return [tuple(range(n))] * n
+
+
+@pytest.mark.parametrize("family, command, digest", [
+    ("zn-neg", "analyze",
+     "d5bd31df9a2c3870016c6e6b0090fca3e6b37dbfd952f58cda65bc5e41d0b340"),
+    ("zn-neg", "groebner",
+     "046f00d278165c72cecd490463822248eb0f4c84721b3df2ea55674c171525fe"),
+    ("cycle", "analyze",
+     "4c05d434bd730ddfec6acbc263b71dfe370c3de0b49dd3f65c820cffe8b62f17"),
+    ("cycle", "groebner",
+     "53ea097d364985b94900478f7103e47c47538ffc782d8195339f15e0e271fc7b"),
+    ("identity", "analyze",
+     "d888e986c84cae2b2eb067f6343a1631c586631ec592f8dcc842042c8ac2aa4c"),
+    ("identity", "groebner",
+     "53ea097d364985b94900478f7103e47c47538ffc782d8195339f15e0e271fc7b"),
+], ids=["zn-neg-analyze", "zn-neg-groebner", "cycle-analyze",
+        "cycle-groebner", "identity-analyze", "identity-groebner"])
+def test_structure_stdout_pinned(tmp_path, family, command, digest):
+    # digests of the stdout at n = 16 of the all-words growth oracle, the
+    # per-call rule map and the all-pairs overlap scan
+    from ybx.core import dump_solution, solution_from_lambda
+    path = str(tmp_path / f"{family}.json")
+    dump_solution(solution_from_lambda(_family_rows(family, 16)), path)
+    extra = ("--max-deg", "3") if command == "groebner" else ()
+    r = run_cli(command, path, *extra)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+def test_groebner_constant_stdout_pinned():
+    r = run_cli("groebner", "--constant-lambda", "32")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == \
+        "f5f4e220d3ca98e7e21957fe683b061f1360a80c42769872f5159891fdb0fa80"
+
+
+@pytest.mark.parametrize("argv", [
+    ("groebner", "--constant-lambda", "0"),
+    ("groebner", "--constant-lambda", "-3"),
+    ("groebner", "FILE", "--max-deg", "0"),
+    ("analyze", "FILE", "--center", "0"),
+    ("analyze", "FILE", "--max-len", "0"),
+    ("analyze", "FILE", "--max-len", "-1"),
+], ids=["constant-lambda-0", "constant-lambda-neg", "max-deg-0", "center-0",
+        "max-len-0", "max-len-neg"])
+def test_numeric_options_must_be_positive(tmp_path, argv):
+    path = write_solution(tmp_path, SOL_Z2)
+    r = run_cli(*(path if a == "FILE" else a for a in argv))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error" in json.loads(r.stderr)
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 2, "lambda": 5},
+    {"n": 2, "lambda": [5, 6]},
+    {"n": 2, "lambda": [[0, 1], [0, 1]], "rho": 5},
+], ids=["lambda-int", "lambda-rows-int", "rho-int"])
+def test_solution_rows_must_be_lists(tmp_path, data):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(data))
+    for command in ("verify", "analyze", "groebner"):
+        r = run_cli(command, str(path))
+        assert r.returncode == 2
+        assert "error" in json.loads(r.stderr)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("perm", [1, 2]),
+    ("group-aut", [1, 2]),
+    ("rees-example", [1, 2]),
+    ("descriptor", [1, 2]),
+    ("perm", {"images": 5}),
+    ("group-aut", {"table": 5, "phi": [0]}),
+], ids=["perm-list", "group-aut-list", "rees-list", "descriptor-list",
+        "perm-int", "group-aut-int"])
+def test_construct_params_malformed(tmp_path, kind, params):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    r = run_cli("construct", "--type", kind, "--params", str(path))
+    assert r.returncode == 2
+    assert "error" in json.loads(r.stderr)
