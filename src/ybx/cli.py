@@ -10,13 +10,15 @@ import json
 import os
 import sys
 
-from .core import (InvalidSolutionError, SolutionFormatError, check,
-                   diagonal_image, load_rmap, promote, rmap_to_dict)
+from .core import (InvalidSolutionError, SolutionFormatError,
+                   VerificationReport, check, diagonal_image, load_rmap,
+                   promote, rmap_to_dict)
 from .groebner import (check_overlaps, constant_rules, normal_word_count,
                        solution_rules)
-from .invariants import (check_fineq, descriptor, descriptor_diagnostics,
-                         descriptor_from_dict, q_image_in_idempotents,
-                         reconstruct, semigroup, torsion)
+from .invariants import (Discrepancy, check_fineq, descriptor,
+                         descriptor_diagnostics, descriptor_from_dict,
+                         q_image_in_idempotents, reconstruct, semigroup,
+                         torsion)
 from .monoid import center_basis, growth, is_cancellative, sigma_discrepancies
 from .search import (EnumOptions, enumerate_solutions, from_group_automorphism,
                      from_permutation, from_rees_example, is_latin)
@@ -31,6 +33,23 @@ EXIT_BUDGET = 4
 def _fail(message):
     print(json.dumps({"error": message}), file=sys.stderr)
     return EXIT_IO
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with a JSON error, like every other user error."""
+
+    def error(self, message):
+        sys.exit(_fail(message))
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
 
 
 def _emit(obj, pretty):
@@ -72,20 +91,20 @@ def _analyze_report(s, max_len, center_deg):
     discrepancies.extend(gr.discrepancies())
     if not fineq.ok:
         discrepancies.append(
-            {"claim": "descriptor-identities",
-             "counterexample": [[n, list(p)] for n, p in fineq.counterexamples]})
+            Discrepancy("descriptor-identities", fineq.counterexamples))
     # short test lengths may miss witnesses; the criterion only binds
     # once products reach twice the exponent
     if cancel_len >= 2 * s.d + 1 and cancellative != (len(image) == 1):
-        discrepancies.append({"claim": "cancellative-iff-singleton-diagonal",
-                              "counterexample": [cancel_len]})
+        discrepancies.append(
+            Discrepancy("cancellative-iff-singleton-diagonal", (cancel_len,)))
     if latin != (len(image) == 1):
-        discrepancies.append({"claim": "latin-iff-singleton-diagonal",
-                              "counterexample": []})
+        discrepancies.append(Discrepancy("latin-iff-singleton-diagonal", ()))
 
     singleton = len(image) == 1
     report = {
-        "verification": check(s).to_json(),
+        # a Solution exists only once promote's full check has passed
+        "verification": VerificationReport(True, True, True, True,
+                                           True).to_json(),
         "n": s.n,
         "q": list(s.q),
         "diagonal": list(image),
@@ -141,8 +160,7 @@ def _analyze_report(s, max_len, center_deg):
                 "value": singleton,
             },
         },
-        "discrepancies": [d if isinstance(d, dict) else d.to_json()
-                          for d in discrepancies],
+        "discrepancies": [d.to_json() for d in discrepancies],
     }
     return report
 
@@ -296,7 +314,7 @@ def cmd_groebner(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ybx",
         description="Verification, structure and search for finite idempotent "
                     "left non-degenerate set-theoretic Yang-Baxter solutions.")
@@ -309,8 +327,8 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="full structural report")
     p.add_argument("path")
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--center", type=int, default=None)
+    p.add_argument("--max-len", type=_positive_int, default=None)
+    p.add_argument("--center", type=_positive_int, default=None)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
@@ -331,8 +349,8 @@ def build_parser():
 
     p = sub.add_parser("groebner", help="rewriting systems and word counts")
     p.add_argument("path", nargs="?")
-    p.add_argument("--constant-lambda", type=int, default=None)
-    p.add_argument("--max-deg", type=int, default=8)
+    p.add_argument("--constant-lambda", type=_positive_int, default=None)
+    p.add_argument("--max-deg", type=_positive_int, default=8)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_groebner)
 
@@ -344,10 +362,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "groebner" and args.constant_lambda is None and not args.path:
         parser.error("groebner needs a path or --constant-lambda")
-    for name in ("max_len", "center", "constant_lambda", "max_deg"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            return _fail(f"--{name.replace('_', '-')} must be >= 1")
     return args.func(args)
 
 

@@ -16,7 +16,8 @@ carrying the derived data (q, d).
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from functools import partial
+from itertools import filterfalse, permutations, product
 
 from .perms import compose, exponent, is_perm
 
@@ -115,6 +116,27 @@ class Solution:
     d: int
 
 
+def failures(holds, arity, n):
+    """The points of {0..n-1}^arity where ``holds(points)`` is false, lazily.
+
+    Points come in lexicographic order, so ``next(failures(...), None)`` is
+    the first counterexample of the nested loop over the coordinates.
+    """
+    return filterfalse(holds, product(range(n), repeat=arity))
+
+
+def associative_at(op, points):
+    """(x . y) . z == x . (y . z) for the table op at points (x, y, z)."""
+    x, y, z = points
+    return op[op[x][y]][z] == op[x][op[y][z]]
+
+
+def homomorphic_at(f, op, points):
+    """f(x . y) == f(x) . f(y) for the map f and the table op at (x, y)."""
+    x, y = points
+    return f[op[x][y]] == op[f[x]][f[y]]
+
+
 def apply_r(m, x, y):
     """Evaluate r at a pair of points: (lam[x][y], rho[x][y])."""
     n = m.n
@@ -151,50 +173,13 @@ def identity_holds(m, name, points):
 
 def check(m):
     """Exhaustively verify an RMap over all triples and pairs of points."""
-    n = m.n
-    rng = range(n)
     results = {}
-    firsts = {}
-
-    for name in ("ybe1", "ybe2", "ybe3"):
-        ok = True
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if not identity_holds(m, name, (x, y, z)):
-                        ok = False
-                        firsts.setdefault(name, (x, y, z))
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        results[name] = ok
-
-    ok = True
-    for x in rng:
-        if not is_perm(m.lam[x]):
-            ok = False
-            firsts.setdefault("left_nondegenerate", (x,))
-            break
-    results["left_nondegenerate"] = ok
-
-    ok = True
-    for x in rng:
-        for y in rng:
-            if not identity_holds(m, "idempotent", (x, y)):
-                ok = False
-                firsts.setdefault("idempotent", (x, y))
-                break
-        if not ok:
-            break
-    results["idempotent"] = ok
-
     first = None
-    for name in IDENTITY_NAMES:
-        if not results[name]:
-            first = (name, firsts[name])
-            break
+    for name, arity in zip(IDENTITY_NAMES, (3, 3, 3, 1, 2)):
+        p = next(failures(partial(identity_holds, m, name), arity, m.n), None)
+        results[name] = p is None
+        if first is None and p is not None:
+            first = (name, p)
     return VerificationReport(first_counterexample=first, **results)
 
 
@@ -323,16 +308,20 @@ def iso_check(s1, s2):
     return None
 
 
+def canonical_table(table):
+    """Lexicographically minimal flattened table over all relabelings.
+
+    Each relabeling psi conjugates the table as in :func:`relabel_lambda`;
+    a group table is canonicalized the same way as a lam table.
+    """
+    _require_small(len(table))
+    return min(tuple(v for row in relabel_lambda(table, psi) for v in row)
+               for psi in permutations(range(len(table))))
+
+
 def canonical_form(s):
     """Lexicographically minimal flattened lam table over all relabelings."""
-    _require_small(s.n)
-    lam = s.lam
-    best = None
-    for psi in permutations(range(s.n)):
-        flat = tuple(v for row in relabel_lambda(lam, psi) for v in row)
-        if best is None or flat < best:
-            best = flat
-    return best
+    return canonical_table(s.lam)
 
 
 # ---------------------------------------------------------------------------

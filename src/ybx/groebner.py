@@ -17,8 +17,6 @@ overlap as an obstruction to quadratic confluence.
 
 from dataclasses import dataclass
 
-from .core import SolutionFormatError
-
 
 @dataclass(frozen=True, order=True)
 class Rule:
@@ -66,16 +64,6 @@ class RewriteSystem:
         return {"n": self.n,
                 "order": list(self.order),
                 "rules": [[list(r.lhs), list(r.rhs)] for r in self.rules]}
-
-
-def system_from_dict(data):
-    try:
-        n = data["n"]
-        rules = tuple(Rule(tuple(l), tuple(r)) for l, r in data["rules"])
-        order = tuple(data["order"]) if "order" in data else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SolutionFormatError("rewrite system needs n and rules") from exc
-    return RewriteSystem(n, rules, order)
 
 
 def constant_rules(n):

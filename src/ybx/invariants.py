@@ -14,10 +14,11 @@ it is never raised, so the library doubles as an empirical checker.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import partial
+from itertools import groupby, product
 
-from .core import (RMap, check, diagonal_image, lambda_word, q_power,
-                   relabel_lambda)
+from .core import (RMap, associative_at, check, diagonal_image, failures,
+                   homomorphic_at, lambda_word, q_power)
 from .perms import compose, is_perm
 
 
@@ -35,31 +36,11 @@ class Discrepancy:
                 "context": list(self.context)}
 
 
-@dataclass(frozen=True)
-class DiagonalData:
-    """The diagonal map, its image, the exponent, and the component table.
-
-    ``components[(k, x)]`` is the component of the length-k element ending
-    in x, for k in 1..d; larger lengths repeat with period d.
-    """
-
-    q: tuple
-    image: tuple
-    d: int
-    components: tuple  # ((k, x, u), ...) sorted
-
-
 def component_of(s, k, x):
     """The component q^k(x) of the length-k element ending in x."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return q_power(s, x, k)
-
-
-def diagonal_data(s):
-    comps = tuple(sorted((k, x, component_of(s, k, x))
-                         for k in range(1, s.d + 1) for x in range(s.n)))
-    return DiagonalData(s.q, diagonal_image(s), s.d, comps)
 
 
 def partition(s):
@@ -109,18 +90,9 @@ def semigroup(s):
 
     op = tuple(tuple(lambda_word(s, x, d)) for x in rng)
 
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if op[op[x][y]][z] != op[x][op[y][z]]:
-                    bad.append(Discrepancy("semigroup-associativity", (x, y, z)))
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+    p = next(failures(partial(associative_at, op), 3, n), None)
+    if p is not None:
+        bad.append(Discrepancy("semigroup-associativity", p))
 
     for x in rng:
         if len(set(op[x])) != n:
@@ -141,10 +113,8 @@ def semigroup(s):
         bad.append(Discrepancy("equal-size-component-cover",
                                tuple(covered), tuple(sorted(sizes))))
     for u, xs in parts.items():
-        for x in xs:
-            for y in xs:
-                if op[x][y] not in xs:
-                    bad.append(Discrepancy("component-closed", (u, x, y)))
+        bad.extend(Discrepancy("component-closed", (u, x, y))
+                   for x, y in product(xs, repeat=2) if op[x][y] not in xs)
 
     base = image[0]
     coords = {x: (op[x][base], q_power(s, x, d)) for x in rng}
@@ -152,12 +122,15 @@ def semigroup(s):
         bad.append(Discrepancy("rees-coordinates-bijective", tuple(sorted(coords))))
     if n != len(image) * len(parts[base]):
         bad.append(Discrepancy("size-product", (n, len(image), len(parts[base]))))
-    for x in rng:
-        for y in rng:
-            gx, _ = coords[x]
-            gy, uy = coords[y]
-            if coords[op[x][y]] != (op[gx][gy], uy):
-                bad.append(Discrepancy("rees-multiplication", (x, y)))
+
+    def rees_multiplies(points):
+        x, y = points
+        gx, _ = coords[x]
+        gy, uy = coords[y]
+        return coords[op[x][y]] == (op[gx][gy], uy)
+
+    bad.extend(Discrepancy("rees-multiplication", p)
+               for p in failures(rees_multiplies, 2, n))
 
     return SimpleSemigroupTable(
         op=op,
@@ -192,25 +165,20 @@ def torsion(s, u):
     xs = partition(s)[u]
     index = {x: i for i, x in enumerate(xs)}
     d = s.d
-    bad = []
 
     table = tuple(tuple(lambda_word(s, x, d)[y] for y in xs) for x in xs)
 
-    closed = True
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            if table[i][j] not in index:
-                closed = False
-                bad.append(Discrepancy("torsion-closed", (u, x, y)))
+    # the scans run on local indices into xs
+    bad = [Discrepancy("torsion-closed", (u, xs[i], xs[j]))
+           for i, j in failures(lambda p: table[p[0]][p[1]] in index,
+                                2, len(xs))]
     orders = ()
-    if closed:
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                for k, z in enumerate(xs):
-                    lhs = table[index[table[i][j]]][k]
-                    rhs = table[i][index[table[j][k]]]
-                    if lhs != rhs:
-                        bad.append(Discrepancy("torsion-associative", (u, x, y, z)))
+    if not bad:
+        local = tuple(tuple(index[v] for v in row) for row in table)
+        bad.extend(Discrepancy("torsion-associative",
+                               (u, xs[i], xs[j], xs[k]))
+                   for i, j, k in failures(partial(associative_at, local),
+                                           3, len(xs)))
         ui = index[u]
         if any(table[ui][j] != y for j, y in enumerate(xs)) or \
            any(table[i][ui] != x for i, x in enumerate(xs)):
@@ -385,27 +353,11 @@ def check_fineq(dsc):
     rng = range(n)
     results = {}
     examples = []
-    for name in ("fineq1", "fineq2", "fineq3"):
-        ok = True
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if not fineq_holds(dsc, name, (x, y, z)):
-                        ok = False
-                        examples.append((name, (x, y, z)))
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        results[name] = ok
-    ok = True
-    for x in rng:
-        if not fineq_holds(dsc, "fineq4", (x,)):
-            ok = False
-            examples.append(("fineq4", (x,)))
-            break
-    results["fineq4"] = ok
+    for name, arity in (("fineq1", 3), ("fineq2", 3), ("fineq3", 3), ("fineq4", 1)):
+        p = next(failures(partial(fineq_holds, dsc, name), arity, n), None)
+        results[name] = p is None
+        if p is not None:
+            examples.append((name, p))
 
     allphi = None
     if len(set(dsc.phi)) == 1:
@@ -413,14 +365,11 @@ def check_fineq(dsc):
         op, q = dsc.op, dsc.q
         ce = []
         auto = is_perm(phi)
-        for x in rng:
-            for y in rng:
-                if phi[op[x][y]] != op[phi[x]][phi[y]]:
-                    auto = False
-                    ce.append(("automorphism", x, y))
-                    break
-            if not auto:
-                break
+        p = next(failures(partial(homomorphic_at, phi, op), 2, n), None)
+        # a phi that is not a bijection has only its row x = 0 scanned
+        if p is not None and (auto or p[0] == 0):
+            auto = False
+            ce.append(("automorphism",) + p)
         pq = all(phi[q[x]] == q[q[x]] for x in rng)
         if not pq:
             ce.append(("phi_q_is_q2",))
@@ -457,16 +406,10 @@ def descriptor_diagnostics(dsc):
     n = dsc.n
     rng = range(n)
     op = dsc.op
-    bad = []
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if op[op[x][y]][z] != op[x][op[y][z]]:
-                    bad.append(Discrepancy("descriptor-associativity", (x, y, z)))
-                    break
-            else:
-                continue
-            break
+    # the first failing (y, z) for each x
+    bad = [Discrepancy("descriptor-associativity", next(ps))
+           for _, ps in groupby(failures(partial(associative_at, op), 3, n),
+                                key=lambda p: p[0])]
     for x in rng:
         if len(set(op[x])) != n:
             bad.append(Discrepancy("descriptor-left-cancellative", (x,)))
@@ -499,8 +442,7 @@ def reconstruct(dsc):
 
 def roundtrip(s):
     """Whether descriptor -> reconstruct reproduces the solution exactly."""
-    m, _ = reconstruct(descriptor(s))
-    return m.lam == s.lam and m.rho == s.rho
+    return not roundtrip_discrepancies(s)
 
 
 def roundtrip_discrepancies(s):
@@ -515,17 +457,6 @@ def roundtrip_discrepancies(s):
                 bad.append(Discrepancy("roundtrip-rho",
                                        (x, y, s.rho[x][y], m.rho[x][y])))
     return tuple(bad)
-
-
-def canonical_group_table(table):
-    """Minimal relabeling of a small group table, for classification keys."""
-    n = len(table)
-    best = None
-    for psi in permutations(range(n)):
-        flat = tuple(v for row in relabel_lambda(table, psi) for v in row)
-        if best is None or flat < best:
-            best = flat
-    return best
 
 
 def structure_discrepancies(s):

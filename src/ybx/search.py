@@ -23,13 +23,13 @@ it is emitted; the pruning is an optimisation, never a proof.
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 
-from .core import (InvalidSolutionError, canonical_form, diagonal_image,
+from .core import (InvalidSolutionError, associative_at, canonical_form,
+                   canonical_table, diagonal_image, failures, homomorphic_at,
                    promote, rmap_from_lambda, solution_from_lambda)
-from .invariants import (Descriptor, canonical_group_table, check_fineq,
-                         reconstruct, torsion)
+from .invariants import Descriptor, check_fineq, reconstruct, torsion
 from .perms import compose, inverse, is_perm
 
 MAX_POINTS = 6
@@ -261,7 +261,7 @@ def classify(n):
             diag_size=len(diagonal_image(rep)),
             d=rep.d,
             torsion_order=len(tor.elements),
-            torsion_table=canonical_group_table(table),
+            torsion_table=canonical_table(table),
             family=_family_tag(rep),
         ))
     return records
@@ -310,11 +310,9 @@ def from_permutation(phi):
 
 def _group_axioms(table):
     n = len(table)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise ValueError(f"associativity fails at ({x}, {y}, {z})")
+    p = next(failures(partial(associative_at, table), 3, n), None)
+    if p is not None:
+        raise ValueError(f"associativity fails at {p}")
     e = None
     for c in range(n):
         if all(table[c][x] == x == table[x][c] for x in range(n)):
@@ -336,10 +334,9 @@ def from_group_automorphism(table, phi):
     if not is_perm(phi):
         raise ValueError("phi must be a permutation")
     n = len(table)
-    for x in range(n):
-        for y in range(n):
-            if phi[table[x][y]] != table[phi[x]][phi[y]]:
-                raise ValueError(f"phi is not a homomorphism at ({x}, {y})")
+    p = next(failures(partial(homomorphic_at, phi, table), 2, n), None)
+    if p is not None:
+        raise ValueError(f"phi is not a homomorphism at {p}")
     rows = [tuple(table[x][phi[y]] for y in range(n)) for x in range(n)]
     s = solution_from_lambda(rows)
     assert diagonal_image(s) == (e,)
@@ -453,10 +450,9 @@ def from_rees_example(gtable, ncols, a_cols, t, f, psi):
     f = tuple(f)
     if not is_perm(f) or len(f) != order:
         raise ValueError("f must be a permutation of the group")
-    for x in range(order):
-        for y in range(order):
-            if f[gtable[x][y]] != gtable[f[x]][f[y]]:
-                raise ValueError(f"f is not a homomorphism at ({x}, {y})")
+    p = next(failures(partial(homomorphic_at, f, gtable), 2, order), None)
+    if p is not None:
+        raise ValueError(f"f is not a homomorphism at {p}")
     psi = tuple(psi)
     if not is_perm(psi) or len(psi) != ncols:
         raise ValueError("psi must be a permutation of the columns")

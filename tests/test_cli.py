@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from ybx import cli
 from ybx.core import RMap, rmap_to_dict
 from ybx.fixtures import SOL_SWAP2, SOL_Z2
+from ybx.invariants import FineqReport
 
 
 def run_cli(*args, env=None):
@@ -342,3 +344,42 @@ def test_construct_params_malformed(tmp_path, kind, params):
     r = run_cli("construct", "--type", kind, "--params", str(path))
     assert r.returncode == 2
     assert "error" in json.loads(r.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ("groebner",),
+    ("analyze", "FILE", "--max-len", "abc"),
+    ("enumerate", "-n", "x"),
+    (),
+], ids=["groebner-no-path", "max-len-not-int", "n-not-int", "no-command"])
+def test_usage_errors_are_json(tmp_path, argv):
+    path = write_solution(tmp_path, SOL_Z2)
+    r = run_cli(*(path if a == "FILE" else a for a in argv))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert list(json.loads(r.stderr)) == ["error"]
+
+
+def _failing_fineq(dsc):
+    return FineqReport(False, True, True, True, (("fineq1", (0, 1, 0)),))
+
+
+@pytest.mark.parametrize("name, replacement, entry", [
+    ("is_latin", lambda s: False,
+     {"claim": "latin-iff-singleton-diagonal", "counterexample": [],
+      "context": []}),
+    ("check_fineq", _failing_fineq,
+     {"claim": "descriptor-identities",
+      "counterexample": [["fineq1", [0, 1, 0]]], "context": []}),
+    ("is_cancellative", lambda s, max_len: (False, None),
+     {"claim": "cancellative-iff-singleton-diagonal", "counterexample": [5],
+      "context": []}),
+], ids=["latin", "fineq", "cancellative"])
+def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, name,
+                                  replacement, entry):
+    # SOL_Z2 is latin, cancellative and satisfies the descriptor
+    # identities; a patched check reports the opposite
+    path = write_solution(tmp_path, SOL_Z2)
+    monkeypatch.setattr(f"ybx.cli.{name}", replacement)
+    assert cli.main(["analyze", path]) == 3
+    assert json.loads(capsys.readouterr().out)["discrepancies"] == [entry]

@@ -4,9 +4,9 @@ import pytest
 
 from ybx.core import (InvalidSolutionError, RMap, SolutionFormatError,
                       apply_r, canonical_form, check, diagonal_image,
-                      dump_solution, identity_holds, iso_check, lambda_word,
-                      load_rmap, promote, q_power, rmap_from_dict,
-                      rmap_from_lambda, solution_from_lambda)
+                      dump_solution, failures, identity_holds, iso_check,
+                      lambda_word, load_rmap, promote, q_power,
+                      rmap_from_dict, rmap_from_lambda, solution_from_lambda)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.perms import compose, identity, inverse
@@ -32,6 +32,15 @@ def test_apply_r_examples():
     assert apply_r(as_rmap(SOL_Z2), 1, 1) == (0, 0)
     with pytest.raises(ValueError):
         apply_r(as_rmap(SOL_Z2), 0, 2)
+
+
+def test_failures_lexicographic_and_lazy():
+    assert list(failures(lambda p: sum(p) % 2 == 0, 2, 3)) == [
+        (0, 1), (1, 0), (1, 2), (2, 1)]
+    tried = []
+    first = next(failures(lambda p: tried.append(p) or p != (0, 1, 0), 3, 4))
+    assert first == (0, 1, 0)
+    assert tried == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 0)]
 
 
 def test_check_valid_fixtures():

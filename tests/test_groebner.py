@@ -2,8 +2,7 @@ import pytest
 
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_TRIV, SOL_Z2)
 from ybx.groebner import (RewriteSystem, Rule, check_overlaps, constant_rules,
-                          is_normal, normal_word_count, reduce, solution_rules,
-                          system_from_dict)
+                          is_normal, normal_word_count, reduce, solution_rules)
 from ybx.monoid import growth
 
 from itertools import product
@@ -111,9 +110,3 @@ def test_solution_rules_on_enumerated_solutions():
             assert tuple(counts) == growth(s, 8).oracle
     assert confluent >= 1
 
-
-def test_system_json_round_trip():
-    rs = constant_rules(3)
-    data = rs.to_json()
-    back = system_from_dict(data)
-    assert back == rs

@@ -4,7 +4,7 @@ from ybx.core import diagonal_image, lambda_word
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.invariants import (Descriptor, check_fineq, component_of, descriptor,
-                            diagonal_data, fineq_holds, partition, phi_maps,
+                            fineq_holds, partition, phi_maps,
                             q_image_in_idempotents, reconstruct, roundtrip,
                             semigroup, structure_discrepancies, torsion,
                             torsion_iso)
@@ -28,13 +28,6 @@ def test_component_is_inverse_word_image():
                 u = component_of(s, k, x)
                 assert inverse(lambda_word(s, x, k))[x] == u
                 assert u in diagonal_image(s)
-
-
-def test_diagonal_data():
-    dd = diagonal_data(SOL_SWAP2)
-    assert dd.image == (0, 1) and dd.d == 2
-    assert dict(((k, x), u) for k, x, u in dd.components) == {
-        (1, 0): 1, (1, 1): 0, (2, 0): 0, (2, 1): 1}
 
 
 def test_partition_examples():

@@ -1,22 +1,33 @@
-"""The growth oracle, the overlap scan and the cancellation scan against
-the all-words kernels they replaced.
+"""Rewritten kernels against the nested loops they replaced.
 
 The helpers below are those earlier kernels, kept as independent oracles:
 a union-find over all n^L free words of one length, an overlap scan that
-walks every pair of rules, and a right-cancellation scan that also runs
-over the length of the cancelled factor.
+walks every pair of rules, a right-cancellation scan that also runs over
+the length of the cancelled factor, and the hand-written loops of
+``check``, ``check_fineq`` and ``descriptor_diagnostics`` that the
+exhaustive scanner ``core.failures`` replaced.
 """
 
 import random
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ybx.core import lambda_word, solution_from_lambda
+from ybx.core import (IDENTITY_NAMES, RMap, VerificationReport, check,
+                      identity_holds, lambda_word, rmap_from_lambda,
+                      solution_from_lambda)
 from ybx.groebner import (RewriteSystem, Rule, check_overlaps, constant_rules,
                           reduce, solution_rules)
+from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
+                            check_fineq, descriptor, descriptor_diagnostics,
+                            fineq_holds, q_image_in_idempotents)
 from ybx.monoid import MElem, _word_classes, growth, is_cancellative
-from ybx.search import EnumOptions, enumerate_solutions
+from ybx.perms import is_perm
+from ybx.search import (EnumOptions, enumerate_solutions,
+                        from_group_automorphism, from_rees_example)
 
 
 def word_classes_all_words(s, length):
@@ -85,6 +96,145 @@ def is_cancellative_all_lengths(s, max_len):
                         return False, ("left", MElem(1, x), MElem(1, y),
                                        MElem(l, z))
     return True, None
+
+
+def check_nested_loops(m):
+    """Exhaustively verify an RMap over all triples and pairs of points."""
+    n = m.n
+    rng = range(n)
+    results = {}
+    firsts = {}
+
+    for name in ("ybe1", "ybe2", "ybe3"):
+        ok = True
+        for x in rng:
+            for y in rng:
+                for z in rng:
+                    if not identity_holds(m, name, (x, y, z)):
+                        ok = False
+                        firsts.setdefault(name, (x, y, z))
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        results[name] = ok
+
+    ok = True
+    for x in rng:
+        if not is_perm(m.lam[x]):
+            ok = False
+            firsts.setdefault("left_nondegenerate", (x,))
+            break
+    results["left_nondegenerate"] = ok
+
+    ok = True
+    for x in rng:
+        for y in rng:
+            if not identity_holds(m, "idempotent", (x, y)):
+                ok = False
+                firsts.setdefault("idempotent", (x, y))
+                break
+        if not ok:
+            break
+    results["idempotent"] = ok
+
+    first = None
+    for name in IDENTITY_NAMES:
+        if not results[name]:
+            first = (name, firsts[name])
+            break
+    return VerificationReport(first_counterexample=first, **results)
+
+
+def check_fineq_nested_loops(dsc):
+    """Evaluate the four compatibility identities of a descriptor.
+
+    When all phi_x coincide, the reduced conditions are evaluated as well
+    and reported side by side.
+    """
+    n = dsc.n
+    rng = range(n)
+    results = {}
+    examples = []
+    for name in ("fineq1", "fineq2", "fineq3"):
+        ok = True
+        for x in rng:
+            for y in rng:
+                for z in rng:
+                    if not fineq_holds(dsc, name, (x, y, z)):
+                        ok = False
+                        examples.append((name, (x, y, z)))
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        results[name] = ok
+    ok = True
+    for x in rng:
+        if not fineq_holds(dsc, "fineq4", (x,)):
+            ok = False
+            examples.append(("fineq4", (x,)))
+            break
+    results["fineq4"] = ok
+
+    allphi = None
+    if len(set(dsc.phi)) == 1:
+        phi = dsc.phi[0]
+        op, q = dsc.op, dsc.q
+        ce = []
+        auto = is_perm(phi)
+        for x in rng:
+            for y in rng:
+                if phi[op[x][y]] != op[phi[x]][phi[y]]:
+                    auto = False
+                    ce.append(("automorphism", x, y))
+                    break
+            if not auto:
+                break
+        pq = all(phi[q[x]] == q[q[x]] for x in rng)
+        if not pq:
+            ce.append(("phi_q_is_q2",))
+        q4 = all(q[x] == q[q[q[q[x]]]] for x in rng)
+        if not q4:
+            ce.append(("q_is_q4",))
+        ab = all(q[op[x][q[q[x]]]] == q[x] for x in rng)
+        if not ab:
+            ce.append(("absorbs_q2",))
+        allphi = AllPhiReport(auto, pq, q4, ab, tuple(ce))
+
+    return FineqReport(counterexamples=tuple(examples), allphi=allphi, **results)
+
+
+def descriptor_diagnostics_nested_loops(dsc):
+    n = dsc.n
+    rng = range(n)
+    op = dsc.op
+    bad = []
+    for x in rng:
+        for y in rng:
+            for z in rng:
+                if op[op[x][y]][z] != op[x][op[y][z]]:
+                    bad.append(Discrepancy("descriptor-associativity", (x, y, z)))
+                    break
+            else:
+                continue
+            break
+    for x in rng:
+        if len(set(op[x])) != n:
+            bad.append(Discrepancy("descriptor-left-cancellative", (x,)))
+    for x in rng:
+        if op[x][x] == x and any(op[x][y] != y for y in rng):
+            bad.append(Discrepancy("descriptor-idempotent-not-left-identity", (x,)))
+    for x in rng:
+        if not is_perm(dsc.phi[x]):
+            bad.append(Discrepancy("descriptor-phi-not-bijective", (x,)))
+    info = q_image_in_idempotents(dsc)
+    if not info["contained"]:
+        bad.append(Discrepancy("descriptor-q-image-not-idempotent",
+                               info["q_image"], info["idempotents"]))
+    return tuple(bad)
 
 
 def families(n):
@@ -167,3 +317,84 @@ def test_is_cancellative_matches_all_lengths_scan(census4):
             assert got == is_cancellative_all_lengths(s, max_len)
             verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+SYM3 = sorted(permutations(range(3)))
+
+
+def test_check_matches_nested_loops_on_sym3_cubed():
+    firsts = set()
+    for rows in product(SYM3, repeat=3):
+        m = rmap_from_lambda(rows)
+        candidates = [m]
+        for x, y in product(range(3), repeat=2):
+            rho = [list(r) for r in m.rho]
+            rho[x][y] = (rho[x][y] + 1) % 3
+            candidates.append(RMap(3, m.lam, rho))
+        for c in candidates:
+            got = check(c)
+            assert got == check_nested_loops(c)
+            firsts.add(got.first_counterexample and got.first_counterexample[0])
+    assert firsts == {None, "ybe1", "ybe2", "ybe3", "idempotent"}
+
+
+def test_check_and_fineq_match_nested_loops_on_census4(census4):
+    for s in census4:
+        assert check(s) == check_nested_loops(s)
+        dsc = descriptor(s)
+        assert check_fineq(dsc) == check_fineq_nested_loops(dsc)
+
+
+def _row(n):
+    return st.tuples(*[st.integers(0, n - 1)] * n)
+
+
+def _table(n):
+    return st.tuples(*[_row(n)] * n)
+
+
+@st.composite
+def rmaps(draw):
+    n = draw(st.integers(1, 4))
+    return RMap(n, draw(_table(n)), draw(_table(n)))
+
+
+@st.composite
+def descriptors(draw):
+    # phi rows: arbitrary, all equal, or all equal to one permutation
+    n = draw(st.integers(1, 4))
+    phi = draw(st.one_of(
+        _table(n),
+        _row(n).map(lambda row: (row,) * n),
+        st.permutations(range(n)).map(lambda row: (tuple(row),) * n)))
+    return Descriptor(n, draw(_table(n)), draw(_row(n)), phi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rmaps())
+def test_check_matches_nested_loops_on_random_rmaps(m):
+    assert check(m) == check_nested_loops(m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(descriptors())
+def test_descriptor_scans_match_nested_loops(dsc):
+    assert check_fineq(dsc) == check_fineq_nested_loops(dsc)
+    assert descriptor_diagnostics(dsc) == descriptor_diagnostics_nested_loops(dsc)
+
+
+Z5 = [[(x + y) % 5 for y in range(5)] for x in range(5)]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: from_group_automorphism([[0, 1], [0, 0]], [0, 1]),
+     "associativity fails at (1, 0, 1)"),
+    (lambda: from_group_automorphism(Z5, [0, 1, 2, 4, 3]),
+     "phi is not a homomorphism at (1, 2)"),
+    (lambda: from_rees_example(Z5, 2, [0], {"1": 0}, [0, 1, 2, 4, 3], [0, 1]),
+     "f is not a homomorphism at (1, 2)"),
+], ids=["non-associative", "phi-not-homomorphic", "rees-f-not-homomorphic"])
+def test_group_construction_error_texts(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
