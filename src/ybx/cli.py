@@ -15,10 +15,9 @@ from .core import (InvalidSolutionError, SolutionFormatError,
                    promote, rmap_to_dict)
 from .groebner import (check_overlaps, constant_rules, normal_word_count,
                        solution_rules)
-from .invariants import (Discrepancy, check_fineq, descriptor,
-                         descriptor_diagnostics, descriptor_from_dict,
-                         q_image_in_idempotents, reconstruct, semigroup,
-                         torsion)
+from .invariants import (Discrepancy, descriptor_diagnostics,
+                         descriptor_from_dict, descriptor_report,
+                         q_image_in_idempotents, structure)
 from .monoid import center_basis, growth, is_cancellative, sigma_discrepancies
 from .search import (EnumOptions, enumerate_solutions, from_group_automorphism,
                      from_permutation, from_rees_example, is_latin)
@@ -71,10 +70,8 @@ def cmd_verify(args):
 
 def _analyze_report(s, max_len, center_deg):
     image = diagonal_image(s)
-    sg = semigroup(s)
-    tors = {u: torsion(s, u) for u in image}
-    dsc = descriptor(s)
-    fineq = check_fineq(dsc)
+    st = structure(s)
+    sg = st.semigroup
     cancel_len = max_len if max_len is not None else 2 * s.d + 1
     cancellative, witness = is_cancellative(s, cancel_len)
     growth_len = min(max_len, 8) if max_len is not None else 4
@@ -83,15 +80,9 @@ def _analyze_report(s, max_len, center_deg):
     basis = center_basis(s, deg)
     latin = is_latin(s)
 
-    discrepancies = []
-    discrepancies.extend(sg.discrepancies)
-    for t in tors.values():
-        discrepancies.extend(t.discrepancies)
+    discrepancies = list(st.discrepancies)
     discrepancies.extend(sigma_discrepancies(s))
     discrepancies.extend(gr.discrepancies())
-    if not fineq.ok:
-        discrepancies.append(
-            Discrepancy("descriptor-identities", fineq.counterexamples))
     # short test lengths may miss witnesses; the criterion only binds
     # once products reach twice the exponent
     if cancel_len >= 2 * s.d + 1 and cancellative != (len(image) == 1):
@@ -117,20 +108,20 @@ def _analyze_report(s, max_len, center_deg):
             "rees": {
                 "base": sg.rees_base,
                 "columns": len(image),
-                "torsion_order": len(tors[image[0]].elements),
+                "torsion_order": len(st.torsion[0].elements),
                 "coords": {str(x): [g, u] for x, g, u in sg.rees_coords},
             },
         },
         "torsion": {
-            str(u): {
+            str(t.u): {
                 "elements": list(t.elements),
                 "op": [list(r) for r in t.op],
                 "identity": t.identity,
                 "orders": {str(x): k for x, k in t.orders},
-            } for u, t in tors.items()
+            } for t in st.torsion
         },
-        "phi": [list(p) for p in dsc.phi],
-        "fineq": fineq.to_json(),
+        "phi": [list(p) for p in st.descriptor.phi],
+        "fineq": st.fineq.to_json(),
         "cancellative": {
             "value": cancellative,
             "max_len": cancel_len,
@@ -238,13 +229,13 @@ def cmd_construct(args):
             _emit(rmap_to_dict(s), args.pretty)
             return EXIT_OK
         if args.type == "descriptor":
-            dsc = descriptor_from_dict(params)
-            return _emit_descriptor_reports(dsc, args.pretty)
+            rep = descriptor_report(descriptor_from_dict(params))
+            return _emit_descriptor_reports(rep, args.pretty)
         if args.type == "rees-example":
-            res = from_rees_example(params["group"], params["ncols"],
+            rep = from_rees_example(params["group"], params["ncols"],
                                     params["A"], params["t"], params["f"],
                                     params["psi"])
-            return _emit_descriptor_reports(res.descriptor, args.pretty)
+            return _emit_descriptor_reports(rep, args.pretty)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         return _fail(str(exc))
     raise AssertionError("unreachable")
@@ -258,23 +249,22 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_descriptor_reports(dsc, pretty):
+def _emit_descriptor_reports(rep, pretty):
     """Identity report and direct verification, computed independently."""
-    fineq = check_fineq(dsc)
-    candidate, verification = reconstruct(dsc)
+    dsc = rep.descriptor
     out = {
         "descriptor": dsc.to_json(),
-        "fineq": fineq.to_json(),
-        "candidate": rmap_to_dict(candidate),
-        "verification": verification.to_json(),
+        "fineq": rep.fineq.to_json(),
+        "candidate": rmap_to_dict(rep.candidate),
+        "verification": rep.verification.to_json(),
         "q_idempotents": _jsonable(q_image_in_idempotents(dsc)),
         "table_discrepancies": [d.to_json()
                                 for d in descriptor_diagnostics(dsc)],
     }
     _emit(out, pretty)
-    if fineq.ok != verification.ok:
+    if rep.fineq.ok != rep.verification.ok:
         return EXIT_DISCREPANCY
-    return EXIT_OK if verification.ok else EXIT_INVALID
+    return EXIT_OK if rep.verification.ok else EXIT_INVALID
 
 
 def cmd_groebner(args):

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, product
 
-from .core import (RMap, associative_at, check, diagonal_image, failures,
-                   homomorphic_at, lambda_word, q_power)
+from .core import (RMap, VerificationReport, associative_at, check,
+                   diagonal_image, failures, homomorphic_at, lambda_word,
+                   q_power)
 from .perms import compose, is_perm
 
 
@@ -154,9 +155,6 @@ class TorsionGroupTable:
     orders: tuple    # ((element, order), ...)
     discrepancies: tuple
 
-    def order_of(self, x):
-        return dict(self.orders)[x]
-
 
 def torsion(s, u):
     """The torsion group on X_u; verifies the group axioms and orders."""
@@ -213,18 +211,19 @@ def torsion_iso(s, u, v):
     image = set(s.q)
     if u not in image or v not in image:
         raise ValueError("both points must lie in the diagonal")
-    parts = partition(s)
-    xs, ys = parts[u], parts[v]
-    f = {x: lambda_word(s, x, s.d)[v] for x in xs}
+    op = [lambda_word(s, x, s.d) for x in range(s.n)]
+    # X_u = {x : x . u = x}, the condition partition() cross-checks
+    xs, ys = ([x for x in range(s.n) if op[x][w] == x] for w in (u, v))
+    f = tuple(row[v] for row in op)   # x -> x . v on every point
     bad = []
-    if sorted(f.values()) != sorted(ys):
+    if sorted(f[x] for x in xs) != sorted(ys):
         bad.append(Discrepancy("torsion-iso-bijective", (u, v)))
-    opu = {(a, b): lambda_word(s, a, s.d)[b] for a in xs for b in xs}
-    for a in xs:
-        for b in xs:
-            if f[opu[a, b]] != lambda_word(s, f[a], s.d)[f[b]]:
-                bad.append(Discrepancy("torsion-iso-homomorphism", (u, v, a, b)))
-    return f, tuple(bad)
+    # the scan runs on local indices into xs
+    bad.extend(Discrepancy("torsion-iso-homomorphism", (u, v, xs[i], xs[j]))
+               for i, j in failures(
+                   lambda p: homomorphic_at(f, op, (xs[p[0]], xs[p[1]])),
+                   2, len(xs)))
+    return {x: f[x] for x in xs}, tuple(bad)
 
 
 def phi_maps(s):
@@ -235,13 +234,10 @@ def phi_maps(s):
     """
     n, d = s.n, s.d
     phi = tuple(s.lam[q_power(s, x, d)] for x in range(n))
-    bad = []
-    for x in range(n):
-        row = lambda_word(s, x, d)
-        for y in range(n):
-            if s.lam[x][y] != row[phi[x][y]]:
-                bad.append(Discrepancy("lambda-from-phi", (x, y)))
-    return phi, tuple(bad)
+    op = [lambda_word(s, x, d) for x in range(n)]
+    bad = tuple(Discrepancy("lambda-from-phi", p) for p in failures(
+        lambda p: s.lam[p[0]][p[1]] == op[p[0]][phi[p[0]][p[1]]], 2, n))
+    return phi, bad
 
 
 @dataclass(frozen=True)
@@ -363,23 +359,14 @@ def check_fineq(dsc):
     if len(set(dsc.phi)) == 1:
         phi = dsc.phi[0]
         op, q = dsc.op, dsc.q
-        ce = []
-        auto = is_perm(phi)
         p = next(failures(partial(homomorphic_at, phi, op), 2, n), None)
-        # a phi that is not a bijection has only its row x = 0 scanned
-        if p is not None and (auto or p[0] == 0):
-            auto = False
-            ce.append(("automorphism",) + p)
-        pq = all(phi[q[x]] == q[q[x]] for x in rng)
-        if not pq:
-            ce.append(("phi_q_is_q2",))
-        q4 = all(q[x] == q[q[q[q[x]]]] for x in rng)
-        if not q4:
-            ce.append(("q_is_q4",))
-        ab = all(q[op[x][q[q[x]]]] == q[x] for x in rng)
-        if not ab:
-            ce.append(("absorbs_q2",))
-        allphi = AllPhiReport(auto, pq, q4, ab, tuple(ce))
+        ce = [] if p is None else [("automorphism",) + p]
+        held = {"phi_q_is_q2": all(phi[q[x]] == q[q[x]] for x in rng),
+                "q_is_q4": all(q[x] == q[q[q[q[x]]]] for x in rng),
+                "absorbs_q2": all(q[op[x][q[q[x]]]] == q[x] for x in rng)}
+        ce.extend((name,) for name, ok in held.items() if not ok)
+        allphi = AllPhiReport(is_perm(phi) and p is None,
+                              counterexamples=tuple(ce), **held)
 
     return FineqReport(counterexamples=tuple(examples), allphi=allphi, **results)
 
@@ -426,49 +413,100 @@ def descriptor_diagnostics(dsc):
     return tuple(bad)
 
 
+def _candidate_tables(dsc):
+    """lam[x][y] = op[x][phi_x(y)] and rho = q . lam."""
+    rng = range(dsc.n)
+    lam = tuple(tuple(dsc.op[x][dsc.phi[x][y]] for y in rng) for x in rng)
+    rho = tuple(tuple(dsc.q[v] for v in row) for row in lam)
+    return lam, rho
+
+
 def reconstruct(dsc):
     """Candidate tables lam[x][y] = op[x][phi_x(y)], rho = q . lam.
 
     The result is always run through the full exhaustive check; validity
     is reported, never assumed from the identities alone.
     """
-    n = dsc.n
-    lam = tuple(tuple(dsc.op[x][dsc.phi[x][y]] for y in range(n))
-                for x in range(n))
-    rho = tuple(tuple(dsc.q[v] for v in row) for row in lam)
-    m = RMap(n, lam, rho)
+    m = RMap(dsc.n, *_candidate_tables(dsc))
     return m, check(m)
+
+
+@dataclass(frozen=True)
+class DescriptorReport:
+    """A descriptor, its identities and the check of its reconstruction."""
+
+    descriptor: Descriptor
+    fineq: FineqReport
+    candidate: RMap
+    verification: VerificationReport
+
+
+def descriptor_report(dsc):
+    """Both reports, computed independently; no validity is assumed."""
+    return DescriptorReport(dsc, check_fineq(dsc), *reconstruct(dsc))
 
 
 def roundtrip(s):
     """Whether descriptor -> reconstruct reproduces the solution exactly."""
-    return not roundtrip_discrepancies(s)
+    return not roundtrip_discrepancies(s, descriptor(s))
 
 
-def roundtrip_discrepancies(s):
-    m, _ = reconstruct(descriptor(s))
+def roundtrip_discrepancies(s, dsc):
+    """The cells where the tables rebuilt from dsc differ from those of s."""
+    lam, rho = _candidate_tables(dsc)
+
+    def agrees(p):
+        x, y = p
+        return lam[x][y] == s.lam[x][y] and rho[x][y] == s.rho[x][y]
+
     bad = []
-    for x in range(s.n):
-        for y in range(s.n):
-            if m.lam[x][y] != s.lam[x][y]:
-                bad.append(Discrepancy("roundtrip-lambda",
-                                       (x, y, s.lam[x][y], m.lam[x][y])))
-            if m.rho[x][y] != s.rho[x][y]:
-                bad.append(Discrepancy("roundtrip-rho",
-                                       (x, y, s.rho[x][y], m.rho[x][y])))
+    for x, y in failures(agrees, 2, s.n):
+        if lam[x][y] != s.lam[x][y]:
+            bad.append(Discrepancy("roundtrip-lambda",
+                                   (x, y, s.lam[x][y], lam[x][y])))
+        if rho[x][y] != s.rho[x][y]:
+            bad.append(Discrepancy("roundtrip-rho",
+                                   (x, y, s.rho[x][y], rho[x][y])))
     return tuple(bad)
 
 
+@dataclass(frozen=True)
+class Structure:
+    """The table-level sections of a solution, each computed once."""
+
+    semigroup: SimpleSemigroupTable
+    torsion: tuple      # one TorsionGroupTable per diagonal point, sorted
+    descriptor: Descriptor
+    fineq: FineqReport
+    discrepancies: tuple
+
+
+def structure(s):
+    """Every table-level section of s and its discrepancies, in order: the
+    semigroup; per diagonal point u, its torsion group, then its
+    isomorphisms to every torsion group; phi; the round trip; fineq.
+
+    The descriptor reuses the semigroup table and the phi maps, so a phi
+    failure is reported, not raised.
+    """
+    image = diagonal_image(s)
+    sg = semigroup(s)
+    tors = tuple(torsion(s, u) for u in image)
+    phi, phi_bad = phi_maps(s)
+    dsc = Descriptor(s.n, sg.op, s.q, phi)
+    fineq = check_fineq(dsc)
+    bad = list(sg.discrepancies)
+    for t in tors:
+        bad.extend(t.discrepancies)
+        for v in image:
+            bad.extend(torsion_iso(s, t.u, v)[1])
+    bad.extend(phi_bad)
+    bad.extend(roundtrip_discrepancies(s, dsc))
+    if not fineq.ok:
+        bad.append(Discrepancy("descriptor-identities", fineq.counterexamples))
+    return Structure(sg, tors, dsc, fineq, tuple(bad))
+
+
 def structure_discrepancies(s):
-    """All table-level discrepancies: semigroup, torsion, phi, roundtrip."""
-    out = list(semigroup(s).discrepancies)
-    for u in diagonal_image(s):
-        out.extend(torsion(s, u).discrepancies)
-        for v in diagonal_image(s):
-            out.extend(torsion_iso(s, u, v)[1])
-    out.extend(phi_maps(s)[1])
-    out.extend(roundtrip_discrepancies(s))
-    rep = check_fineq(descriptor(s))
-    if not rep.ok:
-        out.append(Discrepancy("descriptor-identities", rep.counterexamples))
-    return tuple(out)
+    """All table-level discrepancies, in the order of :func:`structure`."""
+    return structure(s).discrepancies

@@ -15,7 +15,7 @@ n^(L+1) words; a solution has n classes in each degree.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import diagonal_image, lambda_word, q_power
+from .core import diagonal_image, failures, lambda_word, q_power
 from .invariants import Discrepancy, partition
 from .perms import inverse
 
@@ -67,13 +67,8 @@ def sigma(s, y, x):
 
 def sigma_discrepancies(s):
     """sigma_y(x) must equal y on every pair (the derived relation collapses)."""
-    bad = []
-    for y in range(s.n):
-        for x in range(s.n):
-            got = sigma(s, y, x)
-            if got != y:
-                bad.append(Discrepancy("derived-map-constant", (y, x, got)))
-    return tuple(bad)
+    return tuple(Discrepancy("derived-map-constant", (y, x, sigma(s, y, x)))
+                 for y, x in failures(lambda p: sigma(s, *p) == p[0], 2, s.n))
 
 
 def normal_form(s, word, t):
@@ -236,16 +231,12 @@ def center_basis(s, deg):
         raise ValueError("degree must be >= 1")
     n = s.n
     lam_deg = [lambda_word(s, x, deg) for x in range(n)]
-    rows = []
-    for g in range(n):
-        for w in range(n):
-            row = [(1 if lam_deg[x][g] == w else 0) - (1 if s.lam[g][x] == w else 0)
-                   for x in range(n)]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        rows = [[0] * n]
-    return _nullspace(rows, n)
+    # the basis depends only on the row space, so repeated rows are dropped
+    rows = {tuple((1 if lam_deg[x][g] == w else 0) - (1 if s.lam[g][x] == w else 0)
+                  for x in range(n))
+            for g in range(n) for w in range(n)}
+    rows.discard((0,) * n)
+    return _nullspace(sorted(rows) or [[0] * n], n)
 
 
 @dataclass(frozen=True)

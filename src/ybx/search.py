@@ -29,7 +29,7 @@ from itertools import permutations, product
 from .core import (InvalidSolutionError, associative_at, canonical_form,
                    canonical_table, diagonal_image, failures, homomorphic_at,
                    promote, rmap_from_lambda, solution_from_lambda)
-from .invariants import Descriptor, check_fineq, reconstruct, torsion
+from .invariants import Descriptor, descriptor_report, torsion
 from .perms import compose, inverse, is_perm
 
 MAX_POINTS = 6
@@ -40,8 +40,6 @@ MAX_CLASSIFY = 5
 class EnumOptions:
     n: int
     up_to_iso: bool = False
-    prune_fixedpoint: bool = True
-    prune_ybe: bool = True
     jobs: int = 1
     budget_secs: float = None
 
@@ -99,15 +97,13 @@ def _complete_tuple(rows):
         return None
 
 
-def _search_slice(n, first, prune_fixedpoint, prune_ybe, deadline=None):
+def _search_slice(n, first, deadline=None):
     """All verified solutions whose lam_0 equals the given permutation.
 
     Returns ([(canonical form, solution), ...], complete); an expired
     deadline stops the walk.
     """
     perms, comp, inv, compat = _sym_index(n)
-    masks = (compat if prune_fixedpoint
-             else ((1 << len(perms)) - 1,) * len(perms))
     ids = [perms.index(tuple(first))]
     found = []
     complete = True
@@ -156,13 +152,13 @@ def _search_slice(n, first, prune_fixedpoint, prune_ybe, deadline=None):
             rest ^= low
             a = low.bit_length() - 1
             ids.append(a)
-            if not prune_ybe or ybe_ok(j):
-                walk(domain & masks[a])
+            if ybe_ok(j):
+                walk(domain & compat[a])
             ids.pop()
             if not complete:
                 return
 
-    walk(masks[ids[0]])
+    walk(compat[ids[0]])
     return found, complete
 
 
@@ -185,8 +181,7 @@ def enumerate_solutions(opts):
     # system-wide (CLOCK_MONOTONIC on Linux)
     deadline = (time.monotonic() + opts.budget_secs
                 if opts.budget_secs is not None else None)
-    args = [(n, f, opts.prune_fixedpoint, opts.prune_ybe, deadline)
-            for f in _sym_index(n)[0]]
+    args = [(n, f, deadline) for f in _sym_index(n)[0]]
     if opts.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
@@ -331,9 +326,9 @@ def from_group_automorphism(table, phi):
     table = tuple(tuple(r) for r in table)
     phi = tuple(phi)
     e = _group_axioms(table)
-    if not is_perm(phi):
-        raise ValueError("phi must be a permutation")
     n = len(table)
+    if len(phi) != n or not is_perm(phi):
+        raise ValueError("phi must be a permutation of the group")
     p = next(failures(partial(homomorphic_at, phi, table), 2, n), None)
     if p is not None:
         raise ValueError(f"phi is not a homomorphism at {p}")
@@ -414,26 +409,13 @@ def check_prime_classification(p, budget_secs=None):
     return enumerated == type1 | type2
 
 
-@dataclass(frozen=True)
-class ReesExampleResult:
-    """A descriptor built over a Rees matrix table, with both reports.
-
-    No validity claim is made: the identity report and the direct check
-    of the reconstructed tables are computed independently.
-    """
-
-    descriptor: Descriptor
-    fineq: object
-    candidate: object
-    verification: object
-
-
 def from_rees_example(gtable, ncols, a_cols, t, f, psi):
     """Descriptor over M(G, 1, ncols, J) with q folding columns onto a_cols.
 
     ``t`` maps the complement columns bijectively onto a_cols, ``f`` is an
     automorphism of the group table, and ``psi`` is a column permutation
     fixing a_cols pointwise.  Point (g, i) is encoded as g * ncols + i.
+    The descriptor comes back with its independent reports.
     """
     gtable = tuple(tuple(r) for r in gtable)
     e = _group_axioms(gtable)
@@ -469,8 +451,4 @@ def from_rees_example(gtable, ncols, a_cols, t, f, psi):
     theta = {c: (c if c in a_cols else t[c]) for c in range(ncols)}
     q = tuple(enc(e, theta[w % ncols]) for w in range(n))
     phi_perm = tuple(enc(f[w // ncols], psi[w % ncols]) for w in range(n))
-    dsc = Descriptor(n, op, q, (phi_perm,) * n)
-
-    fineq = check_fineq(dsc)
-    candidate, verification = reconstruct(dsc)
-    return ReesExampleResult(dsc, fineq, candidate, verification)
+    return descriptor_report(Descriptor(n, op, q, (phi_perm,) * n))

@@ -88,10 +88,6 @@ def test_criterion_02_enumeration_ground_truth():
         for n in (1, 2, 3):
             assert [x.lam for x in all_solutions(n)] == \
                 [x.lam for x in brute_force_solutions(n)]
-            bare = enumerate_solutions(
-                EnumOptions(n, prune_fixedpoint=False, prune_ybe=False))
-            assert [x.lam for x in all_solutions(n)] == \
-                [x.lam for x in bare.solutions]
 
 
 def test_criterion_03_full_diagonal_equals_partition_number():

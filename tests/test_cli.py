@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from ybx import cli
+from ybx import cli, invariants
 from ybx.core import RMap, rmap_to_dict
 from ybx.fixtures import SOL_SWAP2, SOL_Z2
-from ybx.invariants import FineqReport
+from ybx.invariants import Discrepancy, FineqReport
 
 
 def run_cli(*args, env=None):
@@ -196,6 +196,20 @@ def test_construct_group_aut(tmp_path):
     assert run_cli("verify", str(out)).returncode == 0
 
 
+@pytest.mark.parametrize("table, phi", [
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], [0]),
+    ([[0, 1], [1, 0]], [0, 1, 2]),
+], ids=["short", "long"])
+def test_construct_group_aut_phi_length(tmp_path, table, phi):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"table": table, "phi": phi}))
+    r = run_cli("construct", "--type", "group-aut", "--params", str(params))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr) == {
+        "error": "phi must be a permutation of the group"}
+
+
 def test_construct_bad_params(tmp_path):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"table": [[0, 1], [1, 0]], "phi": [1, 0]}))
@@ -364,22 +378,54 @@ def _failing_fineq(dsc):
     return FineqReport(False, True, True, True, (("fineq1", (0, 1, 0)),))
 
 
-@pytest.mark.parametrize("name, replacement, entry", [
-    ("is_latin", lambda s: False,
+_phi_maps = invariants.phi_maps
+
+
+def _failing_phi_maps(s):
+    return _phi_maps(s)[0], (Discrepancy("lambda-from-phi", (1, 0)),)
+
+
+@pytest.mark.parametrize("target, replacement, entry", [
+    ("ybx.cli.is_latin", lambda s: False,
      {"claim": "latin-iff-singleton-diagonal", "counterexample": [],
       "context": []}),
-    ("check_fineq", _failing_fineq,
+    ("ybx.invariants.check_fineq", _failing_fineq,
      {"claim": "descriptor-identities",
       "counterexample": [["fineq1", [0, 1, 0]]], "context": []}),
-    ("is_cancellative", lambda s, max_len: (False, None),
+    ("ybx.cli.is_cancellative", lambda s, max_len: (False, None),
      {"claim": "cancellative-iff-singleton-diagonal", "counterexample": [5],
       "context": []}),
-], ids=["latin", "fineq", "cancellative"])
-def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, name,
+    ("ybx.invariants.torsion_iso",
+     lambda s, u, v: ({}, (Discrepancy("torsion-iso-homomorphism",
+                                       (u, v, 0, 1)),)),
+     {"claim": "torsion-iso-homomorphism", "counterexample": [0, 0, 0, 1],
+      "context": []}),
+    ("ybx.invariants.phi_maps", _failing_phi_maps,
+     {"claim": "lambda-from-phi", "counterexample": [1, 0], "context": []}),
+    ("ybx.invariants.roundtrip_discrepancies",
+     lambda s, dsc: (Discrepancy("roundtrip-rho", (0, 1, 0, 1)),),
+     {"claim": "roundtrip-rho", "counterexample": [0, 1, 0, 1],
+      "context": []}),
+], ids=["latin", "fineq", "cancellative", "torsion-iso", "phi", "roundtrip"])
+def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, target,
                                   replacement, entry):
-    # SOL_Z2 is latin, cancellative and satisfies the descriptor
-    # identities; a patched check reports the opposite
+    # SOL_Z2 satisfies every claim of analyze; a patched check reports
+    # one violation, which must reach the report and exit 3
     path = write_solution(tmp_path, SOL_Z2)
-    monkeypatch.setattr(f"ybx.cli.{name}", replacement)
+    monkeypatch.setattr(target, replacement)
     assert cli.main(["analyze", path]) == 3
     assert json.loads(capsys.readouterr().out)["discrepancies"] == [entry]
+
+
+def test_analyze_computes_each_section_once(tmp_path, monkeypatch, capsys):
+    calls = dict.fromkeys(("semigroup", "check_fineq"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(invariants, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(invariants, name, counted)
+    # two diagonal points, so two torsion groups and four isomorphisms
+    path = write_solution(tmp_path, SOL_SWAP2)
+    assert cli.main(["analyze", path]) == 0
+    capsys.readouterr()
+    assert calls == {"semigroup": 1, "check_fineq": 1}

@@ -126,6 +126,16 @@ def test_check_fineq_on_fixtures():
     assert rep.allphi.automorphism and rep.allphi.phi_q_is_q2
 
 
+def test_check_fineq_automorphism_failure_past_row_zero():
+    # phi = (0, 0, 2) is not a bijection; it respects every product in
+    # rows 0 and 1 and fails first at (2, 2)
+    op = ((0, 0, 0), (0, 0, 0), (0, 0, 1))
+    phi = (0, 0, 2)
+    rep = check_fineq(Descriptor(3, op, (0, 0, 0), (phi,) * 3)).allphi
+    assert not rep.automorphism
+    assert rep.counterexamples[0] == ("automorphism", 2, 2)
+
+
 def test_check_fineq_special_instance():
     # right-zero table on 4 points with a non-surjective idempotent fold
     op = tuple(tuple(y for y in range(4)) for _ in range(4))

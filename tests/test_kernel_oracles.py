@@ -3,9 +3,10 @@
 The helpers below are those earlier kernels, kept as independent oracles:
 a union-find over all n^L free words of one length, an overlap scan that
 walks every pair of rules, a right-cancellation scan that also runs over
-the length of the cancelled factor, and the hand-written loops of
+the length of the cancelled factor, the hand-written loops of
 ``check``, ``check_fineq`` and ``descriptor_diagnostics`` that the
-exhaustive scanner ``core.failures`` replaced.
+exhaustive scanner ``core.failures`` replaced, and the center rows before
+repeated rows were dropped.
 """
 
 import random
@@ -24,7 +25,8 @@ from ybx.groebner import (RewriteSystem, Rule, check_overlaps, constant_rules,
 from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
                             check_fineq, descriptor, descriptor_diagnostics,
                             fineq_holds, q_image_in_idempotents)
-from ybx.monoid import MElem, _word_classes, growth, is_cancellative
+from ybx.monoid import (MElem, _nullspace, _word_classes, center_basis, growth,
+                        is_cancellative)
 from ybx.perms import is_perm
 from ybx.search import (EnumOptions, enumerate_solutions,
                         from_group_automorphism, from_rees_example)
@@ -185,13 +187,14 @@ def check_fineq_nested_loops(dsc):
         op, q = dsc.op, dsc.q
         ce = []
         auto = is_perm(phi)
+        failed = False
         for x in rng:
             for y in rng:
                 if phi[op[x][y]] != op[phi[x]][phi[y]]:
-                    auto = False
+                    auto, failed = False, True
                     ce.append(("automorphism", x, y))
                     break
-            if not auto:
+            if failed:
                 break
         pq = all(phi[q[x]] == q[q[x]] for x in rng)
         if not pq:
@@ -343,6 +346,34 @@ def test_check_and_fineq_match_nested_loops_on_census4(census4):
         assert check(s) == check_nested_loops(s)
         dsc = descriptor(s)
         assert check_fineq(dsc) == check_fineq_nested_loops(dsc)
+
+
+def center_basis_all_rows(s, deg):
+    n = s.n
+    lam_deg = [lambda_word(s, x, deg) for x in range(n)]
+    rows = []
+    for g in range(n):
+        for w in range(n):
+            row = [(1 if lam_deg[x][g] == w else 0) - (1 if s.lam[g][x] == w else 0)
+                   for x in range(n)]
+            if any(row):
+                rows.append(row)
+    if not rows:
+        rows = [[0] * n]
+    return _nullspace(rows, n)
+
+
+def test_center_basis_matches_all_rows_on_census4(census4):
+    for s in census4:
+        for deg in (1, 2, s.d, s.d + 1):
+            assert center_basis(s, deg) == center_basis_all_rows(s, deg)
+
+
+@pytest.mark.parametrize("family", [0, 1, 2], ids=["zn-neg", "cycle", "identity"])
+def test_center_basis_matches_all_rows_on_families(family):
+    s = solution_from_lambda(families(8)[family])
+    for deg in (1, s.d, 3):
+        assert center_basis(s, deg) == center_basis_all_rows(s, deg)
 
 
 def _row(n):

@@ -42,14 +42,6 @@ def test_enumerate_matches_brute_force():
         assert lam_tuples(pruned) == [s.lam for s in brute_force_solutions(n)]
 
 
-def test_pruning_flags_do_not_change_output():
-    for n in (2, 3):
-        full = enumerate_solutions(EnumOptions(n))
-        bare = enumerate_solutions(
-            EnumOptions(n, prune_fixedpoint=False, prune_ybe=False))
-        assert lam_tuples(full) == lam_tuples(bare)
-
-
 def test_enumerate_n3_contains_fixtures():
     canons = {canonical_form(s)
               for s in enumerate_solutions(EnumOptions(3)).solutions}
@@ -97,7 +89,7 @@ def test_n6_slice_counts(first, count):
     # counts found by a row search that composed permutation tuples
     # directly, independent of the id tables and bitmasks
     from ybx.core import RMap, check
-    found, complete = _search_slice(6, first, True, True)
+    found, complete = _search_slice(6, first)
     assert complete and len(found) == count
     for _, s in found:
         assert s.lam[0] == first
@@ -178,6 +170,14 @@ def test_from_group_automorphism_examples():
         from_group_automorphism(Z2, (1, 0))
     with pytest.raises(ValueError):
         from_group_automorphism(((0, 1), (0, 1)), (0, 1))
+
+
+@pytest.mark.parametrize("table, phi", [(Z3, (0,)), (Z2, (0, 1, 2))],
+                         ids=["short", "long"])
+def test_from_group_automorphism_phi_length(table, phi):
+    # phi needs one entry per group element, not merely a permutation
+    with pytest.raises(ValueError, match="phi must be a permutation of the group"):
+        from_group_automorphism(table, phi)
 
 
 def test_is_latin_examples():
