@@ -10,9 +10,8 @@ from .core import (InvalidSolutionError, RMap, Solution, SolutionFormatError,
 from .fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV, SOL_Z2,
                        SOL_Z3INV)
 from .invariants import (Descriptor, Discrepancy, FineqReport, check_fineq,
-                         component_of, descriptor, partition, phi_maps,
-                         reconstruct, roundtrip, semigroup, torsion,
-                         torsion_iso)
+                         descriptor, partition, phi_maps, reconstruct,
+                         semigroup, structure, torsion, torsion_iso)
 from .monoid import (GQElem, MElem, ONE, center_basis, component,
                      conjugation_action, gq_from, gq_identity, gq_inverse,
                      gq_mul, growth, is_cancellative, mul, normal_form,

@@ -93,11 +93,6 @@ def reduce(rs, word):
     return tuple(w)
 
 
-def is_normal(rs, word):
-    rules = rs.rule_map()
-    return all((word[i], word[i + 1]) not in rules for i in range(len(word) - 1))
-
-
 def check_overlaps(rs):
     """Unresolved length-3 ambiguities; an empty list certifies confluence."""
     rules = rs.rule_map()

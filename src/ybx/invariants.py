@@ -2,11 +2,12 @@
 
 Everything here is downstream of one operation: x . y = lam_{dx}(y), which
 turns the point set into a left cancellative simple semigroup whose
-idempotents form the diagonal.  The module computes the component map,
-the partition into subsets X_u, the semigroup table with its Rees matrix
-coordinates, the torsion group on each X_u, the maps phi_x = lam at
-q^d(x), and the classification descriptor (table, q, phi) together with
-its compatibility identities and the reconstruction of r from it.
+idempotents form the diagonal.  :func:`semigroup` builds that table once,
+with the partition into subsets X_u and the Rees matrix coordinates; the
+torsion group on each X_u, the isomorphisms between them, the maps
+phi_x = lam at q^d(x) and the classification descriptor (table, q, phi)
+are read from it, and :func:`structure` assembles them with the
+descriptor's compatibility identities and the reconstruction of r.
 
 Structural claims are verified exhaustively on every call.  A violated
 claim is reported as a :class:`Discrepancy` value attached to the result;
@@ -15,7 +16,7 @@ it is never raised, so the library doubles as an empirical checker.
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, product
+from itertools import product
 
 from .core import (RMap, VerificationReport, associative_at, check,
                    diagonal_image, failures, homomorphic_at, lambda_word,
@@ -35,13 +36,6 @@ class Discrepancy:
         return {"claim": self.claim,
                 "counterexample": list(self.counterexample),
                 "context": list(self.context)}
-
-
-def component_of(s, k, x):
-    """The component q^k(x) of the length-k element ending in x."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return q_power(s, x, k)
 
 
 def partition(s):
@@ -82,23 +76,31 @@ class SimpleSemigroupTable:
         return {x: (g, u) for x, g, u in self.rees_coords}
 
 
+def _operation_discrepancies(op, prefix):
+    """The first associativity failure and the first non-injective row."""
+    n = len(op)
+    bad = []
+    p = next(failures(partial(associative_at, op), 3, n), None)
+    if p is not None:
+        bad.append(Discrepancy(f"{prefix}-associativity", p))
+    p = next(failures(lambda x: len(set(op[x[0]])) == n, 1, n), None)
+    if p is not None:
+        bad.append(Discrepancy(f"{prefix}-left-cancellative", p))
+    return bad
+
+
 def semigroup(s):
-    """Build and verify the simple semigroup on the points of s."""
+    """Build and verify the simple semigroup on the points of s.
+
+    This is the one place the rows lam_{dx} and the subsets X_u are built;
+    the torsion groups, their isomorphisms and the phi maps read them here.
+    """
     n, d = s.n, s.d
     rng = range(n)
     image = diagonal_image(s)
-    bad = []
 
     op = tuple(tuple(lambda_word(s, x, d)) for x in rng)
-
-    p = next(failures(partial(associative_at, op), 3, n), None)
-    if p is not None:
-        bad.append(Discrepancy("semigroup-associativity", p))
-
-    for x in rng:
-        if len(set(op[x])) != n:
-            bad.append(Discrepancy("semigroup-left-cancellative", (x,)))
-            break
+    bad = _operation_discrepancies(op, "semigroup")
 
     left_ids = tuple(u for u in rng if all(op[u][y] == y for y in rng))
     idem = tuple(x for x in rng if op[x][x] == x)
@@ -156,15 +158,16 @@ class TorsionGroupTable:
     discrepancies: tuple
 
 
-def torsion(s, u):
-    """The torsion group on X_u; verifies the group axioms and orders."""
-    if u not in set(s.q):
+def torsion(s, sg, u):
+    """The torsion group on X_u, read from the semigroup table sg of s;
+    verifies the group axioms and orders."""
+    xs = sg.xu_dict().get(u)
+    if xs is None:
         raise ValueError(f"{u} is not a diagonal point")
-    xs = partition(s)[u]
     index = {x: i for i, x in enumerate(xs)}
     d = s.d
 
-    table = tuple(tuple(lambda_word(s, x, d)[y] for y in xs) for x in xs)
+    table = tuple(tuple(sg.op[x][y] for y in xs) for x in xs)
 
     # the scans run on local indices into xs
     bad = [Discrepancy("torsion-closed", (u, xs[i], xs[j]))
@@ -200,20 +203,19 @@ def torsion(s, u):
 
     # lam_x factors through the torsion permutation and lam_u
     for x in xs:
-        if s.lam[x] != compose(lambda_word(s, x, d), s.lam[u]):
+        if s.lam[x] != compose(sg.op[x], s.lam[u]):
             bad.append(Discrepancy("lambda-factorisation", (u, x)))
 
     return TorsionGroupTable(u, xs, table, u, orders, tuple(bad))
 
 
-def torsion_iso(s, u, v):
+def torsion_iso(sg, u, v):
     """The isomorphism x -> x . v between the torsion groups of u and v."""
-    image = set(s.q)
-    if u not in image or v not in image:
+    parts = sg.xu_dict()
+    if u not in parts or v not in parts:
         raise ValueError("both points must lie in the diagonal")
-    op = [lambda_word(s, x, s.d) for x in range(s.n)]
-    # X_u = {x : x . u = x}, the condition partition() cross-checks
-    xs, ys = ([x for x in range(s.n) if op[x][w] == x] for w in (u, v))
+    op = sg.op
+    xs, ys = parts[u], parts[v]
     f = tuple(row[v] for row in op)   # x -> x . v on every point
     bad = []
     if sorted(f[x] for x in xs) != sorted(ys):
@@ -226,17 +228,18 @@ def torsion_iso(s, u, v):
     return {x: f[x] for x in xs}, tuple(bad)
 
 
-def phi_maps(s):
+def phi_maps(s, sg):
     """The permutations phi_x = lam at q^d(x); constant on each X_u.
 
-    The defining property lam_x(y) = x . phi_x(y) is verified exhaustively;
-    any failure is returned alongside the maps.
+    The defining property lam_x(y) = x . phi_x(y) is verified exhaustively
+    against the semigroup table sg of s; any failure is returned alongside
+    the maps.
     """
-    n, d = s.n, s.d
-    phi = tuple(s.lam[q_power(s, x, d)] for x in range(n))
-    op = [lambda_word(s, x, d) for x in range(n)]
+    # the Rees column of x is q^d(x)
+    phi = tuple(s.lam[u] for _, _, u in sg.rees_coords)
+    op = sg.op
     bad = tuple(Discrepancy("lambda-from-phi", p) for p in failures(
-        lambda p: s.lam[p[0]][p[1]] == op[p[0]][phi[p[0]][p[1]]], 2, n))
+        lambda p: s.lam[p[0]][p[1]] == op[p[0]][phi[p[0]][p[1]]], 2, s.n))
     return phi, bad
 
 
@@ -265,6 +268,8 @@ def descriptor_from_dict(data):
         phi = tuple(tuple(p) for p in data["phi"])
     except (KeyError, TypeError) as exc:
         raise SolutionFormatError("descriptor needs n, op, q, phi") from exc
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise SolutionFormatError("n must be an integer")
     _check_table(op, n, "op")
     _check_table(phi, n, "phi")
     if len(q) != n or any(not (isinstance(v, int) and 0 <= v < n) for v in q):
@@ -273,10 +278,8 @@ def descriptor_from_dict(data):
 
 
 def descriptor(s):
-    """Bundle the semigroup table, q and the phi maps of a solution."""
-    phi, bad = phi_maps(s)
-    assert not bad
-    return Descriptor(s.n, semigroup(s).op, s.q, phi)
+    """The semigroup table, q and the phi maps of a solution."""
+    return structure(s).descriptor
 
 
 @dataclass(frozen=True)
@@ -390,16 +393,9 @@ def descriptor_diagnostics(dsc):
     files; descriptors built from a verified solution satisfy all of this
     by construction.
     """
-    n = dsc.n
-    rng = range(n)
+    rng = range(dsc.n)
     op = dsc.op
-    # the first failing (y, z) for each x
-    bad = [Discrepancy("descriptor-associativity", next(ps))
-           for _, ps in groupby(failures(partial(associative_at, op), 3, n),
-                                key=lambda p: p[0])]
-    for x in rng:
-        if len(set(op[x])) != n:
-            bad.append(Discrepancy("descriptor-left-cancellative", (x,)))
+    bad = _operation_discrepancies(op, "descriptor")
     for x in rng:
         if op[x][x] == x and any(op[x][y] != y for y in rng):
             bad.append(Discrepancy("descriptor-idempotent-not-left-identity", (x,)))
@@ -446,11 +442,6 @@ def descriptor_report(dsc):
     return DescriptorReport(dsc, check_fineq(dsc), *reconstruct(dsc))
 
 
-def roundtrip(s):
-    """Whether descriptor -> reconstruct reproduces the solution exactly."""
-    return not roundtrip_discrepancies(s, descriptor(s))
-
-
 def roundtrip_discrepancies(s, dsc):
     """The cells where the tables rebuilt from dsc differ from those of s."""
     lam, rho = _candidate_tables(dsc)
@@ -491,22 +482,17 @@ def structure(s):
     """
     image = diagonal_image(s)
     sg = semigroup(s)
-    tors = tuple(torsion(s, u) for u in image)
-    phi, phi_bad = phi_maps(s)
+    tors = tuple(torsion(s, sg, u) for u in image)
+    phi, phi_bad = phi_maps(s, sg)
     dsc = Descriptor(s.n, sg.op, s.q, phi)
     fineq = check_fineq(dsc)
     bad = list(sg.discrepancies)
     for t in tors:
         bad.extend(t.discrepancies)
         for v in image:
-            bad.extend(torsion_iso(s, t.u, v)[1])
+            bad.extend(torsion_iso(sg, t.u, v)[1])
     bad.extend(phi_bad)
     bad.extend(roundtrip_discrepancies(s, dsc))
     if not fineq.ok:
         bad.append(Discrepancy("descriptor-identities", fineq.counterexamples))
     return Structure(sg, tors, dsc, fineq, tuple(bad))
-
-
-def structure_discrepancies(s):
-    """All table-level discrepancies, in the order of :func:`structure`."""
-    return structure(s).discrepancies

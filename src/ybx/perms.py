@@ -25,14 +25,6 @@ def inverse(p):
     return tuple(inv)
 
 
-def conjugate(p, psi):
-    """psi . p . psi^-1."""
-    out = [0] * len(p)
-    for i in range(len(p)):
-        out[psi[i]] = psi[p[i]]
-    return tuple(out)
-
-
 def order(p):
     result = 1
     seen = [False] * len(p)
@@ -46,10 +38,6 @@ def order(p):
                 length += 1
             result = math.lcm(result, length)
     return result
-
-
-def has_fixed_point(p):
-    return any(p[i] == i for i in range(len(p)))
 
 
 def closure(perms):

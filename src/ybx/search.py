@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import permutations, product
 
-from .core import (InvalidSolutionError, associative_at, canonical_form,
-                   canonical_table, diagonal_image, failures, homomorphic_at,
-                   promote, rmap_from_lambda, solution_from_lambda)
-from .invariants import Descriptor, descriptor_report, torsion
+from .core import (InvalidSolutionError, _check_table, associative_at,
+                   canonical_form, canonical_table, diagonal_image, failures,
+                   homomorphic_at, promote, rmap_from_lambda,
+                   solution_from_lambda)
+from .invariants import Descriptor, descriptor_report, semigroup, torsion
 from .perms import compose, inverse, is_perm
 
 MAX_POINTS = 6
@@ -247,7 +248,7 @@ def classify(n):
     for canon in sorted(groups):
         rep = groups[canon][0]
         u0 = diagonal_image(rep)[0]
-        tor = torsion(rep, u0)
+        tor = torsion(rep, semigroup(rep), u0)
         local = {x: i for i, x in enumerate(tor.elements)}
         table = tuple(tuple(local[v] for v in row) for row in tor.op)
         records.append(ClassificationRecord(
@@ -305,6 +306,7 @@ def from_permutation(phi):
 
 def _group_axioms(table):
     n = len(table)
+    _check_table(table, n, "group table")
     p = next(failures(partial(associative_at, table), 3, n), None)
     if p is not None:
         raise ValueError(f"associativity fails at {p}")
@@ -426,6 +428,8 @@ def from_rees_example(gtable, ncols, a_cols, t, f, psi):
     b_cols = tuple(sorted(set(range(ncols)) - set(a_cols)))
     if len(a_cols) != ncols // 2 or any(c not in range(ncols) for c in a_cols):
         raise ValueError("a_cols must be half of the columns")
+    if not isinstance(t, dict):
+        raise ValueError("t must be an object mapping columns to columns")
     t = {int(k): v for k, v in t.items()}
     if sorted(t) != list(b_cols) or sorted(t.values()) != list(a_cols):
         raise ValueError("t must map the complement bijectively onto a_cols")

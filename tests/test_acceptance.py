@@ -18,8 +18,8 @@ from ybx.core import (RMap, canonical_form, check, diagonal_image,
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.invariants import (check_fineq, descriptor, fineq_holds, partition,
-                            phi_maps, reconstruct, semigroup,
-                            structure_discrepancies, torsion)
+                            phi_maps, reconstruct, semigroup, structure,
+                            torsion)
 from ybx.monoid import (MElem, ONE, arithmetic_discrepancies, center_basis,
                         growth, is_cancellative, mul, normal_form, power)
 from ybx.groebner import check_overlaps, constant_rules, normal_word_count
@@ -71,8 +71,9 @@ def test_criterion_01_fixture_verification():
             assert s.q == q, name
             assert diagonal_image(s) == image, name
             assert s.d == d, name
-            assert semigroup(s).op == op, name
-            got_phi, bad = phi_maps(s)
+            sg = semigroup(s)
+            assert sg.op == op, name
+            got_phi, bad = phi_maps(s, sg)
             assert got_phi == phi and not bad, name
 
 
@@ -142,13 +143,14 @@ def test_criterion_06_structure_lemmas():
     with criterion(6, "grading, centrality, power law, torsion and partition laws (n <= 4)"):
         for n in (1, 2, 3, 4):
             for s in all_solutions(n):
-                assert structure_discrepancies(s) == ()
+                st = structure(s)
+                assert st.discrepancies == ()
                 assert arithmetic_discrepancies(s) == ()
                 image = diagonal_image(s)
                 parts = partition(s)
                 assert s.n == len(image) * len(parts[image[0]])
                 for u in image:
-                    t = torsion(s, u)
+                    t = torsion(s, st.semigroup, u)
                     assert not t.discrepancies
                     assert all(s.d % k == 0 for _, k in t.orders)
                     for x in parts[u]:

@@ -217,16 +217,41 @@ def test_construct_bad_params(tmp_path):
     assert r.returncode == 2
 
 
+REES_PARAMS = {"group": [[0]], "ncols": 4, "A": [0, 1],
+               "t": {"2": 0, "3": 1}, "f": [0], "psi": [0, 1, 2, 3]}
+
+
 def test_construct_rees_example_discrepancy(tmp_path):
     params = tmp_path / "p.json"
-    params.write_text(json.dumps({
-        "group": [[0]], "ncols": 4, "A": [0, 1],
-        "t": {"2": 0, "3": 1}, "f": [0], "psi": [0, 1, 2, 3]}))
+    params.write_text(json.dumps(REES_PARAMS))
     r = run_cli("construct", "--type", "rees-example", "--params", str(params))
     assert r.returncode == 3
     out = json.loads(r.stdout)
     assert out["fineq"]["ok"] is True
     assert out["verification"]["ok"] is False
+
+
+@pytest.mark.parametrize("kind, params, code, digest", [
+    ("descriptor",
+     {"n": 2, "op": [[0, 1], [1, 0]], "q": [0, 0], "phi": [[0, 1], [0, 1]]},
+     0, "dac77fc191852a5df81bf7dffcfddfd8bf85ef2867378171ca2da2c19c112fd6"),
+    ("descriptor",
+     {"n": 2, "op": [[0, 1], [0, 1]], "q": [1, 0], "phi": [[1, 0], [1, 0]]},
+     0, "347e560a339a38a2e85282a67b8031f2092b5d92c2cc1303eb03b0fe0f11a887"),
+    ("rees-example", REES_PARAMS,
+     3, "b471bae58d5ed15b15f02c24a1b36c5ad35932999a938d90c76acebffcabd913"),
+    ("group-aut",
+     {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "phi": [0, 2, 1]},
+     0, "cc1f3894232241d649c35e90cc5cc96acb7a8b683e6ec14987e50c6c90b07e90"),
+], ids=["descriptor-z2", "descriptor-swap2", "rees-example", "group-aut-z3"])
+def test_construct_stdout_pinned(tmp_path, kind, params, code, digest):
+    # the two descriptors are those of SOL_Z2 and SOL_SWAP2; digests of
+    # the stdout of the code that rebuilt the semigroup rows per section
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    r = run_cli("construct", "--type", kind, "--params", str(path))
+    assert r.returncode == code
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 def test_construct_descriptor(tmp_path):
@@ -350,8 +375,17 @@ def test_solution_rows_must_be_lists(tmp_path, data):
     ("descriptor", [1, 2]),
     ("perm", {"images": 5}),
     ("group-aut", {"table": 5, "phi": [0]}),
+    ("group-aut", {"table": [[0, 1], [1]], "phi": [0, 1]}),
+    ("group-aut", {"table": [[0, 7], [1, 0]], "phi": [0, 1]}),
+    ("group-aut", {"table": [[True]], "phi": [0]}),
+    ("rees-example", dict(REES_PARAMS, group=[[0, 1], [1]])),
+    ("rees-example", dict(REES_PARAMS, group=[[0, 5], [1, 0]])),
+    ("rees-example", dict(REES_PARAMS, t=[0])),
+    ("descriptor", {"n": True, "op": [[0]], "q": [0], "phi": [[0]]}),
 ], ids=["perm-list", "group-aut-list", "rees-list", "descriptor-list",
-        "perm-int", "group-aut-int"])
+        "perm-int", "group-aut-int", "group-aut-ragged", "group-aut-range",
+        "group-aut-bool", "rees-ragged", "rees-range", "rees-t-list",
+        "descriptor-n-bool"])
 def test_construct_params_malformed(tmp_path, kind, params):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))
@@ -381,8 +415,8 @@ def _failing_fineq(dsc):
 _phi_maps = invariants.phi_maps
 
 
-def _failing_phi_maps(s):
-    return _phi_maps(s)[0], (Discrepancy("lambda-from-phi", (1, 0)),)
+def _failing_phi_maps(s, sg):
+    return _phi_maps(s, sg)[0], (Discrepancy("lambda-from-phi", (1, 0)),)
 
 
 @pytest.mark.parametrize("target, replacement, entry", [
@@ -396,7 +430,7 @@ def _failing_phi_maps(s):
      {"claim": "cancellative-iff-singleton-diagonal", "counterexample": [5],
       "context": []}),
     ("ybx.invariants.torsion_iso",
-     lambda s, u, v: ({}, (Discrepancy("torsion-iso-homomorphism",
+     lambda sg, u, v: ({}, (Discrepancy("torsion-iso-homomorphism",
                                        (u, v, 0, 1)),)),
      {"claim": "torsion-iso-homomorphism", "counterexample": [0, 0, 0, 1],
       "context": []}),
@@ -418,7 +452,7 @@ def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, target,
 
 
 def test_analyze_computes_each_section_once(tmp_path, monkeypatch, capsys):
-    calls = dict.fromkeys(("semigroup", "check_fineq"), 0)
+    calls = dict.fromkeys(("semigroup", "check_fineq", "partition"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(invariants, name)):
             calls[_name] += 1
@@ -428,4 +462,4 @@ def test_analyze_computes_each_section_once(tmp_path, monkeypatch, capsys):
     path = write_solution(tmp_path, SOL_SWAP2)
     assert cli.main(["analyze", path]) == 0
     capsys.readouterr()
-    assert calls == {"semigroup": 1, "check_fineq": 1}
+    assert calls == {"semigroup": 1, "check_fineq": 1, "partition": 1}

@@ -3,29 +3,30 @@ import pytest
 from ybx.core import diagonal_image, lambda_word
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
-from ybx.invariants import (Descriptor, check_fineq, component_of, descriptor,
+from ybx.invariants import (Descriptor, check_fineq, descriptor,
                             fineq_holds, partition, phi_maps,
-                            q_image_in_idempotents, reconstruct, roundtrip,
-                            semigroup, structure_discrepancies, torsion,
-                            torsion_iso)
+                            q_image_in_idempotents, reconstruct,
+                            roundtrip_discrepancies, semigroup, structure,
+                            torsion, torsion_iso)
+from ybx.monoid import ONE, MElem, component
 from ybx.perms import identity, inverse
 
 
 def test_component_of_examples():
-    assert component_of(SOL_SWAP2, 1, 0) == 1
-    assert component_of(SOL_SWAP2, 2, 0) == 0
+    assert component(SOL_SWAP2, MElem(1, 0)) == 1
+    assert component(SOL_SWAP2, MElem(2, 0)) == 0
     for k in range(1, 5):
         for x in range(2):
-            assert component_of(SOL_Z2, k, x) == 0
+            assert component(SOL_Z2, MElem(k, x)) == 0
     with pytest.raises(ValueError):
-        component_of(SOL_Z2, 0, 0)
+        component(SOL_Z2, ONE)
 
 
 def test_component_is_inverse_word_image():
     for s in ALL_FIXTURES.values():
         for k in range(1, 2 * s.d + 1):
             for x in range(s.n):
-                u = component_of(s, k, x)
+                u = component(s, MElem(k, x))
                 assert inverse(lambda_word(s, x, k))[x] == u
                 assert u in diagonal_image(s)
 
@@ -68,39 +69,39 @@ def test_semigroup_structure_everywhere():
 
 
 def test_torsion_examples():
-    t = torsion(SOL_Z2, 0)
+    t = torsion(SOL_Z2, semigroup(SOL_Z2), 0)
     assert t.elements == (0, 1)
     assert t.op == ((0, 1), (1, 0))
     assert dict(t.orders) == {0: 1, 1: 2}
 
-    t = torsion(SOL_SWAP2, 0)
+    t = torsion(SOL_SWAP2, semigroup(SOL_SWAP2), 0)
     assert t.elements == (0,)
 
-    t = torsion(SOL_Z3INV, 0)
+    t = torsion(SOL_Z3INV, semigroup(SOL_Z3INV), 0)
     assert t.op == tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
     assert dict(t.orders) == {0: 1, 1: 3, 2: 3}
     assert all(SOL_Z3INV.d % k == 0 for _, k in t.orders)
 
     with pytest.raises(ValueError):
-        torsion(SOL_Z2, 1)
+        torsion(SOL_Z2, semigroup(SOL_Z2), 1)
 
 
 def test_torsion_iso_examples():
-    f, bad = torsion_iso(SOL_SWAP2, 0, 1)
+    f, bad = torsion_iso(semigroup(SOL_SWAP2), 0, 1)
     assert f == {0: 1} and not bad
-    f, bad = torsion_iso(SOL_Z2, 0, 0)
+    f, bad = torsion_iso(semigroup(SOL_Z2), 0, 0)
     assert f == {0: 0, 1: 1} and not bad
-    f, bad = torsion_iso(SOL_PROJ3, 0, 2)
+    f, bad = torsion_iso(semigroup(SOL_PROJ3), 0, 2)
     assert f == {0: 2} and not bad
 
 
 def test_phi_maps_examples():
-    phi, bad = phi_maps(SOL_Z3INV)
+    phi, bad = phi_maps(SOL_Z3INV, semigroup(SOL_Z3INV))
     assert not bad
     assert phi == ((0, 2, 1),) * 3            # negation for every point
-    phi, bad = phi_maps(SOL_SWAP2)
+    phi, bad = phi_maps(SOL_SWAP2, semigroup(SOL_SWAP2))
     assert phi == ((1, 0), (1, 0))
-    phi, bad = phi_maps(SOL_PROJ3)
+    phi, bad = phi_maps(SOL_PROJ3, semigroup(SOL_PROJ3))
     assert phi == (identity(3),) * 3
 
 
@@ -166,12 +167,13 @@ def test_fineq_counterexamples_reproduce():
 
 def test_reconstruct_round_trips():
     for s in ALL_FIXTURES.values():
-        m, rep = reconstruct(descriptor(s))
+        dsc = descriptor(s)
+        m, rep = reconstruct(dsc)
         assert rep.ok
         assert m.lam == s.lam and m.rho == s.rho
-        assert roundtrip(s)
+        assert not roundtrip_discrepancies(s, dsc)
 
 
 def test_no_structure_discrepancies_on_fixtures():
     for s in ALL_FIXTURES.values():
-        assert structure_discrepancies(s) == ()
+        assert structure(s).discrepancies == ()

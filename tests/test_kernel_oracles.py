@@ -215,18 +215,15 @@ def descriptor_diagnostics_nested_loops(dsc):
     rng = range(n)
     op = dsc.op
     bad = []
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if op[op[x][y]][z] != op[x][op[y][z]]:
-                    bad.append(Discrepancy("descriptor-associativity", (x, y, z)))
-                    break
-            else:
-                continue
+    # the first failure of each table axiom, as semigroup() reports them
+    for x, y, z in product(rng, repeat=3):
+        if op[op[x][y]][z] != op[x][op[y][z]]:
+            bad.append(Discrepancy("descriptor-associativity", (x, y, z)))
             break
     for x in rng:
         if len(set(op[x])) != n:
             bad.append(Discrepancy("descriptor-left-cancellative", (x,)))
+            break
     for x in rng:
         if op[x][x] == x and any(op[x][y] != y for y in rng):
             bad.append(Discrepancy("descriptor-idempotent-not-left-identity", (x,)))

@@ -5,7 +5,7 @@ import pytest
 from ybx.core import diagonal_image, lambda_word
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
-from ybx.invariants import partition, torsion
+from ybx.invariants import partition, semigroup, torsion
 from ybx.monoid import (GQElem, MElem, ONE, arithmetic_discrepancies,
                         center_basis, component, conjugation_action, gq_degree,
                         gq_from, gq_identity, gq_inverse, gq_mul, growth,
@@ -196,7 +196,7 @@ def test_gq_torsion_matches_torsion_table():
     for s in ALL_FIXTURES.values():
         parts = partition(s)
         for u in diagonal_image(s):
-            tab = torsion(s, u)
+            tab = torsion(s, semigroup(s), u)
             idx = {x: i for i, x in enumerate(tab.elements)}
             assert torsion_elem(s, u, u) == gq_identity(s, u)
             for x in parts[u]:

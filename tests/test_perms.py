@@ -1,7 +1,18 @@
 from itertools import permutations
 
-from ybx.perms import (closure, compose, conjugate, exponent, has_fixed_point,
-                       identity, inverse, is_perm, order)
+from ybx.perms import closure, compose, exponent, identity, inverse, is_perm, order
+
+
+def conjugate(p, psi):
+    """psi . p . psi^-1."""
+    out = [0] * len(p)
+    for i in range(len(p)):
+        out[psi[i]] = psi[p[i]]
+    return tuple(out)
+
+
+def has_fixed_point(p):
+    return any(p[i] == i for i in range(len(p)))
 
 
 def test_compose_applies_right_factor_first():
