@@ -17,13 +17,11 @@ carrying the derived data (q, d).
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import filterfalse, permutations, product
+from itertools import filterfalse, product
 
-from .perms import compose, exponent, is_perm
+from .perms import compose, exponent, inverse, is_perm
 
 IDENTITY_NAMES = ("ybe1", "ybe2", "ybe3", "left_nondegenerate", "idempotent")
-
-ISO_MAX_POINTS = 7  # brute force over n! relabelings
 
 
 class SolutionFormatError(ValueError):
@@ -287,41 +285,99 @@ def relabel_lambda(lam, psi):
     return tuple(tuple(r) for r in out)
 
 
-def _require_small(n):
-    if n > ISO_MAX_POINTS:
-        raise ValueError(
-            f"isomorphism search is brute force and limited to n <= {ISO_MAX_POINTS}")
-
-
 def iso_check(s1, s2):
     """A relabeling psi with lam2_psi(x) = psi lam1_x psi^-1, or None.
 
-    rho is determined by lam and q on verified solutions, so matching the
-    lam tables is enough.
+    The tables are isomorphic iff their canonical forms are equal, and then
+    psi = psi2^-1 . psi1 for the canonical witnesses psi1, psi2, so it is
+    not necessarily the lexicographically first such relabeling.  rho is
+    determined by lam and q on verified solutions, so matching the lam
+    tables is enough.
     """
     if s1.n != s2.n:
         raise ValueError("solutions must have the same number of points")
-    _require_small(s1.n)
-    for psi in permutations(range(s1.n)):
-        if relabel_lambda(s1.lam, psi) == s2.lam:
-            return tuple(psi)
-    return None
+    form1, psi1, _ = canonical_table(s1.lam)
+    form2, psi2, _ = canonical_table(s2.lam)
+    if form1 != form2:
+        return None
+    return compose(inverse(psi2), psi1)
 
 
 def canonical_table(table):
-    """Lexicographically minimal flattened table over all relabelings.
+    """(form, psi, aut): the exact lexicographic minimum over relabelings.
 
-    Each relabeling psi conjugates the table as in :func:`relabel_lambda`;
-    a group table is canonicalized the same way as a lam table.
+    ``form`` is the smallest row-major flattening of the conjugated table
+    ``relabel_lambda(table, psi)`` over all n! relabelings, with no limit
+    on n; a group table is canonicalized the same way as a lam table.
+    ``psi`` is one relabeling reaching it and ``aut`` is the number of
+    them, the order of the automorphism group of the table.
+
+    Depth-first branch and bound in the spirit of individualize-and-refine
+    (McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput.
+    2014), without a refinement that would reorder the labels.  Labels are
+    handed out while row 0 is read cell by cell; row 0 is the row of the
+    point labelled 0.  The only branches are the point for a label that is
+    still free when its cell is reached; a cell whose value is an unlabelled
+    point must take the next free label to stay minimal.  A branch whose
+    prefix exceeds the best form so far is cut.  Every label is in use
+    after row 0, and each leaf compares its full table with the best.
     """
-    _require_small(len(table))
-    return min(tuple(v for row in relabel_lambda(table, psi) for v in row)
-               for psi in permutations(range(len(table))))
+    n = len(table)
+    psi = [-1] * n   # old point -> new label
+    pi = [-1] * n    # new label -> old point
+    form, witness, aut = None, None, 0   # the best so far
+
+    def leaf():
+        nonlocal form, witness, aut
+        rows = [table[x] for x in pi]
+        flat = tuple([psi[r[y]] for r in rows for y in pi])
+        if form is None or flat < form:
+            form, witness, aut = flat, tuple(psi), 1
+            return True
+        if flat == form:
+            aut += 1
+        return False
+
+    def cell(j, k, tight):
+        """Fill cell (0, j) with labels 0..k-1 in use; True if form changed.
+
+        ``tight`` says cells 0..j-1 equal those of ``form``.
+        """
+        if j == n:
+            return leaf()
+        if pi[j] >= 0:
+            return value(j, k, tight)
+        changed = False
+        for x in range(n):
+            if psi[x] < 0:
+                psi[x], pi[j] = j, x
+                # a new form shares this node's prefix
+                changed |= value(j, k + 1, tight or changed)
+                psi[x] = pi[j] = -1
+        return changed
+
+    def value(j, k, tight):
+        v = table[pi[0]][pi[j]]
+        label = psi[v]
+        forced = label < 0
+        if forced:
+            label = psi[v] = k
+            pi[k] = v
+            k += 1
+        changed = False
+        if not (tight and label > form[j]):
+            changed = cell(j + 1, k, tight and label == form[j])
+        if forced:
+            psi[v] = pi[label] = -1
+        return changed
+
+    cell(0, 0, False)
+    return form, witness, aut
 
 
 def canonical_form(s):
     """Lexicographically minimal flattened lam table over all relabelings."""
-    return canonical_table(s.lam)
+    return canonical_table(s.lam)[0]
 
 
 # ---------------------------------------------------------------------------

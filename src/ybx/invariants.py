@@ -272,7 +272,8 @@ def descriptor_from_dict(data):
         raise SolutionFormatError("n must be an integer")
     _check_table(op, n, "op")
     _check_table(phi, n, "phi")
-    if len(q) != n or any(not (isinstance(v, int) and 0 <= v < n) for v in q):
+    if len(q) != n or any(isinstance(v, bool) or not isinstance(v, int)
+                          or not 0 <= v < n for v in q):
         raise SolutionFormatError("q must be a length-n table of points")
     return Descriptor(n, op, q, phi)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import diagonal_image, failures, lambda_word, q_power
-from .invariants import Discrepancy, partition
+from .invariants import Discrepancy, semigroup
 from .perms import inverse
 
 
@@ -342,7 +342,9 @@ def conjugation_action(s, u):
     base = min(x for x in range(s.n) if s.q[x] == u)
     g = gq_from(s, 1, base)
     ginv = gq_inverse(s, g)
-    xs = partition(s)[u]
+    sg = semigroup(s)
+    xs = sg.xu_dict()[u]
+    op = sg.op
     bad = []
 
     act = {}
@@ -351,13 +353,12 @@ def conjugation_action(s, u):
         assert gq_degree(s, res) == 0 and res.u == u
         act[y] = res.u if res.k == 0 else res.x
 
-    op = {(a, b): lambda_word(s, a, s.d)[b] for a in xs for b in xs}
     if sorted(act.values()) != sorted(xs):
         bad.append(Discrepancy("conjugation-bijective", (u,)))
     else:
         for a in xs:
             for b in xs:
-                if act[op[a, b]] != op[act[a], act[b]]:
+                if act[op[a][b]] != op[act[a]][act[b]]:
                     bad.append(Discrepancy("conjugation-homomorphism", (u, a, b)))
 
     order = 1

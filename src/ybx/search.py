@@ -257,7 +257,7 @@ def classify(n):
             diag_size=len(diagonal_image(rep)),
             d=rep.d,
             torsion_order=len(tor.elements),
-            torsion_table=canonical_table(table),
+            torsion_table=canonical_table(table)[0],
             family=_family_tag(rep),
         ))
     return records

@@ -382,10 +382,12 @@ def test_solution_rows_must_be_lists(tmp_path, data):
     ("rees-example", dict(REES_PARAMS, group=[[0, 5], [1, 0]])),
     ("rees-example", dict(REES_PARAMS, t=[0])),
     ("descriptor", {"n": True, "op": [[0]], "q": [0], "phi": [[0]]}),
+    ("descriptor", {"n": 2, "op": [[0, 1], [1, 0]], "q": [True, True],
+                    "phi": [[0, 1], [0, 1]]}),
 ], ids=["perm-list", "group-aut-list", "rees-list", "descriptor-list",
         "perm-int", "group-aut-int", "group-aut-ragged", "group-aut-range",
         "group-aut-bool", "rees-ragged", "rees-range", "rees-t-list",
-        "descriptor-n-bool"])
+        "descriptor-n-bool", "descriptor-q-bool"])
 def test_construct_params_malformed(tmp_path, kind, params):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from ybx.core import (InvalidSolutionError, RMap, SolutionFormatError,
-                      apply_r, canonical_form, check, diagonal_image,
-                      dump_solution, failures, identity_holds, iso_check,
-                      lambda_word, load_rmap, promote, q_power,
-                      rmap_from_dict, rmap_from_lambda, solution_from_lambda)
+                      apply_r, canonical_form, canonical_table, check,
+                      diagonal_image, dump_solution, failures, identity_holds,
+                      iso_check, lambda_word, load_rmap, promote, q_power,
+                      relabel_lambda, rmap_from_dict, rmap_from_lambda,
+                      solution_from_lambda)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.perms import compose, identity, inverse
@@ -172,14 +173,17 @@ def test_iso_iff_equal_canonical():
             assert (witness is not None) == \
                 (canonical_form(s1) == canonical_form(s2))
             if witness is not None:
-                from ybx.core import relabel_lambda
                 assert relabel_lambda(s1.lam, witness) == s2.lam
 
 
-def test_canonical_form_size_guard():
+def test_canonical_table_has_no_size_limit():
     s = solution_from_lambda([identity(8)] * 8)
+    form, psi, aut = canonical_table(s.lam)
+    assert form == tuple(v for row in s.lam for v in row)
+    assert aut == 40320
+    assert relabel_lambda(s.lam, psi) == s.lam
     with pytest.raises(ValueError):
-        canonical_form(s)
+        iso_check(s, SOL_TRIV)
 
 
 def test_json_round_trip(tmp_path):

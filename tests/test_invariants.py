@@ -1,11 +1,11 @@
 import pytest
 
-from ybx.core import diagonal_image, lambda_word
+from ybx.core import SolutionFormatError, diagonal_image, lambda_word
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.invariants import (Descriptor, check_fineq, descriptor,
-                            fineq_holds, partition, phi_maps,
-                            q_image_in_idempotents, reconstruct,
+                            descriptor_from_dict, fineq_holds, partition,
+                            phi_maps, q_image_in_idempotents, reconstruct,
                             roundtrip_discrepancies, semigroup, structure,
                             torsion, torsion_iso)
 from ybx.monoid import ONE, MElem, component
@@ -177,3 +177,11 @@ def test_reconstruct_round_trips():
 def test_no_structure_discrepancies_on_fixtures():
     for s in ALL_FIXTURES.values():
         assert structure(s).discrepancies == ()
+
+
+def test_descriptor_from_dict_rejects_bool_q():
+    data = {"n": 2, "op": [[0, 1], [1, 0]], "q": [True, True],
+            "phi": [[0, 1], [0, 1]]}
+    with pytest.raises(SolutionFormatError,
+                       match="^q must be a length-n table of points$"):
+        descriptor_from_dict(data)

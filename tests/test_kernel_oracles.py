@@ -5,8 +5,9 @@ a union-find over all n^L free words of one length, an overlap scan that
 walks every pair of rules, a right-cancellation scan that also runs over
 the length of the cancelled factor, the hand-written loops of
 ``check``, ``check_fineq`` and ``descriptor_diagnostics`` that the
-exhaustive scanner ``core.failures`` replaced, and the center rows before
-repeated rows were dropped.
+exhaustive scanner ``core.failures`` replaced, the center rows before
+repeated rows were dropped, and the minimum over all n! relabelings that
+the branch-and-bound canonical labeling replaced.
 """
 
 import random
@@ -17,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx.core import (IDENTITY_NAMES, RMap, VerificationReport, check,
-                      identity_holds, lambda_word, rmap_from_lambda,
+from ybx.core import (IDENTITY_NAMES, RMap, VerificationReport,
+                      canonical_table, check, identity_holds, iso_check,
+                      lambda_word, relabel_lambda, rmap_from_lambda,
                       solution_from_lambda)
 from ybx.groebner import (RewriteSystem, Rule, check_overlaps, constant_rules,
                           reduce, solution_rules)
@@ -426,3 +428,116 @@ def test_group_construction_error_texts(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def flatten(table):
+    return tuple(v for row in table for v in row)
+
+
+def canonical_table_all_relabelings(table):
+    """The minimal flattened relabeling and the relabelings that reach it."""
+    flats = {psi: flatten(relabel_lambda(table, psi))
+             for psi in permutations(range(len(table)))}
+    form = min(flats.values())
+    return form, [psi for psi, flat in flats.items() if flat == form]
+
+
+def assert_matches_all_relabelings(table):
+    form, psi, aut = canonical_table(table)
+    want, optimal = canonical_table_all_relabelings(table)
+    assert form == want
+    assert aut == len(optimal)
+    assert psi in optimal
+
+
+def assert_iso_witness(s1, s2):
+    psi = iso_check(s1, s2)
+    assert psi is not None
+    assert relabel_lambda(s1.lam, psi) == s2.lam
+
+
+@pytest.fixture(scope="module")
+def census5():
+    return [s for n in range(1, 6)
+            for s in enumerate_solutions(EnumOptions(n)).solutions]
+
+
+def test_canonical_table_matches_all_relabelings_on_census5(census5):
+    assert len(census5) == 377
+    for s in census5:
+        assert_matches_all_relabelings(s.lam)
+
+
+def test_iso_check_matches_forms_on_census3(census5):
+    sols = [s for s in census5 if s.n <= 3]
+    for s1 in sols:
+        for s2 in sols:
+            if s1.n != s2.n:
+                continue
+            same = (canonical_table_all_relabelings(s1.lam)[0]
+                    == canonical_table_all_relabelings(s2.lam)[0])
+            if same:
+                assert_iso_witness(s1, s2)
+            else:
+                assert iso_check(s1, s2) is None
+
+
+def _partitions(n, largest):
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _cycle_type_rows(parts):
+    """Constant rows of one permutation with the given cycle lengths."""
+    images, start = [], 0
+    for k in parts:
+        images.extend(start + (i + 1) % k for i in range(k))
+        start += k
+    return [tuple(images)] * start
+
+
+# the classes of the canonical-form benchmark at n = 7: constant rows of
+# each cycle type, and lam_x(y) = x + a*y over Z_7 for each unit a
+GENERATORS7 = ([_cycle_type_rows(p) for p in _partitions(7, 7)]
+               + [[tuple((x + a * y) % 7 for y in range(7)) for x in range(7)]
+                  for a in range(1, 7)])
+
+
+def test_generators7_are_21_classes():
+    assert len(GENERATORS7) == 21
+    assert len({canonical_table(solution_from_lambda(rows).lam)[0]
+                for rows in GENERATORS7}) == 21
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(GENERATORS7), st.permutations(range(7)))
+def test_canonical_table_matches_all_relabelings_on_generators7(rows, psi):
+    s = solution_from_lambda(rows)
+    t = solution_from_lambda(relabel_lambda(s.lam, psi))
+    assert_matches_all_relabelings(t.lam)
+    assert canonical_table(t.lam)[0] == canonical_table(s.lam)[0]
+    assert_iso_witness(s, t)
+    assert_iso_witness(t, s)
+
+
+@st.composite
+def tables(draw):
+    # rows: permutations or arbitrary self-maps
+    n = draw(st.integers(1, 6))
+    row = st.one_of(st.permutations(range(n)).map(tuple), _row(n))
+    return tuple(draw(row) for _ in range(n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tables(), st.randoms(use_true_random=False))
+def test_canonical_table_matches_all_relabelings_on_random_tables(table, rnd):
+    assert_matches_all_relabelings(table)
+    psi = list(range(len(table)))
+    rnd.shuffle(psi)
+    other = relabel_lambda(table, psi)
+    assert canonical_table(other)[0] == canonical_table(table)[0]
+    assert_iso_witness(SimpleNamespace(n=len(table), lam=table),
+                       SimpleNamespace(n=len(table), lam=other))

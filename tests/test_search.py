@@ -1,6 +1,6 @@
 import pytest
 
-from ybx.core import canonical_form, diagonal_image, iso_check
+from ybx.core import canonical_form, canonical_table, diagonal_image, iso_check
 from ybx.fixtures import SOL_SWAP2, SOL_Z2, SOL_Z3INV, SOL_PROJ3
 from ybx.invariants import descriptor, roundtrip_discrepancies
 from ybx.monoid import is_cancellative
@@ -12,6 +12,7 @@ from ybx.search import (EnumOptions, _search_slice, brute_force_solutions,
                         partition_number)
 
 from itertools import permutations
+from math import factorial
 
 Z2 = ((0, 1), (1, 0))
 Z3 = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
@@ -108,6 +109,15 @@ def test_classify_records():
     assert all(r.canonical for r in recs)
     members = sum(r.members for r in recs)
     assert members == 4
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_classify_members_by_orbit_stabilizer(n):
+    # the relabelings of a class act transitively with stabilizer Aut(rep)
+    for rec in classify(n):
+        rows = [rec.canonical[i * n:(i + 1) * n] for i in range(n)]
+        aut = canonical_table(rows)[2]
+        assert rec.members * aut == factorial(n)
 
 
 def test_by_diag_size():
