@@ -26,10 +26,9 @@ for n in (1, 2, 3, 4):
 
 print()
 print("== prime sizes: constant-row family and cyclic-group family ==")
-for p in (2, 3):
+for p in (2, 3, 5):
     print(f"p={p}: families exhaust the classification:",
           check_prime_classification(p))
-print("p=5 (generative direction):", check_prime_classification(5))
 
 print()
 print("== class signatures at n = 4 ==")

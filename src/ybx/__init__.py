@@ -6,12 +6,12 @@ from .core import (InvalidSolutionError, RMap, Solution, SolutionFormatError,
                    VerificationReport, apply_r, canonical_form, check,
                    diagonal_image, dump_solution, iso_check, lambda_word,
                    load_rmap, promote, q_power, rmap_from_lambda,
-                   solution_from_lambda)
+                   solution_from_lambda, word_level)
 from .fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV, SOL_Z2,
                        SOL_Z3INV)
 from .invariants import (Descriptor, Discrepancy, FineqReport, check_fineq,
-                         descriptor, partition, phi_maps, reconstruct,
-                         semigroup, structure, torsion, torsion_iso)
+                         descriptor, phi_maps, reconstruct, semigroup,
+                         structure, torsion, torsion_iso)
 from .monoid import (GQElem, MElem, ONE, center_basis, component,
                      conjugation_action, gq_from, gq_identity, gq_inverse,
                      gq_mul, growth, is_cancellative, mul, normal_form,

@@ -241,14 +241,6 @@ def cmd_construct(args):
     raise AssertionError("unreachable")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _emit_descriptor_reports(rep, pretty):
     """Identity report and direct verification, computed independently."""
     dsc = rep.descriptor
@@ -257,7 +249,7 @@ def _emit_descriptor_reports(rep, pretty):
         "fineq": rep.fineq.to_json(),
         "candidate": rmap_to_dict(rep.candidate),
         "verification": rep.verification.to_json(),
-        "q_idempotents": _jsonable(q_image_in_idempotents(dsc)),
+        "q_idempotents": q_image_in_idempotents(dsc),
         "table_discrepancies": [d.to_json()
                                 for d in descriptor_diagnostics(dsc)],
     }

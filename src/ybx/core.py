@@ -15,7 +15,7 @@ carrying the derived data (q, d).
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import filterfalse, product
 
@@ -104,7 +104,9 @@ class Solution:
     """A verified idempotent left non-degenerate solution.
 
     Immutable; built by :func:`promote`.  ``q`` is the diagonal map table
-    and ``d`` the exponent of the group generated by the lam_x.
+    and ``d`` the exponent of the group generated by the lam_x.  The word
+    tables of :func:`word_level` are kept in ``_levels``, which takes no
+    part in equality or hashing.
     """
 
     n: int
@@ -112,6 +114,8 @@ class Solution:
     rho: tuple
     q: tuple
     d: int
+    _levels: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
 
 def failures(holds, arity, n):
@@ -221,51 +225,40 @@ def solution_from_lambda(lam_rows):
     return promote(rmap_from_lambda(lam_rows))
 
 
-def _word_cache(s):
-    try:
-        return s._lam_words
-    except AttributeError:
-        object.__setattr__(s, "_lam_words", {})
-        return s._lam_words
+def word_level(s, k):
+    """(rows, ends) with rows[x] = lam_{kx} and ends[x] = q^k(x) for every x.
+
+    Level 0 is the identity rows with ends = range(n); level k+1 is built
+    from level k by lam_{(k+1)x} = lam_{kx} . lam_{q^k(x)} (right factor
+    applied first).  Each level is built once per solution and kept on it,
+    derived only from the one before it and stored by its length with
+    ``setdefault``, so concurrent readers all see the same tables.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    levels = s._levels
+    if not levels:
+        ident = tuple(range(s.n))
+        levels.setdefault(0, ((ident,) * s.n, ident))
+    # the stored lengths are always 0..len(levels)-1
+    for j in range(len(levels) - 1, k):
+        rows, ends = levels[j]
+        levels.setdefault(j + 1, (
+            tuple(compose(row, s.lam[e]) for row, e in zip(rows, ends)),
+            tuple(s.q[e] for e in ends)))
+    return levels[k]
 
 
 def lambda_word(s, x, k):
-    """The permutation attached to the length-k element ending in x.
-
-    Computed by the recurrence lam_{(k+1)x} = lam_{kx} . lam_{q^k(x)}
-    (right factor applied first).  k = 0 is the caller's concern.
-    Intermediate words are memoised per solution; the recurrence itself
-    is never shortcut.
-    """
+    """The permutation lam_{kx} of the length-k element ending in x, k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cache = _word_cache(s)
-    got = cache.get((x, k))
-    if got is not None:
-        return got
-    j = k - 1
-    while j > 1 and (x, j) not in cache:
-        j -= 1
-    if j <= 1:
-        j = 1
-        p = s.lam[x]
-        cache[(x, 1)] = p
-    else:
-        p = cache[(x, j)]
-    cur = q_power(s, x, j)
-    while j < k:
-        p = compose(p, s.lam[cur])
-        j += 1
-        cache[(x, j)] = p
-        cur = s.q[cur]
-    return p
+    return word_level(s, k)[0][x]
 
 
 def q_power(s, x, k):
     """k-fold application of the diagonal map; k = 0 returns x."""
-    for _ in range(k):
-        x = s.q[x]
-    return x
+    return word_level(s, k)[1][x]
 
 
 def diagonal_image(s):

@@ -24,32 +24,20 @@ class Rule:
     rhs: tuple
 
 
-def _deglex_less(a, b, rank):
-    if len(a) != len(b):
-        return len(a) < len(b)
-    ka = tuple(rank[v] for v in a)
-    kb = tuple(rank[v] for v in b)
-    return ka < kb
-
-
 @dataclass(frozen=True)
 class RewriteSystem:
-    """Quadratic rules over letters 0..n-1 with a total letter order."""
+    """Quadratic rules over letters 0..n-1, ordered by their values."""
 
     n: int
     rules: tuple
-    order: tuple = None
 
     def __post_init__(self):
-        if self.order is None:
-            object.__setattr__(self, "order", tuple(range(self.n)))
         object.__setattr__(self, "rules", tuple(sorted(set(self.rules))))
-        rank = {v: i for i, v in enumerate(self.order)}
         lookup = {}
         for rule in self.rules:
             if len(rule.lhs) != 2 or len(rule.rhs) != 2:
                 raise ValueError("rules must be quadratic")
-            if not _deglex_less(rule.rhs, rule.lhs, rank):
+            if (len(rule.rhs), rule.rhs) >= (len(rule.lhs), rule.lhs):
                 raise ValueError(f"rule {rule} does not decrease the word order")
             if rule.lhs in lookup:
                 raise ValueError(f"two rules share the left side {rule.lhs}")
@@ -62,7 +50,7 @@ class RewriteSystem:
 
     def to_json(self):
         return {"n": self.n,
-                "order": list(self.order),
+                "order": list(range(self.n)),
                 "rules": [[list(r.lhs), list(r.rhs)] for r in self.rules]}
 
 

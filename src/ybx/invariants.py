@@ -2,12 +2,13 @@
 
 Everything here is downstream of one operation: x . y = lam_{dx}(y), which
 turns the point set into a left cancellative simple semigroup whose
-idempotents form the diagonal.  :func:`semigroup` builds that table once,
-with the partition into subsets X_u and the Rees matrix coordinates; the
-torsion group on each X_u, the isomorphisms between them, the maps
-phi_x = lam at q^d(x) and the classification descriptor (table, q, phi)
-are read from it, and :func:`structure` assembles them with the
-descriptor's compatibility identities and the reconstruction of r.
+idempotents form the diagonal.  :func:`semigroup` reads that table, the
+subsets X_u and the Rees matrix coordinates off the words of length d
+(:func:`core.word_level`); the torsion group on each X_u, the isomorphisms
+between them, the maps phi_x = lam at q^d(x) and the classification
+descriptor (table, q, phi) are read from it, and :func:`structure`
+assembles them with the descriptor's compatibility identities and the
+reconstruction of r.
 
 Structural claims are verified exhaustively on every call.  A violated
 claim is reported as a :class:`Discrepancy` value attached to the result;
@@ -19,8 +20,7 @@ from functools import partial
 from itertools import product
 
 from .core import (RMap, VerificationReport, associative_at, check,
-                   diagonal_image, failures, homomorphic_at, lambda_word,
-                   q_power)
+                   diagonal_image, failures, homomorphic_at, word_level)
 from .perms import compose, is_perm
 
 
@@ -36,20 +36,6 @@ class Discrepancy:
         return {"claim": self.claim,
                 "counterexample": list(self.counterexample),
                 "context": list(self.context)}
-
-
-def partition(s):
-    """The subsets X_u = {x : q^d(x) = u}, keyed by u in the diagonal.
-
-    Membership is cross-checked against the equivalent condition
-    lam_{dx}(u) = x.
-    """
-    parts = {u: [] for u in diagonal_image(s)}
-    for x in range(s.n):
-        u = q_power(s, x, s.d)
-        parts[u].append(x)
-        assert lambda_word(s, x, s.d)[u] == x
-    return {u: tuple(xs) for u, xs in parts.items()}
 
 
 @dataclass(frozen=True)
@@ -92,14 +78,15 @@ def _operation_discrepancies(op, prefix):
 def semigroup(s):
     """Build and verify the simple semigroup on the points of s.
 
-    This is the one place the rows lam_{dx} and the subsets X_u are built;
-    the torsion groups, their isomorphisms and the phi maps read them here.
+    The rows lam_{dx} and the columns q^d(x) are the words of length d;
+    the subsets X_u = {x : q^d(x) = u} are read from them here, and the
+    torsion groups, their isomorphisms and the phi maps read this table.
     """
-    n, d = s.n, s.d
+    n = s.n
     rng = range(n)
     image = diagonal_image(s)
 
-    op = tuple(tuple(lambda_word(s, x, d)) for x in rng)
+    op, ends = word_level(s, s.d)
     bad = _operation_discrepancies(op, "semigroup")
 
     left_ids = tuple(u for u in rng if all(op[u][y] == y for y in rng))
@@ -109,7 +96,10 @@ def semigroup(s):
     if idem != image:
         bad.append(Discrepancy("idempotents-equal-diagonal", idem, image))
 
-    parts = partition(s)
+    parts = {u: tuple(x for x in rng if ends[x] == u) for u in image}
+    # x lies in X_u exactly when x . u = x
+    bad.extend(Discrepancy("component-membership", (x, ends[x]))
+               for x in rng if op[x][ends[x]] != x)
     sizes = {len(xs) for xs in parts.values()}
     covered = sorted(x for xs in parts.values() for x in xs)
     if covered != list(rng) or len(sizes) != 1:
@@ -120,7 +110,7 @@ def semigroup(s):
                    for x, y in product(xs, repeat=2) if op[x][y] not in xs)
 
     base = image[0]
-    coords = {x: (op[x][base], q_power(s, x, d)) for x in rng}
+    coords = {x: (op[x][base], ends[x]) for x in rng}
     if len(set(coords.values())) != n:
         bad.append(Discrepancy("rees-coordinates-bijective", tuple(sorted(coords))))
     if n != len(image) * len(parts[base]):

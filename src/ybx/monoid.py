@@ -1,10 +1,11 @@
 """Exact arithmetic in the structure monoid and its quotient groups.
 
 A monoid element is a pair (length k, last letter x); the permutation it
-carries is lam_{kx}, recomputed on demand, so equality of pairs is
-equality of elements.  Products of fractions (k, x) . c_u^{-m} over the
-central elements c_u = (d, u) realise the groups of quotients of the
-components; torsion elements are the degree-0 fractions.
+carries is lam_{kx}, read from the word tables of :func:`core.word_level`,
+so equality of pairs is equality of elements.  Products of fractions
+(k, x) . c_u^{-m} over the central elements c_u = (d, u) realise the
+groups of quotients of the components; torsion elements are the degree-0
+fractions.
 
 The growth oracle is deliberately independent of the pair model: it
 uses only r and a union-find.  It builds the word classes of degree L+1
@@ -15,7 +16,8 @@ n^(L+1) words; a solution has n classes in each degree.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import diagonal_image, failures, lambda_word, q_power
+from .core import (diagonal_image, failures, lambda_word, q_power,
+                   word_level)
 from .invariants import Discrepancy, semigroup
 from .perms import inverse
 
@@ -161,30 +163,22 @@ def growth(s, max_len):
 
 
 def is_cancellative(s, max_len):
-    """Brute-force cancellation test over elements of length <= max_len.
+    """Brute-force right cancellation test over elements of length <= max_len.
 
     Returns (verdict, witness); the witness is ("right", a, b, m) with
-    a.m = b.m and a != b, or ("left", a, b, m) with m.a = m.b.  Products
-    of unequal-length factors cannot collide, so pairs share a length.
+    a.m = b.m and a != b.  Products of unequal-length factors cannot
+    collide, so pairs share a length.  Left cancellation always holds:
+    m.a = (|m| + 1, lam_m(a)) and lam_m is a permutation.
     """
     n = s.n
-    lam_k = [None] + [[lambda_word(s, x, k) for x in range(n)]
-                      for k in range(1, max_len + 1)]
     for k in range(1, max_len + 1):
+        rows = word_level(s, k)[0]
         for x in range(n):
             for y in range(x + 1, n):
                 for z in range(n):
-                    if lam_k[k][x][z] == lam_k[k][y][z]:
+                    if rows[x][z] == rows[y][z]:
                         return False, ("right", MElem(k, x), MElem(k, y),
                                        MElem(1, z))
-    for l in range(1, max_len + 1):
-        for z in range(n):
-            row = lam_k[l][z]
-            for x in range(n):
-                for y in range(x + 1, n):
-                    if row[x] == row[y]:
-                        return False, ("left", MElem(1, x), MElem(1, y),
-                                       MElem(l, z))
     return True, None
 
 
@@ -230,7 +224,7 @@ def center_basis(s, deg):
     if deg < 1:
         raise ValueError("degree must be >= 1")
     n = s.n
-    lam_deg = [lambda_word(s, x, deg) for x in range(n)]
+    lam_deg = word_level(s, deg)[0]
     # the basis depends only on the row space, so repeated rows are dropped
     rows = {tuple((1 if lam_deg[x][g] == w else 0) - (1 if s.lam[g][x] == w else 0)
                   for x in range(n))
@@ -384,8 +378,9 @@ def conjugation_action(s, u):
         return gpow_cache[e]
 
     for k in range(1, s.d + 1):
+        ends = word_level(s, k)[1]
         for x in range(s.n):
-            if q_power(s, x, k) != u:
+            if ends[x] != u:
                 continue
             for m in (-1, 0, 1):
                 elem = gq_from(s, k, x, m)
@@ -434,7 +429,7 @@ def arithmetic_discrepancies(s, max_len=None):
             bad.append(Discrepancy("diagonal-word-identity", (u,)))
 
     for k in range(1, d + 1):
-        rows = [lambda_word(s, x, k) for x in range(n)]
+        rows = word_level(s, k)[0]
         for x in range(n):
             for y in range(x + 1, n):
                 if rows[x] != rows[y]:
@@ -443,17 +438,20 @@ def arithmetic_discrepancies(s, max_len=None):
                         bad.append(Discrepancy("fixed-point-alternative", (k, x, y)))
 
     for k in range(1, 2 * d + 1):
+        rows = word_level(s, k)[0]
         for x in range(n):
-            v = inverse(lambda_word(s, x, k))[x]
+            v = inverse(rows[x])[x]
             if v not in image:
                 bad.append(Discrepancy("diagonal-membership", (k, x, v)))
 
     for k in range(1, 2 * d + 3):
+        rows, ends = word_level(s, k)
         for x in range(n):
-            if q_power(s, x, k) != inverse(lambda_word(s, x, k))[x]:
+            if ends[x] != inverse(rows[x])[x]:
                 bad.append(Discrepancy("q-power-identity", (k, x)))
+    ends = word_level(s, d + 1)[1]
     for x in range(n):
-        if q_power(s, x, d + 1) != s.q[x]:
+        if ends[x] != s.q[x]:
             bad.append(Discrepancy("q-period", (x,)))
 
     bad.extend(sigma_discrepancies(s))

@@ -6,10 +6,12 @@ are exact equality.
 """
 
 import json
+import os
 import subprocess
 import sys
 from contextlib import contextmanager
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +19,8 @@ from ybx.core import (RMap, canonical_form, check, diagonal_image,
                       identity_holds, lambda_word)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
-from ybx.invariants import (check_fineq, descriptor, fineq_holds, partition,
-                            phi_maps, reconstruct, semigroup, structure,
-                            torsion)
+from ybx.invariants import (check_fineq, descriptor, fineq_holds, phi_maps,
+                            reconstruct, semigroup, structure, torsion)
 from ybx.monoid import (MElem, ONE, arithmetic_discrepancies, center_basis,
                         growth, is_cancellative, mul, normal_form, power)
 from ybx.groebner import check_overlaps, constant_rules, normal_word_count
@@ -147,7 +148,7 @@ def test_criterion_06_structure_lemmas():
                 assert st.discrepancies == ()
                 assert arithmetic_discrepancies(s) == ()
                 image = diagonal_image(s)
-                parts = partition(s)
+                parts = st.semigroup.xu_dict()
                 assert s.n == len(image) * len(parts[image[0]])
                 for u in image:
                     t = torsion(s, st.semigroup, u)
@@ -225,10 +226,15 @@ def test_criterion_10_rees_probe():
                 json.dump({"group": [[0]], "ncols": 4, "A": [0, 1],
                            "t": {"2": 0, "3": 1}, "f": [0],
                            "psi": [0, 1, 2, 3]}, fh)
+            # the child imports ybx from this checkout, installed or not
+            env = dict(os.environ)
+            src = str(Path(__file__).resolve().parent.parent / "src")
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
             r = subprocess.run(
                 [sys.executable, "-m", "ybx.cli", "construct",
                  "--type", "rees-example", "--params", params],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             assert r.returncode in (0, 3)
             out = json.loads(r.stdout)
             assert out["fineq"]["ok"] != out["verification"]["ok"]

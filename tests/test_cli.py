@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,16 @@ from ybx.fixtures import SOL_SWAP2, SOL_Z2
 from ybx.invariants import Discrepancy, FineqReport
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    # the child imports ybx from this checkout, installed or not
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, full_env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "ybx.cli", *args],
                           capture_output=True, text=True, env=full_env)
 
@@ -454,7 +461,7 @@ def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, target,
 
 
 def test_analyze_computes_each_section_once(tmp_path, monkeypatch, capsys):
-    calls = dict.fromkeys(("semigroup", "check_fineq", "partition"), 0)
+    calls = dict.fromkeys(("semigroup", "check_fineq", "word_level"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(invariants, name)):
             calls[_name] += 1
@@ -464,4 +471,4 @@ def test_analyze_computes_each_section_once(tmp_path, monkeypatch, capsys):
     path = write_solution(tmp_path, SOL_SWAP2)
     assert cli.main(["analyze", path]) == 0
     capsys.readouterr()
-    assert calls == {"semigroup": 1, "check_fineq": 1, "partition": 1}
+    assert calls == {"semigroup": 1, "check_fineq": 1, "word_level": 1}

@@ -7,7 +7,7 @@ from ybx.core import (InvalidSolutionError, RMap, SolutionFormatError,
                       diagonal_image, dump_solution, failures, identity_holds,
                       iso_check, lambda_word, load_rmap, promote, q_power,
                       relabel_lambda, rmap_from_dict, rmap_from_lambda,
-                      solution_from_lambda)
+                      solution_from_lambda, word_level)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.perms import compose, identity, inverse
@@ -25,6 +25,13 @@ def plain_lambda_word(s, x, k):
         cur = s.q[cur]
         p = compose(p, s.lam[cur])
     return p
+
+
+def plain_q_power(s, x, k):
+    """Straight-loop oracle for the tabulated q^k."""
+    for _ in range(k):
+        x = s.q[x]
+    return x
 
 
 def test_apply_r_examples():
@@ -109,6 +116,42 @@ def test_lambda_word_matches_plain_recurrence():
         for x in range(s.n):
             for k in range(1, 3 * s.d + 3):
                 assert lambda_word(s, x, k) == plain_lambda_word(s, x, k)
+            for k in range(2 * s.d + 3):
+                assert q_power(s, x, k) == plain_q_power(s, x, k)
+
+
+def test_word_level_shared_by_concurrent_readers():
+    # threads released together on fresh solutions all see the one table
+    # stored per length, which a level stored twice would break; the
+    # cache takes no part in equality
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    cycle = tuple((y + 1) % 8 for y in range(8))
+    workers = 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            s = solution_from_lambda([cycle] * 8)
+            start = threading.Barrier(workers, timeout=60)
+
+            def read(_):
+                start.wait()
+                return [word_level(s, k) for k in range(40)]
+
+            with ThreadPoolExecutor(workers) as pool:
+                seen = list(pool.map(read, range(workers), timeout=60))
+            for levels in seen:
+                assert all(a is b for a, b in zip(levels, seen[0]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen[0][0] == ((identity(8),) * 8, identity(8))
+    assert s == solution_from_lambda([cycle] * 8)
+    assert hash(s) == hash(solution_from_lambda([cycle] * 8))
+    with pytest.raises(ValueError):
+        word_level(s, -1)
 
 
 def test_q_power_examples():

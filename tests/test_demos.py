@@ -22,7 +22,7 @@ DIGESTS = {
     "04_rewriting":
         "3d6ab0687c00b1cf1f281da0a7dbd56d3ba3d414695695ebb97cd509c657b08e",
     "05_census":
-        "d685fa8ded304b92e1b74cf0095c1f6ae9e1bce17f492cd290bd222ab7109e36",
+        "f40ac97c4d1fe4bcd394fbe6c0814a10d46b2c75985fdbc93071f7820e3b5ce0",
 }
 
 

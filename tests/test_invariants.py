@@ -1,11 +1,12 @@
 import pytest
 
-from ybx.core import SolutionFormatError, diagonal_image, lambda_word
+from ybx.core import (Solution, SolutionFormatError, diagonal_image,
+                      lambda_word)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
-from ybx.invariants import (Descriptor, check_fineq, descriptor,
-                            descriptor_from_dict, fineq_holds, partition,
-                            phi_maps, q_image_in_idempotents, reconstruct,
+from ybx.invariants import (Descriptor, Discrepancy, check_fineq, descriptor,
+                            descriptor_from_dict, fineq_holds, phi_maps,
+                            q_image_in_idempotents, reconstruct,
                             roundtrip_discrepancies, semigroup, structure,
                             torsion, torsion_iso)
 from ybx.monoid import ONE, MElem, component
@@ -32,11 +33,14 @@ def test_component_is_inverse_word_image():
 
 
 def test_partition_examples():
-    assert partition(SOL_SWAP2) == {0: (0,), 1: (1,)}
-    assert partition(SOL_Z2) == {0: (0, 1)}
-    assert partition(SOL_TRIV) == {0: (0,)}
-    assert partition(SOL_Z3INV) == {0: (0, 1, 2)}
-    assert partition(SOL_PROJ3) == {0: (0,), 1: (1,), 2: (2,)}
+    def parts(s):
+        return semigroup(s).xu_dict()
+
+    assert parts(SOL_SWAP2) == {0: (0,), 1: (1,)}
+    assert parts(SOL_Z2) == {0: (0, 1)}
+    assert parts(SOL_TRIV) == {0: (0,)}
+    assert parts(SOL_Z3INV) == {0: (0, 1, 2)}
+    assert parts(SOL_PROJ3) == {0: (0,), 1: (1,), 2: (2,)}
 
 
 def test_semigroup_examples():
@@ -66,6 +70,16 @@ def test_semigroup_structure_everywhere():
         sizes = {len(v) for v in parts.values()}
         assert len(sizes) == 1
         assert s.n == len(image) * sizes.pop()
+
+
+def test_semigroup_reports_component_membership():
+    # a hand-made record whose q^d column disagrees with x . u: the rows
+    # of SOL_PROJ3 with q shifted cyclically, so x . q(x) = q(x) != x
+    s = SOL_PROJ3
+    bent = Solution(s.n, s.lam, s.rho, (1, 2, 0), s.d)
+    assert semigroup(bent).discrepancies == tuple(
+        Discrepancy("component-membership", (x, (x + 1) % 3))
+        for x in range(3))
 
 
 def test_torsion_examples():

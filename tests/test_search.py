@@ -13,6 +13,7 @@ from ybx.search import (EnumOptions, _search_slice, brute_force_solutions,
 
 from itertools import permutations
 from math import factorial
+import time
 
 Z2 = ((0, 1), (1, 0))
 Z3 = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
@@ -139,6 +140,8 @@ def test_check_partition_count():
 
 
 def test_check_prime_classification():
+    # exhaustive for every p: at p = 5 the enumerated classes are exactly
+    # the 7 + 4 family classes
     assert check_prime_classification(2)
     assert check_prime_classification(3)
     assert check_prime_classification(5)
@@ -147,9 +150,14 @@ def test_check_prime_classification():
 
 
 def test_prime_five_exhaustive_converse_within_budget():
-    # pruning makes the full 120^5 walk feasible; the enumerated classes
-    # are exactly the 7 + 4 family classes
-    assert check_prime_classification(5, budget_secs=300)
+    # pruning makes the full 120^5 walk feasible: the exhaustive census at
+    # p = 5 finishes well inside a 300 s budget and has exactly 7 + 4 classes
+    start = time.monotonic()
+    result = enumerate_solutions(EnumOptions(5, budget_secs=300))
+    assert result.complete
+    assert len(set(result.canonical)) == partition_number(5) + 4
+    assert check_prime_classification(5)
+    assert time.monotonic() - start < 300
 
 
 def test_prime_case_class_counts():
