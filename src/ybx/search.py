@@ -19,22 +19,39 @@ sound filters prune:
 
 A completed tuple still receives the full exhaustive verification before
 it is emitted; the pruning is an optimisation, never a proof.
+
+Only the lexicographic minima of the orbits of Sym(n) under conjugation
+by Stab(0) are tried as lam_0 (symmetry breaking in the spirit of Akgün,
+Mereb & Vendramin, "Enumeration of set-theoretic solutions to the
+Yang-Baxter equation", Math. Comp. 2022).  This finds every class:
+
+  - relabeling X by psi conjugates the rows, lam'_{psi(x)} = psi lam_x
+    psi^-1, so a relabeling that fixes 0 conjugates lam_0, and the lam_0
+    values over one isomorphism class form a union of Stab(0) orbits;
+  - the class member with the smallest lam has the smallest lam_0 of the
+    class, which is the minimum of one of those orbits;
+  - that member is the one ``up_to_iso`` keeps after the sort by
+    (canonical form, lam), so the representatives are exactly those of
+    the walk over all n! choices of lam_0.
+
+The labelled census is the set of relabelings of the representatives,
+each one verified again by :func:`~ybx.core.promote`.
 """
 
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import permutations, product
+from math import factorial
 
 from .core import (InvalidSolutionError, _check_table, associative_at,
                    canonical_form, canonical_table, diagonal_image, failures,
-                   homomorphic_at, promote, rmap_from_lambda,
-                   solution_from_lambda)
+                   homomorphic_at, promote, relabel_lambda,
+                   rmap_from_lambda, solution_from_lambda)
 from .invariants import Descriptor, descriptor_report, semigroup, torsion
 from .perms import compose, inverse, is_perm
 
 MAX_POINTS = 6
-MAX_CLASSIFY = 5
 
 
 @dataclass(frozen=True)
@@ -88,6 +105,26 @@ def _sym_index(n):
             meets |= agree[i][v]
         compat.append((everything ^ meets) | (1 << a))
     return perms, comp, tuple(inverse(p) for p in perms), tuple(compat)
+
+
+@lru_cache(maxsize=MAX_POINTS)
+def _orbit_minima(n):
+    """The lexicographic minimum of each orbit of Stab(0) on Sym(n).
+
+    Stab(0) acts by conjugation, p -> psi p psi^-1 with psi(0) = 0.
+    Sym(n) is read in lexicographic order, so the first permutation met in
+    each orbit is its minimum.  There are 1, 2, 4, 7, 12, 19 of them for
+    n = 1..6.
+    """
+    perms = _sym_index(n)[0]
+    stab = [(psi, inverse(psi)) for psi in perms if psi[0] == 0]
+    seen = set()
+    minima = []
+    for p in perms:
+        if p not in seen:
+            minima.append(p)
+            seen.update(compose(compose(psi, p), inv) for psi, inv in stab)
+    return tuple(minima)
 
 
 def _complete_tuple(rows):
@@ -167,25 +204,39 @@ def _slice_worker(args):
     return _search_slice(*args)
 
 
-def enumerate_solutions(opts):
-    """Every verified solution on n points, sorted by canonical table.
+def _class_members(rep):
+    """The n!/|Aut| relabelings of a class representative.
 
-    With ``up_to_iso`` only the first member of each isomorphism class is
-    kept.  The top-level choice of lam_0 partitions the search; with
-    ``jobs > 1`` the slices run in a process pool and are merged in a
-    fixed order, so the output does not depend on the worker count.  An
-    expired budget stops every slice and yields a partial, incomplete
-    result.
+    Each one is verified by ``promote``, which raises on a failure.
+    """
+    n = rep.n
+    tables = {relabel_lambda(rep.lam, psi) for psi in permutations(range(n))}
+    assert len(tables) * canonical_table(rep.lam)[2] == factorial(n)
+    return [solution_from_lambda(t) for t in tables]
+
+
+def enumerate_solutions(opts):
+    """Every verified solution on n points, sorted by (canonical form, lam).
+
+    The walk tries as lam_0 only the Stab(0)-orbit minima (see the module
+    docstring).  It finds the lam-smallest member of every isomorphism
+    class, and with ``up_to_iso`` those members are the result.
+    Otherwise every relabeling of each representative is verified and
+    carries the representative's canonical form.  With ``jobs > 1`` the
+    slices run in a process pool, one worker per slice at most, and are
+    merged in a fixed order, so the output does not depend on the worker
+    count.  An expired budget stops every slice, or the relabeling between
+    two classes, and yields a partial, incomplete result.
     """
     n = opts.n
     # workers compare against the same deadline: the monotonic clock is
     # system-wide (CLOCK_MONOTONIC on Linux)
     deadline = (time.monotonic() + opts.budget_secs
                 if opts.budget_secs is not None else None)
-    args = [(n, f, deadline) for f in _sym_index(n)[0]]
+    args = [(n, f, deadline) for f in _orbit_minima(n)]
     if opts.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(opts.jobs, len(args))) as pool:
             slices = list(pool.map(_slice_worker, args))
     else:
         slices = map(_slice_worker, args)
@@ -196,9 +247,16 @@ def enumerate_solutions(opts):
         keyed.extend(found)
         complete = complete and done
     keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
-    if opts.up_to_iso:
-        keyed = [cs for i, cs in enumerate(keyed)
-                 if i == 0 or cs[0] != keyed[i - 1][0]]
+    keyed = [cs for i, cs in enumerate(keyed)
+             if i == 0 or cs[0] != keyed[i - 1][0]]
+    if not opts.up_to_iso:
+        reps, keyed = keyed, []
+        for canon, rep in reps:
+            if deadline is not None and time.monotonic() > deadline:
+                complete = False
+                break
+            keyed.extend((canon, s) for s in _class_members(rep))
+        keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
     return EnumResult(tuple(s for _, s in keyed), complete,
                       tuple(c for c, _ in keyed))
 
@@ -237,23 +295,21 @@ def _family_tag(s):
 
 
 def classify(n):
-    """Isomorphism classes of enumerate(n), in canonical-table order."""
-    if n > MAX_CLASSIFY:
-        raise ValueError(f"classification is limited to n <= {MAX_CLASSIFY}")
-    result = enumerate_solutions(EnumOptions(n))
-    groups = {}
-    for canon, s in zip(result.canonical, result.solutions):
-        groups.setdefault(canon, []).append(s)
+    """Isomorphism classes on n points, in canonical-table order.
+
+    One record per representative of the up-to-iso census; ``members``
+    counts the labelled solutions of the class as n!/|Aut|.
+    """
+    result = enumerate_solutions(EnumOptions(n, up_to_iso=True))
     records = []
-    for canon in sorted(groups):
-        rep = groups[canon][0]
+    for canon, rep in zip(result.canonical, result.solutions):
         u0 = diagonal_image(rep)[0]
         tor = torsion(rep, semigroup(rep), u0)
         local = {x: i for i, x in enumerate(tor.elements)}
         table = tuple(tuple(local[v] for v in row) for row in tor.op)
         records.append(ClassificationRecord(
             canonical=canon,
-            members=len(groups[canon]),
+            members=factorial(n) // canonical_table(rep.lam)[2],
             diag_size=len(diagonal_image(rep)),
             d=rep.d,
             torsion_order=len(tor.elements),

@@ -6,11 +6,14 @@ walks every pair of rules, a right-cancellation scan that also runs over
 the length of the cancelled factor, the hand-written loops of
 ``check``, ``check_fineq`` and ``descriptor_diagnostics`` that the
 exhaustive scanner ``core.failures`` replaced, the center rows before
-repeated rows were dropped, and the minimum over all n! relabelings that
-the branch-and-bound canonical labeling replaced.
+repeated rows were dropped, the minimum over all n! relabelings that
+the branch-and-bound canonical labeling replaced, and the row search over
+all n! choices of lam_0 that the Stab(0)-orbit minima replaced.
 """
 
 import random
+from collections import Counter
+from functools import lru_cache
 from itertools import permutations, product
 from types import SimpleNamespace
 
@@ -30,7 +33,8 @@ from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
 from ybx.monoid import (MElem, _nullspace, _word_classes, center_basis, growth,
                         is_cancellative)
 from ybx.perms import is_perm
-from ybx.search import (EnumOptions, enumerate_solutions,
+from ybx.search import (EnumOptions, EnumResult, _orbit_minima,
+                        _search_slice, classify, enumerate_solutions,
                         from_group_automorphism, from_rees_example)
 
 
@@ -480,6 +484,56 @@ def test_iso_check_matches_forms_on_census3(census5):
                 assert_iso_witness(s1, s2)
             else:
                 assert iso_check(s1, s2) is None
+
+
+@lru_cache(maxsize=None)
+def all_slices_census(n, up_to_iso=False):
+    """The row search on every choice of lam_0, sorted by (form, lam);
+    up to iso, the first solution of each class is kept."""
+    keyed = []
+    for first in permutations(range(n)):
+        found, complete = _search_slice(n, first)
+        assert complete
+        keyed.extend(found)
+    keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
+    if up_to_iso:
+        keyed = [cs for i, cs in enumerate(keyed)
+                 if i == 0 or cs[0] != keyed[i - 1][0]]
+    return EnumResult(tuple(s for _, s in keyed), True,
+                      tuple(c for c, _ in keyed))
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True], ids=["labelled", "iso"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumerate_matches_all_slices_census(n, up_to_iso):
+    want = all_slices_census(n, up_to_iso)
+    assert enumerate_solutions(EnumOptions(n, up_to_iso=up_to_iso)) == want
+
+
+def test_orbit_minima():
+    assert [len(_orbit_minima(n)) for n in range(1, 7)] == [1, 2, 4, 7, 12, 19]
+    for n in range(1, 6):
+        stab = [psi for psi in permutations(range(n)) if psi[0] == 0]
+        # psi p psi^-1 sends psi(y) to psi(p(y))
+        orbit_mins = {min(tuple(psi[p[psi.index(z)]] for z in range(n))
+                          for psi in stab)
+                      for p in permutations(range(n))}
+        assert _orbit_minima(n) == tuple(sorted(orbit_mins))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_smallest_class_member_starts_with_an_orbit_minimum(n):
+    # the representatives of the all-slices census are the lam-smallest
+    # members of their classes
+    for rep in all_slices_census(n, True).solutions:
+        assert rep.lam[0] in _orbit_minima(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_classify_members_match_all_slices_census(n):
+    members = Counter(all_slices_census(n).canonical)
+    assert [(rec.canonical, rec.members) for rec in classify(n)] == \
+        sorted(members.items())
 
 
 def _partitions(n, largest):

@@ -1,10 +1,14 @@
+import hashlib
+
 import pytest
 
-from ybx.core import canonical_form, canonical_table, diagonal_image, iso_check
+from ybx.core import canonical_form, diagonal_image, iso_check
 from ybx.fixtures import SOL_SWAP2, SOL_Z2, SOL_Z3INV, SOL_PROJ3
 from ybx.invariants import descriptor, roundtrip_discrepancies
 from ybx.monoid import is_cancellative
-from ybx.search import (EnumOptions, _search_slice, brute_force_solutions,
+from ybx import search
+from ybx.search import (EnumOptions, _orbit_minima, _search_slice,
+                        brute_force_solutions,
                         by_diag_size, check_partition_count,
                         check_prime_classification, classify,
                         enumerate_solutions, from_group_automorphism,
@@ -12,7 +16,6 @@ from ybx.search import (EnumOptions, _search_slice, brute_force_solutions,
                         partition_number)
 
 from itertools import permutations
-from math import factorial
 import time
 
 Z2 = ((0, 1), (1, 0))
@@ -62,6 +65,8 @@ def test_enumerate_soundness():
 def test_enumerate_size_guard():
     with pytest.raises(ValueError):
         EnumOptions(7)
+    with pytest.raises(ValueError):
+        classify(7)
 
 
 def test_enumerate_budget_zero_incomplete():
@@ -76,11 +81,53 @@ def test_enumerate_jobs_deterministic():
 
 
 def test_enumerate_jobs_and_budget_compose():
-    one = enumerate_solutions(EnumOptions(4, jobs=1))
-    two = enumerate_solutions(EnumOptions(4, jobs=2, budget_secs=60))
-    assert two.complete and lam_tuples(two) == lam_tuples(one)
-    expired = enumerate_solutions(EnumOptions(4, jobs=2, budget_secs=0))
+    for up_to_iso in (False, True):
+        one = enumerate_solutions(EnumOptions(4, up_to_iso, jobs=1))
+        two = enumerate_solutions(EnumOptions(4, up_to_iso, jobs=2,
+                                              budget_secs=60))
+        assert two.complete and lam_tuples(two) == lam_tuples(one)
+        expired = enumerate_solutions(EnumOptions(4, up_to_iso, jobs=2,
+                                                  budget_secs=0))
+        assert not expired.complete
+    expired = enumerate_solutions(EnumOptions(4, jobs=1, budget_secs=0))
     assert not expired.complete
+
+
+def test_enumerate_budget_stops_relabeling(monkeypatch):
+    # the walk ignores the deadline here, so only the relabeling of the
+    # class representatives can see it expire
+    walk = search._search_slice
+    monkeypatch.setattr(search, "_search_slice",
+                        lambda n, first, deadline: walk(n, first))
+    iso = enumerate_solutions(EnumOptions(4, up_to_iso=True, budget_secs=0))
+    assert iso.complete and len(iso.solutions) == 14
+    labelled = enumerate_solutions(EnumOptions(4, budget_secs=0))
+    assert not labelled.complete and labelled.solutions == ()
+
+
+def test_enumerate_jobs_capped_by_slices(monkeypatch):
+    # a fork pool starts all of its workers at the first submit; this
+    # stand-in records the size asked for and never starts a process
+    import concurrent.futures
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    wide = enumerate_solutions(EnumOptions(3, jobs=10**6))
+    assert len(asked) == 1 and asked[0] <= len(_orbit_minima(3)) == 4
+    assert lam_tuples(wide) == lam_tuples(enumerate_solutions(EnumOptions(3)))
 
 
 @pytest.mark.parametrize("first, count", [
@@ -112,15 +159,6 @@ def test_classify_records():
     assert members == 4
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_classify_members_by_orbit_stabilizer(n):
-    # the relabelings of a class act transitively with stabilizer Aut(rep)
-    for rec in classify(n):
-        rows = [rec.canonical[i * n:(i + 1) * n] for i in range(n)]
-        aut = canonical_table(rows)[2]
-        assert rec.members * aut == factorial(n)
-
-
 def test_by_diag_size():
     assert by_diag_size(2) == {1: 1, 2: 2}
     assert by_diag_size(1) == {1: 1}
@@ -137,6 +175,26 @@ def test_partition_number():
 def test_check_partition_count():
     for n in (1, 2, 3, 4):
         assert check_partition_count(n)
+
+
+# The n = 6 figures come from the walk over all 720 choices of lam_0, which
+# took 325 s on one core.
+
+def test_classify_n6():
+    assert sum(rec.members for rec in classify(6)) == 7200
+    assert by_diag_size(6) == {1: 5, 2: 8, 3: 7, 6: 11}
+    assert check_partition_count(6)
+
+
+@pytest.mark.parametrize("up_to_iso, digest", [
+    (False, "9f24e1c3962a246b43df5fe9557608d1e486079a0000536133a4fa1dfa94601f"),
+    (True, "ddc07c03dd32a0d8318df6b4982e954962fba8b64112eb963359c3d00a086467"),
+], ids=["labelled", "iso"])
+def test_enumerate_n6_pinned(up_to_iso, digest):
+    r = enumerate_solutions(EnumOptions(6, up_to_iso=up_to_iso))
+    assert r.complete
+    assert hashlib.sha256(repr((r.solutions, r.canonical)).encode()
+                          ).hexdigest() == digest
 
 
 def test_check_prime_classification():
