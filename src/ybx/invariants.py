@@ -7,12 +7,15 @@ subsets X_u and the Rees matrix coordinates off the words of length d
 (:func:`core.word_level`); the torsion group on each X_u, the isomorphisms
 between them, the maps phi_x = lam at q^d(x) and the classification
 descriptor (table, q, phi) are read from it, and :func:`structure`
-assembles them with the descriptor's compatibility identities and the
-reconstruction of r.
+assembles them with the descriptor's compatibility identities.
+:func:`reconstruct` rebuilds r from a descriptor.
 
-Structural claims are verified exhaustively on every call.  A violated
-claim is reported as a :class:`Discrepancy` value attached to the result;
-it is never raised, so the library doubles as an empirical checker.
+Structural claims are verified exhaustively on every call, each by one
+section: the table axioms, closure and membership of the X_u by
+:func:`semigroup`, the element orders by :func:`torsion`, and
+lam_x(y) = x . phi_x(y) by :func:`phi_maps`.  A violated claim is reported
+as a :class:`Discrepancy` value attached to the result; it is never
+raised, so the library doubles as an empirical checker.
 """
 
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ from itertools import product
 
 from .core import (RMap, VerificationReport, associative_at, check,
                    diagonal_image, failures, homomorphic_at, word_level)
-from .perms import compose, is_perm
+from .perms import is_perm
 
 
 @dataclass(frozen=True)
@@ -149,54 +152,29 @@ class TorsionGroupTable:
 
 
 def torsion(s, sg, u):
-    """The torsion group on X_u, read from the semigroup table sg of s;
-    verifies the group axioms and orders."""
+    """The torsion group on X_u, read from the semigroup table sg of s,
+    with the order of each element; verifies that the orders divide d.
+
+    Closure, the group axioms and lam_x = x . lam_u on X_u are claims on
+    the whole table, checked once by :func:`semigroup` and :func:`phi_maps`.
+    """
     xs = sg.xu_dict().get(u)
     if xs is None:
         raise ValueError(f"{u} is not a diagonal point")
-    index = {x: i for i, x in enumerate(xs)}
-    d = s.d
+    op, d = sg.op, s.d
+    table = tuple(tuple(op[x][y] for y in xs) for x in xs)
 
-    table = tuple(tuple(sg.op[x][y] for y in xs) for x in xs)
-
-    # the scans run on local indices into xs
-    bad = [Discrepancy("torsion-closed", (u, xs[i], xs[j]))
-           for i, j in failures(lambda p: table[p[0]][p[1]] in index,
-                                2, len(xs))]
-    orders = ()
-    if not bad:
-        local = tuple(tuple(index[v] for v in row) for row in table)
-        bad.extend(Discrepancy("torsion-associative",
-                               (u, xs[i], xs[j], xs[k]))
-                   for i, j, k in failures(partial(associative_at, local),
-                                           3, len(xs)))
-        ui = index[u]
-        if any(table[ui][j] != y for j, y in enumerate(xs)) or \
-           any(table[i][ui] != x for i, x in enumerate(xs)):
-            bad.append(Discrepancy("torsion-identity", (u,)))
-        for i, x in enumerate(xs):
-            if u not in (table[i][j] for j in range(len(xs))):
-                bad.append(Discrepancy("torsion-inverses", (u, x)))
-
-        found = []
-        for x in xs:
-            y, k = x, 1
-            while y != u:
-                y = table[index[y]][index[x]]
-                k += 1
-                if k > d + 1:
-                    break
-            found.append((x, k))
-            if d % k != 0:
-                bad.append(Discrepancy("torsion-order-divides-exponent", (u, x, k)))
-        orders = tuple(found)
-
-    # lam_x factors through the torsion permutation and lam_u
+    orders, bad = [], []
     for x in xs:
-        if s.lam[x] != compose(sg.op[x], s.lam[u]):
-            bad.append(Discrepancy("lambda-factorisation", (u, x)))
+        y, k = x, 1
+        while y != u and k <= d + 1:
+            y = op[y][x]
+            k += 1
+        orders.append((x, k))
+        if d % k != 0:
+            bad.append(Discrepancy("torsion-order-divides-exponent", (u, x, k)))
 
-    return TorsionGroupTable(u, xs, table, u, orders, tuple(bad))
+    return TorsionGroupTable(u, xs, table, u, tuple(orders), tuple(bad))
 
 
 def torsion_iso(sg, u, v):
@@ -400,21 +378,16 @@ def descriptor_diagnostics(dsc):
     return tuple(bad)
 
 
-def _candidate_tables(dsc):
-    """lam[x][y] = op[x][phi_x(y)] and rho = q . lam."""
-    rng = range(dsc.n)
-    lam = tuple(tuple(dsc.op[x][dsc.phi[x][y]] for y in rng) for x in rng)
-    rho = tuple(tuple(dsc.q[v] for v in row) for row in lam)
-    return lam, rho
-
-
 def reconstruct(dsc):
     """Candidate tables lam[x][y] = op[x][phi_x(y)], rho = q . lam.
 
     The result is always run through the full exhaustive check; validity
     is reported, never assumed from the identities alone.
     """
-    m = RMap(dsc.n, *_candidate_tables(dsc))
+    rng = range(dsc.n)
+    lam = tuple(tuple(dsc.op[x][dsc.phi[x][y]] for y in rng) for x in rng)
+    rho = tuple(tuple(dsc.q[v] for v in row) for row in lam)
+    m = RMap(dsc.n, lam, rho)
     return m, check(m)
 
 
@@ -433,25 +406,6 @@ def descriptor_report(dsc):
     return DescriptorReport(dsc, check_fineq(dsc), *reconstruct(dsc))
 
 
-def roundtrip_discrepancies(s, dsc):
-    """The cells where the tables rebuilt from dsc differ from those of s."""
-    lam, rho = _candidate_tables(dsc)
-
-    def agrees(p):
-        x, y = p
-        return lam[x][y] == s.lam[x][y] and rho[x][y] == s.rho[x][y]
-
-    bad = []
-    for x, y in failures(agrees, 2, s.n):
-        if lam[x][y] != s.lam[x][y]:
-            bad.append(Discrepancy("roundtrip-lambda",
-                                   (x, y, s.lam[x][y], lam[x][y])))
-        if rho[x][y] != s.rho[x][y]:
-            bad.append(Discrepancy("roundtrip-rho",
-                                   (x, y, s.rho[x][y], rho[x][y])))
-    return tuple(bad)
-
-
 @dataclass(frozen=True)
 class Structure:
     """The table-level sections of a solution, each computed once."""
@@ -466,7 +420,7 @@ class Structure:
 def structure(s):
     """Every table-level section of s and its discrepancies, in order: the
     semigroup; per diagonal point u, its torsion group, then its
-    isomorphisms to every torsion group; phi; the round trip; fineq.
+    isomorphisms to every torsion group; phi; fineq.
 
     The descriptor reuses the semigroup table and the phi maps, so a phi
     failure is reported, not raised.
@@ -483,7 +437,6 @@ def structure(s):
         for v in image:
             bad.extend(torsion_iso(sg, t.u, v)[1])
     bad.extend(phi_bad)
-    bad.extend(roundtrip_discrepancies(s, dsc))
     if not fineq.ok:
         bad.append(Discrepancy("descriptor-identities", fineq.counterexamples))
     return Structure(sg, tors, dsc, fineq, tuple(bad))

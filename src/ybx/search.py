@@ -331,8 +331,6 @@ def partition_number(n):
     """Number of integer partitions, by the pentagonal-number recurrence."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > 64:
-        raise ValueError("recurrence table limited to n <= 64")
     p = [1] + [0] * n
     for m in range(1, n + 1):
         total = 0

@@ -445,11 +445,7 @@ def _failing_phi_maps(s, sg):
       "context": []}),
     ("ybx.invariants.phi_maps", _failing_phi_maps,
      {"claim": "lambda-from-phi", "counterexample": [1, 0], "context": []}),
-    ("ybx.invariants.roundtrip_discrepancies",
-     lambda s, dsc: (Discrepancy("roundtrip-rho", (0, 1, 0, 1)),),
-     {"claim": "roundtrip-rho", "counterexample": [0, 1, 0, 1],
-      "context": []}),
-], ids=["latin", "fineq", "cancellative", "torsion-iso", "phi", "roundtrip"])
+], ids=["latin", "fineq", "cancellative", "torsion-iso", "phi"])
 def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, target,
                                   replacement, entry):
     # SOL_Z2 satisfies every claim of analyze; a patched check reports

@@ -7,8 +7,9 @@ the length of the cancelled factor, the hand-written loops of
 ``check``, ``check_fineq`` and ``descriptor_diagnostics`` that the
 exhaustive scanner ``core.failures`` replaced, the center rows before
 repeated rows were dropped, the minimum over all n! relabelings that
-the branch-and-bound canonical labeling replaced, and the row search over
-all n! choices of lam_0 that the Stab(0)-orbit minima replaced.
+the branch-and-bound canonical labeling replaced, the row search over
+all n! choices of lam_0 that the Stab(0)-orbit minima replaced, and the
+torsion and round-trip scans whose claims ``structure`` now checks once.
 """
 
 import random
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx.core import (IDENTITY_NAMES, RMap, VerificationReport,
+from ybx.core import (IDENTITY_NAMES, RMap, Solution, VerificationReport,
                       canonical_table, check, identity_holds, iso_check,
                       lambda_word, relabel_lambda, rmap_from_lambda,
                       solution_from_lambda)
@@ -29,10 +30,11 @@ from ybx.groebner import (RewriteSystem, Rule, check_overlaps, constant_rules,
                           reduce, solution_rules)
 from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
                             check_fineq, descriptor, descriptor_diagnostics,
-                            fineq_holds, q_image_in_idempotents)
+                            fineq_holds, q_image_in_idempotents, semigroup,
+                            structure)
 from ybx.monoid import (MElem, _nullspace, _word_classes, center_basis, growth,
                         is_cancellative)
-from ybx.perms import is_perm
+from ybx.perms import compose, is_perm
 from ybx.search import (EnumOptions, EnumResult, _orbit_minima,
                         _search_slice, classify, enumerate_solutions,
                         from_group_automorphism, from_rees_example)
@@ -415,6 +417,75 @@ def test_check_matches_nested_loops_on_random_rmaps(m):
 def test_descriptor_scans_match_nested_loops(dsc):
     assert check_fineq(dsc) == check_fineq_nested_loops(dsc)
     assert descriptor_diagnostics(dsc) == descriptor_diagnostics_nested_loops(dsc)
+
+
+def dropped_structure_scans(s):
+    """The torsion and round-trip scans that structure() no longer runs:
+    closure, the group axioms and lam_x = x . lam_u on each X_u, then the
+    tables lam = x . phi_x(y), rho = q . lam against those of s.  Where u
+    lies outside X_u (these scans raised there), the identity axiom fails.
+    """
+    sg = semigroup(s)
+    bad = []
+    for u, xs in sg.xu_dict().items():
+        index = {x: i for i, x in enumerate(xs)}
+        table = tuple(tuple(sg.op[x][y] for y in xs) for x in xs)
+        open_at = [("torsion-closed", u, xs[i], xs[j])
+                   for i, j in product(range(len(xs)), repeat=2)
+                   if table[i][j] not in index]
+        bad.extend(open_at)
+        if not open_at:
+            local = tuple(tuple(index[v] for v in row) for row in table)
+            bad.extend(("torsion-associative", u, xs[i], xs[j], xs[k])
+                       for i, j, k in product(range(len(xs)), repeat=3)
+                       if local[local[i][j]][k] != local[i][local[j][k]])
+            ui = index.get(u)
+            if ui is None or \
+               any(table[ui][j] != y for j, y in enumerate(xs)) or \
+               any(table[i][ui] != x for i, x in enumerate(xs)):
+                bad.append(("torsion-identity", u))
+            for i, x in enumerate(xs):
+                if u not in (table[i][j] for j in range(len(xs))):
+                    bad.append(("torsion-inverses", u, x))
+        for x in xs:
+            if s.lam[x] != compose(sg.op[x], s.lam[u]):
+                bad.append(("lambda-factorisation", u, x))
+
+    phi = {x: s.lam[u] for x, _, u in sg.rees_coords}
+    for x, y in product(range(s.n), repeat=2):
+        lam = sg.op[x][phi[x][y]]
+        if lam != s.lam[x][y]:
+            bad.append(("roundtrip-lambda", x, y))
+        if s.q[lam] != s.rho[x][y]:
+            bad.append(("roundtrip-rho", x, y))
+    return bad
+
+
+@pytest.fixture(scope="module")
+def census_to4():
+    return [s for n in range(1, 5)
+            for s in enumerate_solutions(EnumOptions(n)).solutions]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_dropped_structure_scans_imply_a_discrepancy(census_to4, data):
+    # one perturbation of a solution with n <= 4: a lam row, a q entry or d
+    s = data.draw(st.sampled_from(census_to4))
+    n = s.n
+    lam, q, d = list(s.lam), list(s.q), s.d
+    kind = data.draw(st.sampled_from(["lam", "q", "d"]))
+    if kind == "lam":
+        lam[data.draw(st.integers(0, n - 1))] = data.draw(st.one_of(
+            st.permutations(range(n)).map(tuple), _row(n)))
+    elif kind == "q":
+        q[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+    else:
+        d = data.draw(st.integers(1, 6))
+    bent = Solution(n, tuple(lam), s.rho, tuple(q), d)
+    found = structure(bent).discrepancies
+    if dropped_structure_scans(bent):
+        assert found
 
 
 Z5 = [[(x + y) % 5 for y in range(5)] for x in range(5)]
