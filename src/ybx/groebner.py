@@ -7,15 +7,16 @@ all resolve to a common normal form has unique normal forms in every
 degree, and counting irreducible words then counts a basis of the
 algebra.
 
-The defining relations of a solution identify pairs of two-letter words.
-Because both sides have length 2, new quadratic consequences arise only
-from chains of the given pairs, never from overlaps; the bounded
-completion therefore takes the transitive closure at degree 2, orients
-each class onto its minimal word, and reports any unresolved length-3
-overlap as an obstruction to quadratic confluence.
+The defining relations of a solution identify each two-letter word w
+with r(w).  A verified solution is idempotent, so r(w) is a fixed point
+of r and the relation joins w only to it: the classes at degree 2 are
+the fibers of r.  The bounded completion orients each fiber onto its
+minimal word and reports any unresolved length-3 overlap as an
+obstruction to quadratic confluence.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 
 @dataclass(frozen=True, order=True)
@@ -129,44 +130,22 @@ class CompletionReport:
 def solution_rules(s):
     """Orient the defining relations of a solution and test confluence.
 
-    Returns the interreduced quadratic system together with a completion
-    report; when the report is confluent, normal words are a basis and
-    their counts must match the monoid growth.
+    Each word rewrites to the smallest word of its fiber under r; a fiber
+    holds one fixed point, so n^2 minus the fibers relations are nontrivial.
+    Returns the system and a completion report; when it is confluent,
+    normal words are a basis and their counts must match the growth.
     """
     n = s.n
-    parent = {}
-
-    def find(w):
-        while parent.setdefault(w, w) != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    nontrivial = 0
-    for x in range(n):
-        for y in range(n):
-            lhs = (x, y)
-            rhs = (s.lam[x][y], s.rho[x][y])
-            if lhs != rhs:
-                nontrivial += 1
-            ra, rb = find(lhs), find(rhs)
-            if ra != rb:
-                parent[rb] = ra
-
-    classes = {}
-    for x in range(n):
-        for y in range(n):
-            classes.setdefault(find((x, y)), []).append((x, y))
-
+    fibers = {}
     rules = []
-    for members in classes.values():
-        rep = min(members)
-        for w in members:
-            if w != rep:
-                rules.append(Rule(w, rep))
+    # words arrive in lexicographic order, so the first of a fiber is its minimum
+    for x, y in product(range(n), repeat=2):
+        rep = fibers.setdefault((s.lam[x][y], s.rho[x][y]), (x, y))
+        if rep != (x, y):
+            rules.append(Rule((x, y), rep))
     rs = RewriteSystem(n, tuple(rules))
 
     unresolved = tuple(check_overlaps(rs))
     status = "confluent" if not unresolved else "not quadratically confluent"
-    report = CompletionReport(not unresolved, unresolved, nontrivial, status)
+    report = CompletionReport(not unresolved, unresolved, n * n - len(fibers), status)
     return rs, report

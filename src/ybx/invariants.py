@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
-from .core import (RMap, VerificationReport, associative_at, check,
-                   diagonal_image, failures, homomorphic_at, word_level)
+from .core import (RMap, SolutionFormatError, VerificationReport, _check_table,
+                   associative_at, check, diagonal_image, failures,
+                   homomorphic_at, word_level)
 from .perms import is_perm
 
 
@@ -228,7 +229,6 @@ class Descriptor:
 
 
 def descriptor_from_dict(data):
-    from .core import SolutionFormatError, _check_table
     try:
         n = data["n"]
         op = tuple(tuple(r) for r in data["op"])
@@ -419,8 +419,10 @@ class Structure:
 
 def structure(s):
     """Every table-level section of s and its discrepancies, in order: the
-    semigroup; per diagonal point u, its torsion group, then its
-    isomorphisms to every torsion group; phi; fineq.
+    semigroup; per diagonal point u, its torsion group, then the map
+    x -> x . u onto it from X_b, b the smallest diagonal point; phi; fineq.
+    Given the semigroup claims, (x . v) . w = x . w, so the map from X_u to
+    X_w is the one from X_b after the inverse of the one from X_b to X_u.
 
     The descriptor reuses the semigroup table and the phi maps, so a phi
     failure is reported, not raised.
@@ -434,8 +436,7 @@ def structure(s):
     bad = list(sg.discrepancies)
     for t in tors:
         bad.extend(t.discrepancies)
-        for v in image:
-            bad.extend(torsion_iso(sg, t.u, v)[1])
+        bad.extend(torsion_iso(sg, image[0], t.u)[1])
     bad.extend(phi_bad)
     if not fineq.ok:
         bad.append(Discrepancy("descriptor-identities", fineq.counterexamples))

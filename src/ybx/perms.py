@@ -2,8 +2,6 @@
 
 import math
 
-Perm = tuple  # p[i] is the image of point i
-
 
 def identity(n):
     return tuple(range(n))

@@ -463,7 +463,7 @@ def test_analyze_computes_each_section_once(tmp_path, monkeypatch, capsys):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(invariants, name, counted)
-    # two diagonal points, so two torsion groups and four isomorphisms
+    # two diagonal points, so two torsion groups and two isomorphisms
     path = write_solution(tmp_path, SOL_SWAP2)
     assert cli.main(["analyze", path]) == 0
     capsys.readouterr()

@@ -94,7 +94,7 @@ def test_structure_reports_each_claim_once():
         "semigroup-associativity": 1, "left-identities-equal-diagonal": 1,
         "idempotents-equal-diagonal": 1, "component-closed": 2,
         "rees-multiplication": 4, "torsion-order-divides-exponent": 2,
-        "torsion-iso-homomorphism": 4, "lambda-from-phi": 4,
+        "torsion-iso-homomorphism": 2, "lambda-from-phi": 4,
         "descriptor-identities": 1}
 
 

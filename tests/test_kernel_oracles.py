@@ -8,9 +8,15 @@ the length of the cancelled factor, the hand-written loops of
 exhaustive scanner ``core.failures`` replaced, the center rows before
 repeated rows were dropped, the minimum over all n! relabelings that
 the branch-and-bound canonical labeling replaced, the row search over
-all n! choices of lam_0 that the Stab(0)-orbit minima replaced, and the
-torsion and round-trip scans whose claims ``structure`` now checks once.
+all n! choices of lam_0 that the Stab(0)-orbit minima replaced, the
+torsion, round-trip and all-pairs isomorphism scans whose claims
+``structure`` now checks once, the union-find over two-letter words that
+the fibers of r replaced, and the pair-model products that the n
+elements of each degree replaced.  Perturbed census records also check
+that ``structure`` and ``conjugation_action`` report, never raise.
 """
+
+import hashlib
 
 import random
 from collections import Counter
@@ -23,17 +29,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybx.core import (IDENTITY_NAMES, RMap, Solution, VerificationReport,
-                      canonical_table, check, identity_holds, iso_check,
-                      lambda_word, relabel_lambda, rmap_from_lambda,
+                      canonical_table, check, diagonal_image, identity_holds,
+                      iso_check, lambda_word, relabel_lambda, rmap_from_lambda,
                       solution_from_lambda)
-from ybx.groebner import (RewriteSystem, Rule, check_overlaps, constant_rules,
-                          reduce, solution_rules)
+from ybx.groebner import (CompletionReport, RewriteSystem, Rule,
+                          check_overlaps, constant_rules, reduce,
+                          solution_rules)
 from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
                             check_fineq, descriptor, descriptor_diagnostics,
                             fineq_holds, q_image_in_idempotents, semigroup,
-                            structure)
-from ybx.monoid import (MElem, _nullspace, _word_classes, center_basis, growth,
-                        is_cancellative)
+                            structure, torsion_iso)
+from ybx.monoid import (MElem, _nullspace, _word_classes, center_basis,
+                        conjugation_action, growth, is_cancellative, mul)
 from ybx.perms import compose, is_perm
 from ybx.search import (EnumOptions, EnumResult, _orbit_minima,
                         _search_slice, classify, enumerate_solutions,
@@ -275,6 +282,21 @@ def test_growth_oracle_matches_all_words_on_families(family):
     assert growth(s, 4).oracle == want
 
 
+def pair_model_counts(s, max_len):
+    """Distinct products of each length 1..max_len, multiplied out letter by letter."""
+    level = {MElem(1, x) for x in range(s.n)}
+    counts = [len(level)]
+    for _ in range(max_len - 1):
+        level = {mul(s, e, MElem(1, y)) for e in level for y in range(s.n)}
+        counts.append(len(level))
+    return tuple(counts)
+
+
+def test_pair_model_has_n_elements_per_degree(census_to4):
+    for s in census_to4:
+        assert pair_model_counts(s, 5) == growth(s, 5).model == (s.n,) * 5
+
+
 def test_word_classes_match_all_words_on_random_maps():
     # on maps that are not solutions the class counts vary with the
     # length, so the level-by-level count is checked beyond "n per degree"
@@ -300,6 +322,49 @@ def _random_system(rng, n):
         if i and rng.random() < 0.6:
             rules.append(Rule(lhs, words[rng.randrange(i)]))
     return RewriteSystem(n, tuple(rules))
+
+
+def solution_rules_union_find(s):
+    """The rewriting classes as the transitive closure of w ~ r(w)."""
+    n = s.n
+    parent = {}
+
+    def find(w):
+        while parent.setdefault(w, w) != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    nontrivial = 0
+    for lhs in product(range(n), repeat=2):
+        x, y = lhs
+        rhs = (s.lam[x][y], s.rho[x][y])
+        if lhs != rhs:
+            nontrivial += 1
+        ra, rb = find(lhs), find(rhs)
+        if ra != rb:
+            parent[rb] = ra
+
+    classes = {}
+    for w in product(range(n), repeat=2):
+        classes.setdefault(find(w), []).append(w)
+    rules = []
+    for members in classes.values():
+        rep = min(members)
+        rules.extend(Rule(w, rep) for w in members if w != rep)
+    rs = RewriteSystem(n, tuple(rules))
+    unresolved = tuple(check_overlaps(rs))
+    status = "confluent" if not unresolved else "not quadratically confluent"
+    return rs, CompletionReport(not unresolved, unresolved, nontrivial, status)
+
+
+def test_solution_rules_match_union_find(census_to4):
+    sols = census_to4 + [solution_from_lambda(rows)
+                         for n in (8, 16) for rows in families(n)]
+    for s in sols:
+        rs, report = solution_rules(s)
+        want_rs, want_report = solution_rules_union_find(s)
+        assert (rs.rules, report) == (want_rs.rules, want_report)
 
 
 def test_overlaps_match_all_pairs_scan(census4):
@@ -421,7 +486,8 @@ def test_descriptor_scans_match_nested_loops(dsc):
 
 def dropped_structure_scans(s):
     """The torsion and round-trip scans that structure() no longer runs:
-    closure, the group axioms and lam_x = x . lam_u on each X_u, then the
+    closure, the group axioms and lam_x = x . lam_u on each X_u, the
+    isomorphisms x -> x . v between every pair of torsion groups, then the
     tables lam = x . phi_x(y), rho = q . lam against those of s.  Where u
     lies outside X_u (these scans raised there), the identity axiom fails.
     """
@@ -450,6 +516,9 @@ def dropped_structure_scans(s):
         for x in xs:
             if s.lam[x] != compose(sg.op[x], s.lam[u]):
                 bad.append(("lambda-factorisation", u, x))
+        for v in sg.xu_dict():
+            bad.extend((b.claim,) + b.counterexample
+                       for b in torsion_iso(sg, u, v)[1])
 
     phi = {x: s.lam[u] for x, _, u in sg.rees_coords}
     for x, y in product(range(s.n), repeat=2):
@@ -467,11 +536,9 @@ def census_to4():
             for s in enumerate_solutions(EnumOptions(n)).solutions]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.data())
-def test_dropped_structure_scans_imply_a_discrepancy(census_to4, data):
-    # one perturbation of a solution with n <= 4: a lam row, a q entry or d
-    s = data.draw(st.sampled_from(census_to4))
+def perturbed(data, census):
+    """One perturbation of a census solution: a lam row, a q entry or d."""
+    s = data.draw(st.sampled_from(census))
     n = s.n
     lam, q, d = list(s.lam), list(s.q), s.d
     kind = data.draw(st.sampled_from(["lam", "q", "d"]))
@@ -482,10 +549,35 @@ def test_dropped_structure_scans_imply_a_discrepancy(census_to4, data):
         q[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
     else:
         d = data.draw(st.integers(1, 6))
-    bent = Solution(n, tuple(lam), s.rho, tuple(q), d)
+    return Solution(n, tuple(lam), s.rho, tuple(q), d)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_dropped_structure_scans_imply_a_discrepancy(census_to4, data):
+    bent = perturbed(data, census_to4)
     found = structure(bent).discrepancies
     if dropped_structure_scans(bent):
         assert found
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_conjugation_action_reports_on_perturbed_records(census_to4, data):
+    # a broken record may move the conjugates off X_u or leave X_u open;
+    # both are reported, never raised
+    bent = perturbed(data, census_to4)
+    for u in diagonal_image(bent):
+        assert conjugation_action(bent, u).u == u
+
+
+def test_conjugation_action_pinned_on_census4(census_to4):
+    # digest of the actions before broken records were reported
+    acts = tuple(conjugation_action(s, u)
+                 for s in census_to4 for u in diagonal_image(s))
+    assert not any(a.discrepancies for a in acts)
+    assert hashlib.sha256(repr(acts).encode()).hexdigest() == \
+        "0320166c066aa60aff6d1b253f974d9009c0a8aacfb27022f3d7f1589d859b5d"
 
 
 Z5 = [[(x + y) % 5 for y in range(5)] for x in range(5)]
