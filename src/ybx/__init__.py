@@ -20,9 +20,9 @@ from .groebner import (RewriteSystem, Rule, check_overlaps, constant_rules,
                        normal_word_count, reduce, solution_rules)
 from .perms import exponent
 from .search import (ClassificationRecord, EnumOptions, EnumResult,
-                     brute_force_solutions, by_diag_size,
-                     check_partition_count, check_prime_classification,
-                     classify, enumerate_solutions, from_group_automorphism,
+                     by_diag_size, check_partition_count,
+                     check_prime_classification, classify,
+                     enumerate_solutions, from_group_automorphism,
                      from_permutation, from_rees_example, is_latin,
                      partition_number)
 

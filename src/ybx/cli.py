@@ -116,7 +116,7 @@ def _analyze_report(s, max_len, center_deg):
             str(t.u): {
                 "elements": list(t.elements),
                 "op": [list(r) for r in t.op],
-                "identity": t.identity,
+                "identity": t.u,
                 "orders": {str(x): k for x, k in t.orders},
             } for t in st.torsion
         },

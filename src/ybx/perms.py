@@ -8,7 +8,9 @@ def identity(n):
 
 
 def is_perm(images):
-    return sorted(images) == list(range(len(images)))
+    """Whether images lists 0, ..., len(images) - 1 once each; no booleans."""
+    return sorted(images) == list(range(len(images))) and \
+        bool not in map(type, images)
 
 
 def compose(p, q):

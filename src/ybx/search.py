@@ -41,7 +41,7 @@ each one verified again by :func:`~ybx.core.promote`.
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 
 from .core import (InvalidSolutionError, _check_table, associative_at,
@@ -261,17 +261,6 @@ def enumerate_solutions(opts):
                       tuple(c for c, _ in keyed))
 
 
-def brute_force_solutions(n):
-    """Unpruned oracle: verify every lam tuple in Sym(n)^n."""
-    out = []
-    for rows in product(sorted(permutations(range(n))), repeat=n):
-        sol = _complete_tuple(rows)
-        if sol is not None:
-            out.append(sol)
-    out.sort(key=lambda s: (canonical_form(s), s.lam))
-    return out
-
-
 @dataclass(frozen=True)
 class ClassificationRecord:
     """One isomorphism class: canonical table and structural signature."""
@@ -465,12 +454,14 @@ def from_rees_example(gtable, ncols, a_cols, t, f, psi):
         raise ValueError("ncols must be a positive even integer")
     a_cols = tuple(sorted(a_cols))
     b_cols = tuple(sorted(set(range(ncols)) - set(a_cols)))
-    if len(a_cols) != ncols // 2 or any(c not in range(ncols) for c in a_cols):
+    if len(a_cols) != ncols // 2 or bool in map(type, a_cols) \
+            or any(c not in range(ncols) for c in a_cols):
         raise ValueError("a_cols must be half of the columns")
     if not isinstance(t, dict):
         raise ValueError("t must be an object mapping columns to columns")
     t = {int(k): v for k, v in t.items()}
-    if sorted(t) != list(b_cols) or sorted(t.values()) != list(a_cols):
+    if sorted(t) != list(b_cols) or sorted(t.values()) != list(a_cols) \
+            or bool in map(type, t.values()):
         raise ValueError("t must map the complement bijectively onto a_cols")
     f = tuple(f)
     if not is_perm(f) or len(f) != order:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -391,10 +392,18 @@ def test_solution_rows_must_be_lists(tmp_path, data):
     ("descriptor", {"n": True, "op": [[0]], "q": [0], "phi": [[0]]}),
     ("descriptor", {"n": 2, "op": [[0, 1], [1, 0]], "q": [True, True],
                     "phi": [[0, 1], [0, 1]]}),
+    ("perm", {"images": [True, False]}),
+    ("group-aut", {"table": [[0, 1], [1, 0]], "phi": [False, True]}),
+    ("rees-example", dict(REES_PARAMS, A=[False, True])),
+    ("rees-example", dict(REES_PARAMS, t={"2": False, "3": True})),
+    ("rees-example", dict(REES_PARAMS, f=[False])),
+    ("rees-example", dict(REES_PARAMS, psi=[False, True, 2, 3])),
 ], ids=["perm-list", "group-aut-list", "rees-list", "descriptor-list",
         "perm-int", "group-aut-int", "group-aut-ragged", "group-aut-range",
         "group-aut-bool", "rees-ragged", "rees-range", "rees-t-list",
-        "descriptor-n-bool", "descriptor-q-bool"])
+        "descriptor-n-bool", "descriptor-q-bool", "perm-images-bool",
+        "group-aut-phi-bool", "rees-a-bool", "rees-t-bool", "rees-f-bool",
+        "rees-psi-bool"])
 def test_construct_params_malformed(tmp_path, kind, params):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))
@@ -422,10 +431,16 @@ def _failing_fineq(dsc):
 
 
 _phi_maps = invariants.phi_maps
+_semigroup = invariants.semigroup
 
 
 def _failing_phi_maps(s, sg):
     return _phi_maps(s, sg)[0], (Discrepancy("lambda-from-phi", (1, 0)),)
+
+
+def _failing_semigroup(s):
+    return replace(_semigroup(s), discrepancies=(
+        Discrepancy("component-membership", (1, 0)),))
 
 
 @pytest.mark.parametrize("target, replacement, entry", [
@@ -438,14 +453,12 @@ def _failing_phi_maps(s, sg):
     ("ybx.cli.is_cancellative", lambda s, max_len: (False, None),
      {"claim": "cancellative-iff-singleton-diagonal", "counterexample": [5],
       "context": []}),
-    ("ybx.invariants.torsion_iso",
-     lambda sg, u, v: ({}, (Discrepancy("torsion-iso-homomorphism",
-                                       (u, v, 0, 1)),)),
-     {"claim": "torsion-iso-homomorphism", "counterexample": [0, 0, 0, 1],
+    ("ybx.invariants.semigroup", _failing_semigroup,
+     {"claim": "component-membership", "counterexample": [1, 0],
       "context": []}),
     ("ybx.invariants.phi_maps", _failing_phi_maps,
      {"claim": "lambda-from-phi", "counterexample": [1, 0], "context": []}),
-], ids=["latin", "fineq", "cancellative", "torsion-iso", "phi"])
+], ids=["latin", "fineq", "cancellative", "semigroup", "phi"])
 def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, target,
                                   replacement, entry):
     # SOL_Z2 satisfies every claim of analyze; a patched check reports
@@ -463,7 +476,7 @@ def test_analyze_computes_each_section_once(tmp_path, monkeypatch, capsys):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(invariants, name, counted)
-    # two diagonal points, so two torsion groups and two isomorphisms
+    # two diagonal points, so two torsion groups
     path = write_solution(tmp_path, SOL_SWAP2)
     assert cli.main(["analyze", path]) == 0
     capsys.readouterr()

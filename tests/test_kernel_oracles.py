@@ -7,12 +7,14 @@ the length of the cancelled factor, the hand-written loops of
 ``check``, ``check_fineq`` and ``descriptor_diagnostics`` that the
 exhaustive scanner ``core.failures`` replaced, the center rows before
 repeated rows were dropped, the minimum over all n! relabelings that
-the branch-and-bound canonical labeling replaced, the row search over
-all n! choices of lam_0 that the Stab(0)-orbit minima replaced, the
+the branch-and-bound canonical labeling replaced, the unpruned check of
+every lam tuple in Sym(n)^n, the row search over all n! choices of lam_0
+that the Stab(0)-orbit minima replaced, the
+semigroup claims that follow from the four ``semigroup`` checks, the
 torsion, round-trip and all-pairs isomorphism scans whose claims
-``structure`` now checks once, the union-find over two-letter words that
-the fibers of r replaced, and the pair-model products that the n
-elements of each degree replaced.  Perturbed census records also check
+``structure`` now checks once or derives, the union-find over two-letter
+words that the fibers of r replaced, and the pair-model products that
+the n elements of each degree replaced.  Perturbed census records also check
 that ``structure`` and ``conjugation_action`` report, never raise.
 """
 
@@ -29,9 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybx.core import (IDENTITY_NAMES, RMap, Solution, VerificationReport,
-                      canonical_table, check, diagonal_image, identity_holds,
-                      iso_check, lambda_word, relabel_lambda, rmap_from_lambda,
-                      solution_from_lambda)
+                      canonical_form, canonical_table, check, diagonal_image,
+                      failures, identity_holds, iso_check, lambda_word,
+                      relabel_lambda, rmap_from_lambda, solution_from_lambda,
+                      word_level)
 from ybx.groebner import (CompletionReport, RewriteSystem, Rule,
                           check_overlaps, constant_rules, reduce,
                           solution_rules)
@@ -42,9 +45,10 @@ from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
 from ybx.monoid import (MElem, _nullspace, _word_classes, center_basis,
                         conjugation_action, growth, is_cancellative, mul)
 from ybx.perms import compose, is_perm
-from ybx.search import (EnumOptions, EnumResult, _orbit_minima,
-                        _search_slice, classify, enumerate_solutions,
-                        from_group_automorphism, from_rees_example)
+from ybx.search import (EnumOptions, EnumResult, _complete_tuple,
+                        _orbit_minima, _search_slice, classify,
+                        enumerate_solutions, from_group_automorphism,
+                        from_rees_example)
 
 
 def word_classes_all_words(s, length):
@@ -484,15 +488,57 @@ def test_descriptor_scans_match_nested_loops(dsc):
     assert descriptor_diagnostics(dsc) == descriptor_diagnostics_nested_loops(dsc)
 
 
+def dropped_semigroup_scans(s):
+    """The semigroup claims that semigroup() derives from associativity,
+    left cancellativity, the left identities and component membership."""
+    n = s.n
+    rng = range(n)
+    image = diagonal_image(s)
+    op, ends = word_level(s, s.d)
+    bad = []
+
+    idem = tuple(x for x in rng if op[x][x] == x)
+    if idem != image:
+        bad.append(Discrepancy("idempotents-equal-diagonal", idem, image))
+
+    parts = {u: tuple(x for x in rng if ends[x] == u) for u in image}
+    sizes = {len(xs) for xs in parts.values()}
+    covered = sorted(x for xs in parts.values() for x in xs)
+    if covered != list(rng) or len(sizes) != 1:
+        bad.append(Discrepancy("equal-size-component-cover",
+                               tuple(covered), tuple(sorted(sizes))))
+    for u, xs in parts.items():
+        bad.extend(Discrepancy("component-closed", (u, x, y))
+                   for x, y in product(xs, repeat=2) if op[x][y] not in xs)
+
+    base = image[0]
+    coords = {x: (op[x][base], ends[x]) for x in rng}
+    if len(set(coords.values())) != n:
+        bad.append(Discrepancy("rees-coordinates-bijective", tuple(sorted(coords))))
+    if n != len(image) * len(parts[base]):
+        bad.append(Discrepancy("size-product", (n, len(image), len(parts[base]))))
+
+    def rees_multiplies(points):
+        x, y = points
+        gx, _ = coords[x]
+        gy, uy = coords[y]
+        return coords[op[x][y]] == (op[gx][gy], uy)
+
+    bad.extend(Discrepancy("rees-multiplication", p)
+               for p in failures(rees_multiplies, 2, n))
+    return bad
+
+
 def dropped_structure_scans(s):
-    """The torsion and round-trip scans that structure() no longer runs:
-    closure, the group axioms and lam_x = x . lam_u on each X_u, the
-    isomorphisms x -> x . v between every pair of torsion groups, then the
-    tables lam = x . phi_x(y), rho = q . lam against those of s.  Where u
-    lies outside X_u (these scans raised there), the identity axiom fails.
+    """The semigroup, torsion and round-trip scans that structure() no
+    longer runs: the derived semigroup claims above, closure, the group
+    axioms and lam_x = x . lam_u on each X_u, the isomorphisms x -> x . v
+    between every pair of torsion groups, then the tables
+    lam = x . phi_x(y), rho = q . lam against those of s.  Where u lies
+    outside X_u (these scans raised there), the identity axiom fails.
     """
     sg = semigroup(s)
-    bad = []
+    bad = [(b.claim,) + b.counterexample for b in dropped_semigroup_scans(s)]
     for u, xs in sg.xu_dict().items():
         index = {x: i for i, x in enumerate(xs)}
         table = tuple(tuple(sg.op[x][y] for y in xs) for x in xs)
@@ -559,6 +605,27 @@ def test_dropped_structure_scans_imply_a_discrepancy(census_to4, data):
     found = structure(bent).discrepancies
     if dropped_structure_scans(bent):
         assert found
+
+
+@pytest.mark.parametrize("claim, bent", [
+    ("semigroup-associativity",
+     Solution(3, ((1, 0, 2), (1, 0, 2), (1, 2, 0)),
+              ((0, 1, 2), (0, 1, 2), (0, 1, 2)), (1, 0, 1), 4)),
+    ("semigroup-left-cancellative",
+     Solution(2, ((0, 0), (0, 1)), ((1, 1), (1, 1)), (1, 1), 5)),
+    ("left-identities-equal-diagonal",
+     Solution(3, ((2, 0, 1), (0, 1, 2), (2, 0, 1)),
+              ((0, 1, 2), (0, 1, 2), (0, 1, 2)), (1, 1, 0), 3)),
+    ("component-membership",
+     Solution(4, ((3, 0, 1, 2), (2, 1, 0, 3), (0, 3, 2, 1), (0, 3, 2, 1)),
+              ((1, 1, 1, 1),) * 4, (1, 0, 1, 1), 4)),
+], ids=["A", "L", "I", "M"])
+def test_each_kept_semigroup_check_is_needed(claim, bent):
+    # perturbed census records on which this is the only semigroup check
+    # that fails while a derived claim fails too: without it, semigroup()
+    # would report nothing
+    assert {b.claim for b in semigroup(bent).discrepancies} == {claim}
+    assert dropped_semigroup_scans(bent)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -647,6 +714,17 @@ def test_iso_check_matches_forms_on_census3(census5):
                 assert_iso_witness(s1, s2)
             else:
                 assert iso_check(s1, s2) is None
+
+
+def brute_force_solutions(n):
+    """Unpruned oracle: verify every lam tuple in Sym(n)^n."""
+    out = []
+    for rows in product(sorted(permutations(range(n))), repeat=n):
+        sol = _complete_tuple(rows)
+        if sol is not None:
+            out.append(sol)
+    out.sort(key=lambda s: (canonical_form(s), s.lam))
+    return out
 
 
 @lru_cache(maxsize=None)

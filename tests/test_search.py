@@ -1,4 +1,5 @@
 import hashlib
+from functools import cache
 
 import pytest
 
@@ -8,7 +9,6 @@ from ybx.invariants import descriptor, reconstruct
 from ybx.monoid import is_cancellative
 from ybx import search
 from ybx.search import (EnumOptions, _orbit_minima, _search_slice,
-                        brute_force_solutions,
                         by_diag_size, check_partition_count,
                         check_prime_classification, classify,
                         enumerate_solutions, from_group_automorphism,
@@ -17,6 +17,8 @@ from ybx.search import (EnumOptions, _orbit_minima, _search_slice,
 
 from itertools import permutations
 import time
+
+from test_kernel_oracles import brute_force_solutions
 
 Z2 = ((0, 1), (1, 0))
 Z3 = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
@@ -181,8 +183,10 @@ def test_check_partition_count():
 # The n = 6 figures come from the walk over all 720 choices of lam_0, which
 # took 325 s on one core.
 
-def test_classify_n6():
-    assert sum(rec.members for rec in classify(6)) == 7200
+def test_classify_n6(monkeypatch):
+    # the three checks share one n = 6 census
+    monkeypatch.setattr(search, "classify", cache(search.classify))
+    assert sum(rec.members for rec in search.classify(6)) == 7200
     assert by_diag_size(6) == {1: 5, 2: 8, 3: 7, 6: 11}
     assert check_partition_count(6)
 
