@@ -83,14 +83,22 @@ def reduce(rs, word):
 
 
 def check_overlaps(rs):
-    """Unresolved length-3 ambiguities; an empty list certifies confluence."""
+    """Unresolved length-3 ambiguities; an empty list certifies confluence.
+
+    Many overlaps share their one-step reducts, so each distinct word is
+    reduced once, into a table that lives only for this call.
+    """
     rules = rs.rule_map()
+    normal = {}
     unresolved = []
     for (a, b), image in rules.items():
         for c in range(rs.n):
             if (b, c) in rules:
-                left = reduce(rs, image + (c,))
-                right = reduce(rs, (a,) + rules[(b, c)])
+                words = image + (c,), (a,) + rules[(b, c)]
+                for w in words:
+                    if w not in normal:
+                        normal[w] = reduce(rs, w)
+                left, right = normal[words[0]], normal[words[1]]
                 if left != right:
                     unresolved.append(((a, b, c), left, right))
     return unresolved

@@ -16,6 +16,7 @@ one appended letter, not from all n^(L+1) words.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .core import (diagonal_image, failures, lambda_word, q_power,
                    word_level)
@@ -180,25 +181,28 @@ def is_cancellative(s, max_len):
 
 
 def _nullspace(rows, unknowns):
-    """Basis of the rational nullspace of a small dense integer matrix."""
-    mat = [[Fraction(v) for v in row] for row in rows]
+    """Basis of the rational nullspace of a small dense integer matrix.
+
+    Gauss-Jordan elimination runs on integer rows: each update is the
+    fraction-free p . row_i - f . row_r, divided by its gcd.  Every row
+    stays a multiple of its reduced row echelon row, so the basis read off
+    as -row[c] / row[pivot] is exactly the rational one.
+    """
+    mat = [list(row) for row in rows]
     pivots = []
     r = 0
     for c in range(unknowns):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        p = mat[r][c]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                row = [p * a - f * b for a, b in zip(mat[i], mat[r])]
+                g = gcd(*row)
+                mat[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
     free = [c for c in range(unknowns) if c not in pivots]
@@ -207,7 +211,7 @@ def _nullspace(rows, unknowns):
         vec = [Fraction(0)] * unknowns
         vec[c] = Fraction(1)
         for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][c]
+            vec[pc] = Fraction(-mat[i][c], mat[i][pc])
         basis.append(tuple(vec))
     return basis
 
@@ -216,7 +220,8 @@ def center_basis(s, deg):
     """Rational basis of the homogeneous central elements of one degree.
 
     Solves a . g = g . a for every generator g over the degree-deg basis
-    elements, in exact arithmetic.
+    elements.  Each equation is a row of -1, 0 and 1, so the system is
+    row-reduced over the integers and only the basis is rational.
     """
     if deg < 1:
         raise ValueError("degree must be >= 1")

@@ -339,12 +339,12 @@ def partition_number(n):
     return p[n]
 
 
-def from_permutation(phi):
-    """The solution r(x, y) = (phi(y), y): constant rows, full diagonal."""
-    phi = tuple(phi)
-    if not is_perm(phi):
-        raise ValueError("phi must be a permutation")
-    return solution_from_lambda([phi] * len(phi))
+def from_permutation(images):
+    """The solution r(x, y) = (images[y], y): constant rows, full diagonal."""
+    images = tuple(images)
+    if not is_perm(images):
+        raise ValueError("images must be a permutation")
+    return solution_from_lambda([images] * len(images))
 
 
 def _group_axioms(table):
@@ -439,50 +439,50 @@ def check_prime_classification(p):
     return enumerated == type1 | type2
 
 
-def from_rees_example(gtable, ncols, a_cols, t, f, psi):
-    """Descriptor over M(G, 1, ncols, J) with q folding columns onto a_cols.
+def from_rees_example(group, ncols, A, t, f, psi):
+    """Descriptor over M(G, 1, ncols, J) with q folding columns onto A.
 
-    ``t`` maps the complement columns bijectively onto a_cols, ``f`` is an
+    ``t`` maps the complement columns bijectively onto A, ``f`` is an
     automorphism of the group table, and ``psi`` is a column permutation
-    fixing a_cols pointwise.  Point (g, i) is encoded as g * ncols + i.
+    fixing A pointwise.  Point (g, i) is encoded as g * ncols + i.
     The descriptor comes back with its independent reports.
     """
-    gtable = tuple(tuple(r) for r in gtable)
-    e = _group_axioms(gtable)
-    order = len(gtable)
+    group = tuple(tuple(r) for r in group)
+    e = _group_axioms(group)
+    order = len(group)
     if ncols < 2 or ncols % 2 != 0:
         raise ValueError("ncols must be a positive even integer")
-    a_cols = tuple(sorted(a_cols))
-    b_cols = tuple(sorted(set(range(ncols)) - set(a_cols)))
-    if len(a_cols) != ncols // 2 or bool in map(type, a_cols) \
-            or any(c not in range(ncols) for c in a_cols):
-        raise ValueError("a_cols must be half of the columns")
+    A = tuple(sorted(A))
+    b_cols = tuple(sorted(set(range(ncols)) - set(A)))
+    if len(A) != ncols // 2 or bool in map(type, A) \
+            or any(c not in range(ncols) for c in A):
+        raise ValueError("A must be half of the columns")
     if not isinstance(t, dict):
         raise ValueError("t must be an object mapping columns to columns")
     t = {int(k): v for k, v in t.items()}
-    if sorted(t) != list(b_cols) or sorted(t.values()) != list(a_cols) \
+    if sorted(t) != list(b_cols) or sorted(t.values()) != list(A) \
             or bool in map(type, t.values()):
-        raise ValueError("t must map the complement bijectively onto a_cols")
+        raise ValueError("t must map the complement bijectively onto A")
     f = tuple(f)
     if not is_perm(f) or len(f) != order:
         raise ValueError("f must be a permutation of the group")
-    p = next(failures(partial(homomorphic_at, f, gtable), 2, order), None)
+    p = next(failures(partial(homomorphic_at, f, group), 2, order), None)
     if p is not None:
         raise ValueError(f"f is not a homomorphism at {p}")
     psi = tuple(psi)
     if not is_perm(psi) or len(psi) != ncols:
         raise ValueError("psi must be a permutation of the columns")
-    if any(psi[c] != c for c in a_cols):
-        raise ValueError("psi must fix a_cols pointwise")
+    if any(psi[c] != c for c in A):
+        raise ValueError("psi must fix A pointwise")
 
     n = order * ncols
 
     def enc(g, i):
         return g * ncols + i
 
-    op = tuple(tuple(enc(gtable[w // ncols][v // ncols], v % ncols)
+    op = tuple(tuple(enc(group[w // ncols][v // ncols], v % ncols)
                      for v in range(n)) for w in range(n))
-    theta = {c: (c if c in a_cols else t[c]) for c in range(ncols)}
+    theta = {c: (c if c in A else t[c]) for c in range(ncols)}
     q = tuple(enc(e, theta[w % ncols]) for w in range(n))
     phi_perm = tuple(enc(f[w // ncols], psi[w % ncols]) for w in range(n))
     return descriptor_report(Descriptor(n, op, q, (phi_perm,) * n))

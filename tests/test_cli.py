@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -376,40 +377,47 @@ def test_solution_rows_must_be_lists(tmp_path, data):
         assert "error" in json.loads(r.stderr)
 
 
-@pytest.mark.parametrize("kind, params", [
-    ("perm", [1, 2]),
-    ("group-aut", [1, 2]),
-    ("rees-example", [1, 2]),
-    ("descriptor", [1, 2]),
-    ("perm", {"images": 5}),
-    ("group-aut", {"table": 5, "phi": [0]}),
-    ("group-aut", {"table": [[0, 1], [1]], "phi": [0, 1]}),
-    ("group-aut", {"table": [[0, 7], [1, 0]], "phi": [0, 1]}),
-    ("group-aut", {"table": [[True]], "phi": [0]}),
-    ("rees-example", dict(REES_PARAMS, group=[[0, 1], [1]])),
-    ("rees-example", dict(REES_PARAMS, group=[[0, 5], [1, 0]])),
-    ("rees-example", dict(REES_PARAMS, t=[0])),
-    ("descriptor", {"n": True, "op": [[0]], "q": [0], "phi": [[0]]}),
+@pytest.mark.parametrize("kind, params, key", [
+    ("perm", [1, 2], None),
+    ("group-aut", [1, 2], None),
+    ("rees-example", [1, 2], None),
+    ("descriptor", [1, 2], None),
+    ("perm", {"images": 5}, None),
+    ("group-aut", {"table": 5, "phi": [0]}, None),
+    ("group-aut", {"table": [[0, 1], [1]], "phi": [0, 1]}, "table"),
+    ("group-aut", {"table": [[0, 7], [1, 0]], "phi": [0, 1]}, "table"),
+    ("group-aut", {"table": [[True]], "phi": [0]}, "table"),
+    ("rees-example", dict(REES_PARAMS, group=[[0, 1], [1]]), "group"),
+    ("rees-example", dict(REES_PARAMS, group=[[0, 5], [1, 0]]), "group"),
+    ("rees-example", dict(REES_PARAMS, t=[0]), "t"),
+    ("descriptor", {"n": True, "op": [[0]], "q": [0], "phi": [[0]]}, "n"),
     ("descriptor", {"n": 2, "op": [[0, 1], [1, 0]], "q": [True, True],
-                    "phi": [[0, 1], [0, 1]]}),
-    ("perm", {"images": [True, False]}),
-    ("group-aut", {"table": [[0, 1], [1, 0]], "phi": [False, True]}),
-    ("rees-example", dict(REES_PARAMS, A=[False, True])),
-    ("rees-example", dict(REES_PARAMS, t={"2": False, "3": True})),
-    ("rees-example", dict(REES_PARAMS, f=[False])),
-    ("rees-example", dict(REES_PARAMS, psi=[False, True, 2, 3])),
+                    "phi": [[0, 1], [0, 1]]}, "q"),
+    ("perm", {"images": [True, False]}, "images"),
+    ("group-aut", {"table": [[0, 1], [1, 0]], "phi": [False, True]}, "phi"),
+    ("rees-example", dict(REES_PARAMS, A=[False, True]), "A"),
+    ("rees-example", dict(REES_PARAMS, t={"2": False, "3": True}), "t"),
+    ("rees-example", dict(REES_PARAMS, f=[False]), "f"),
+    ("rees-example", dict(REES_PARAMS, psi=[False, True, 2, 3]), "psi"),
+    ("perm", {"images": [0, 0]}, "images"),
+    ("rees-example", dict(REES_PARAMS, A=[0, 7]), "A"),
+    ("rees-example", dict(REES_PARAMS, psi=[1, 0, 2, 3]), "A"),
 ], ids=["perm-list", "group-aut-list", "rees-list", "descriptor-list",
         "perm-int", "group-aut-int", "group-aut-ragged", "group-aut-range",
         "group-aut-bool", "rees-ragged", "rees-range", "rees-t-list",
         "descriptor-n-bool", "descriptor-q-bool", "perm-images-bool",
         "group-aut-phi-bool", "rees-a-bool", "rees-t-bool", "rees-f-bool",
-        "rees-psi-bool"])
-def test_construct_params_malformed(tmp_path, kind, params):
+        "rees-psi-bool", "perm-images-repeat", "rees-a-range",
+        "rees-psi-moves-a"])
+def test_construct_params_malformed(tmp_path, kind, params, key):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))
     r = run_cli("construct", "--type", kind, "--params", str(path))
     assert r.returncode == 2
-    assert "error" in json.loads(r.stderr)
+    error = json.loads(r.stderr)["error"]
+    # where the message blames one value, it names the JSON key holding it
+    if key is not None:
+        assert re.search(rf"\b{key}\b", error), error
 
 
 @pytest.mark.parametrize("argv", [

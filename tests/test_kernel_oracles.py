@@ -2,12 +2,14 @@
 
 The helpers below are those earlier kernels, kept as independent oracles:
 a union-find over all n^L free words of one length, an overlap scan that
-walks every pair of rules, a right-cancellation scan that also runs over
-the length of the cancelled factor, the hand-written loops of
-``check``, ``check_fineq`` and ``descriptor_diagnostics`` that the
-exhaustive scanner ``core.failures`` replaced, the center rows before
-repeated rows were dropped, the minimum over all n! relabelings that
-the branch-and-bound canonical labeling replaced, the unpruned check of
+walks every pair of rules and reduces every overlap word, a
+right-cancellation scan that also runs over the length of the cancelled
+factor, the hand-written loops of ``check``, ``check_fineq`` and
+``descriptor_diagnostics`` that the exhaustive scanner ``core.failures``
+replaced, the center rows before repeated rows were dropped, the
+nullspace eliminated in ``Fraction``s that the integer elimination
+replaced, the minimum over all n! relabelings that the branch-and-bound
+canonical labeling replaced, the unpruned check of
 every lam tuple in Sym(n)^n, the row search over all n! choices of lam_0
 that the Stab(0)-orbit minima replaced, the
 semigroup claims that follow from the four ``semigroup`` checks, the
@@ -22,6 +24,7 @@ import hashlib
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from types import SimpleNamespace
@@ -30,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ybx import groebner, monoid
 from ybx.core import (IDENTITY_NAMES, RMap, Solution, VerificationReport,
                       canonical_form, canonical_table, check, diagonal_image,
                       failures, identity_holds, iso_check, lambda_word,
@@ -386,6 +390,27 @@ def test_overlaps_match_all_pairs_scan(census4):
     assert unresolved > 0
 
 
+@pytest.mark.parametrize("build, words", [
+    (lambda: constant_rules(32), 1984),
+    (lambda: solution_rules(solution_from_lambda(families(24)[0]))[0], 1128),
+], ids=["constant-32", "zn-neg-24"])
+def test_check_overlaps_reduces_each_distinct_word_once(monkeypatch, build,
+                                                        words):
+    # the all-pairs scan reduces 61,504 and 25,392 overlap words here
+    rs = build()
+    calls = Counter()
+
+    def counting_reduce(system, word):
+        calls[word] += 1
+        return reduce(system, word)
+
+    monkeypatch.setattr(groebner, "reduce", counting_reduce)
+    got = check_overlaps(rs)
+    assert sum(calls.values()) == words
+    assert set(calls.values()) == {1}
+    assert got == overlaps_all_pairs(rs)
+
+
 def test_is_cancellative_matches_all_lengths_scan(census4):
     verdicts = set()
     for s in census4:
@@ -422,6 +447,72 @@ def test_check_and_fineq_match_nested_loops_on_census4(census4):
         assert check_fineq(dsc) == check_fineq_nested_loops(dsc)
 
 
+def nullspace_fractions(rows, unknowns):
+    """Basis of the rational nullspace, eliminated in Fractions."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(unknowns):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(unknowns) if c not in pivots]
+    basis = []
+    for c in free:
+        vec = [Fraction(0)] * unknowns
+        vec[c] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][c]
+        basis.append(tuple(vec))
+    return basis
+
+
+@st.composite
+def integer_matrices(draw):
+    # up to 8 x 8, entries -3..3, with empty matrices and all-zero rows
+    cols = draw(st.integers(1, 8))
+    row = st.one_of(st.just((0,) * cols),
+                    st.tuples(*[st.integers(-3, 3)] * cols))
+    return draw(st.lists(row, max_size=8)), cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_matrices())
+def test_nullspace_matches_fractions_on_integer_matrices(matrix):
+    basis = _nullspace(*matrix)
+    assert basis == nullspace_fractions(*matrix)
+    assert all(type(v) is Fraction for vec in basis for v in vec)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("family", [0, 1, 2], ids=["zn-neg", "cycle", "identity"])
+def test_nullspace_matches_fractions_on_center_rows(monkeypatch, family, n):
+    s = solution_from_lambda(families(n)[family])
+    systems = []
+
+    def recording_nullspace(rows, unknowns):
+        systems.append((rows, unknowns))
+        return _nullspace(rows, unknowns)
+
+    monkeypatch.setattr(monoid, "_nullspace", recording_nullspace)
+    for deg in sorted({1, s.d, s.d + 1}):
+        basis = center_basis(s, deg)
+        assert basis == nullspace_fractions(*systems[-1])
+
+
 def center_basis_all_rows(s, deg):
     n = s.n
     lam_deg = [lambda_word(s, x, deg) for x in range(n)]
@@ -434,7 +525,7 @@ def center_basis_all_rows(s, deg):
                 rows.append(row)
     if not rows:
         rows = [[0] * n]
-    return _nullspace(rows, n)
+    return nullspace_fractions(rows, n)
 
 
 def test_center_basis_matches_all_rows_on_census4(census4):
@@ -533,9 +624,11 @@ def dropped_structure_scans(s):
     """The semigroup, torsion and round-trip scans that structure() no
     longer runs: the derived semigroup claims above, closure, the group
     axioms and lam_x = x . lam_u on each X_u, the isomorphisms x -> x . v
-    between every pair of torsion groups, then the tables
-    lam = x . phi_x(y), rho = q . lam against those of s.  Where u lies
-    outside X_u (these scans raised there), the identity axiom fails.
+    between every pair of torsion groups, then the table lam = x . phi_x(y)
+    against that of s.  Where u lies outside X_u (these scans raised
+    there), the identity axiom fails.  The round trip rho = q . lam is left
+    out: structure() never reads rho, and the full verifier covers it
+    (test_stale_rho_is_rejected_by_the_full_verifier).
     """
     sg = semigroup(s)
     bad = [(b.claim,) + b.counterexample for b in dropped_semigroup_scans(s)]
@@ -568,11 +661,8 @@ def dropped_structure_scans(s):
 
     phi = {x: s.lam[u] for x, _, u in sg.rees_coords}
     for x, y in product(range(s.n), repeat=2):
-        lam = sg.op[x][phi[x][y]]
-        if lam != s.lam[x][y]:
+        if sg.op[x][phi[x][y]] != s.lam[x][y]:
             bad.append(("roundtrip-lambda", x, y))
-        if s.q[lam] != s.rho[x][y]:
-            bad.append(("roundtrip-rho", x, y))
     return bad
 
 
@@ -605,6 +695,17 @@ def test_dropped_structure_scans_imply_a_discrepancy(census_to4, data):
     found = structure(bent).discrepancies
     if dropped_structure_scans(bent):
         assert found
+
+
+def test_stale_rho_is_rejected_by_the_full_verifier():
+    # a new lam row that makes lam another solution keeps the stale rho of
+    # the census record: rho != q . lam, which structure() cannot see, but
+    # the record fails as a map
+    bent = Solution(2, ((0, 1), (1, 0)), ((0, 1), (0, 1)), (0, 0), 2)
+    assert any(bent.q[bent.lam[x][y]] != bent.rho[x][y]
+               for x, y in product(range(2), repeat=2))
+    assert structure(bent).discrepancies == ()
+    assert check(bent).first_counterexample == ("ybe1", (0, 1, 0))
 
 
 @pytest.mark.parametrize("claim, bent", [
