@@ -236,7 +236,9 @@ def cmd_construct(args):
                                     params["A"], params["t"], params["f"],
                                     params["psi"])
             return _emit_descriptor_reports(rep, args.pretty)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        return _fail(f"missing key: {exc.args[0]}")
+    except (OSError, TypeError, ValueError) as exc:
         return _fail(str(exc))
     raise AssertionError("unreachable")
 

@@ -296,6 +296,21 @@ def iso_check(s1, s2):
     return compose(inverse(psi2), psi1)
 
 
+def _orbits(gens, fixed, n):
+    """Smallest point of each orbit of the gens fixing fixed; None if none do."""
+    gens = [g for g in gens if all(g[p] == p for p in fixed)]
+    if not gens:
+        return None
+    orbit = [None] * n
+    for x in range(n):
+        todo = [x]
+        for y in todo:   # grows while it is read
+            if orbit[y] is None:
+                orbit[y] = x
+                todo.extend(g[y] for g in gens)
+    return orbit
+
+
 def canonical_table(table):
     """(form, psi, aut): the exact lexicographic minimum over relabelings.
 
@@ -314,40 +329,68 @@ def canonical_table(table):
     point must take the next free label to stay minimal.  A branch whose
     prefix exceeds the best form so far is cut.  Every label is in use
     after row 0, and each leaf compares its full table with the best.
+
+    Automorphism pruning.  A leaf equal to the best form gives the
+    automorphism best^-1 . psi of the two labelings.  A branch skips a free
+    point sharing an orbit with one already searched there, under the
+    automorphisms found that fix every labelled point: these carry the one
+    subtree onto the other and keep every leaf's form.  A node's count of
+    leaves reaching the form sums, over the orbits of its free points, the
+    orbit size times the count of one member searched since the form last
+    changed.  Members of one orbit have isomorphic subtrees, so the count is
+    exact however few automorphisms were found.  Without a refinement the
+    search still visits more than one leaf per orbit: lam_x(y) = x + y on
+    Z_7 (|Aut| = 6) takes 360 leaves.
     """
     n = len(table)
     psi = [-1] * n   # old point -> new label
     pi = [-1] * n    # new label -> old point
-    form, witness, aut = None, None, 0   # the best so far
+    form, best, gens = None, None, []   # best form, its pi, automorphisms
 
     def leaf():
-        nonlocal form, witness, aut
+        nonlocal form, best
         rows = [table[x] for x in pi]
         flat = tuple([psi[r[y]] for r in rows for y in pi])
         if form is None or flat < form:
-            form, witness, aut = flat, tuple(psi), 1
-            return True
+            form, best = flat, tuple(pi)
+            return True, 1
         if flat == form:
-            aut += 1
-        return False
+            gens.append(compose(best, psi))
+            return False, 1
+        return False, 0
 
     def cell(j, k, tight):
-        """Fill cell (0, j) with labels 0..k-1 in use; True if form changed.
+        """Fill cell (0, j) with labels 0..k-1 in use: (changed, count).
 
-        ``tight`` says cells 0..j-1 equal those of ``form``.
+        ``tight`` says cells 0..j-1 equal those of ``form``; ``count`` is
+        the number of leaves below reaching the form as it stands on return.
         """
         if j == n:
             return leaf()
         if pi[j] >= 0:
             return value(j, k, tight)
-        changed = False
+        # a free label: k == j and the labelled points are pi[:j]
+        changed, counts, searched, orbit, seen = False, {}, [], None, 0
         for x in range(n):
-            if psi[x] < 0:
-                psi[x], pi[j] = j, x
-                # a new form shares this node's prefix
-                changed |= value(j, k + 1, tight or changed)
-                psi[x] = pi[j] = -1
-        return changed
+            if psi[x] >= 0:
+                continue
+            if searched and len(gens) > seen:
+                orbit, seen = _orbits(gens, pi[:j], n), len(gens)
+            if orbit and any(orbit[y] == orbit[x] for y in searched):
+                continue
+            searched.append(x)
+            psi[x], pi[j] = j, x
+            # a new form shares this node's prefix
+            improved, count = value(j, k + 1, tight or changed)
+            psi[x] = pi[j] = -1
+            if improved:
+                changed, counts = True, {}
+            counts[x] = count
+        if not orbit:
+            return changed, sum(counts.values())
+        member = {orbit[x]: c for x, c in counts.items()}
+        return changed, sum(member.get(orbit[x], 0)
+                            for x in range(n) if psi[x] < 0)
 
     def value(j, k, tight):
         v = table[pi[0]][pi[j]]
@@ -357,15 +400,15 @@ def canonical_table(table):
             label = psi[v] = k
             pi[k] = v
             k += 1
-        changed = False
+        result = False, 0
         if not (tight and label > form[j]):
-            changed = cell(j + 1, k, tight and label == form[j])
+            result = cell(j + 1, k, tight and label == form[j])
         if forced:
             psi[v] = pi[label] = -1
-        return changed
+        return result
 
-    cell(0, 0, False)
-    return form, witness, aut
+    aut = cell(0, 0, False)[1]
+    return form, inverse(best), aut
 
 
 def canonical_form(s):

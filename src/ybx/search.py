@@ -339,15 +339,27 @@ def partition_number(n):
     return p[n]
 
 
+def _ints(value, name):
+    """tuple(value) for a list of integers, else a ValueError naming it."""
+    if not isinstance(value, (list, tuple)) or \
+            any(type(v) is not int for v in value):
+        raise ValueError(f"{name} must be a list of integers")
+    return tuple(value)
+
+
 def from_permutation(images):
     """The solution r(x, y) = (images[y], y): constant rows, full diagonal."""
-    images = tuple(images)
+    images = _ints(images, "images")
     if not is_perm(images):
         raise ValueError("images must be a permutation")
     return solution_from_lambda([images] * len(images))
 
 
 def _group_axioms(table):
+    """The group table as tuples of rows, and its identity element."""
+    if not isinstance(table, (list, tuple)):
+        raise ValueError("group table must be a list of rows")
+    table = tuple(_ints(r, "group table rows") for r in table)
     n = len(table)
     _check_table(table, n, "group table")
     p = next(failures(partial(associative_at, table), 3, n), None)
@@ -363,14 +375,13 @@ def _group_axioms(table):
     for x in range(n):
         if e not in table[x]:
             raise ValueError(f"no inverse for {x}")
-    return e
+    return table, e
 
 
 def from_group_automorphism(table, phi):
     """The latin solution lam_x(y) = x . phi(y) over a verified group table."""
-    table = tuple(tuple(r) for r in table)
-    phi = tuple(phi)
-    e = _group_axioms(table)
+    table, e = _group_axioms(table)
+    phi = _ints(phi, "phi")
     n = len(table)
     if len(phi) != n or not is_perm(phi):
         raise ValueError("phi must be a permutation of the group")
@@ -447,29 +458,28 @@ def from_rees_example(group, ncols, A, t, f, psi):
     fixing A pointwise.  Point (g, i) is encoded as g * ncols + i.
     The descriptor comes back with its independent reports.
     """
-    group = tuple(tuple(r) for r in group)
-    e = _group_axioms(group)
+    group, e = _group_axioms(group)
     order = len(group)
-    if ncols < 2 or ncols % 2 != 0:
+    if type(ncols) is not int or ncols < 2 or ncols % 2 != 0:
         raise ValueError("ncols must be a positive even integer")
+    if not isinstance(A, (list, tuple)) or len(A) != ncols // 2 \
+            or any(type(c) is not int or c not in range(ncols) for c in A):
+        raise ValueError("A must be half of the columns")
     A = tuple(sorted(A))
     b_cols = tuple(sorted(set(range(ncols)) - set(A)))
-    if len(A) != ncols // 2 or bool in map(type, A) \
-            or any(c not in range(ncols) for c in A):
-        raise ValueError("A must be half of the columns")
-    if not isinstance(t, dict):
+    if not isinstance(t, dict) or not all(str(k).isdecimal() for k in t):
         raise ValueError("t must be an object mapping columns to columns")
     t = {int(k): v for k, v in t.items()}
-    if sorted(t) != list(b_cols) or sorted(t.values()) != list(A) \
-            or bool in map(type, t.values()):
+    if any(type(v) is not int for v in t.values()) \
+            or sorted(t) != list(b_cols) or sorted(t.values()) != list(A):
         raise ValueError("t must map the complement bijectively onto A")
-    f = tuple(f)
+    f = _ints(f, "f")
     if not is_perm(f) or len(f) != order:
         raise ValueError("f must be a permutation of the group")
     p = next(failures(partial(homomorphic_at, f, group), 2, order), None)
     if p is not None:
         raise ValueError(f"f is not a homomorphism at {p}")
-    psi = tuple(psi)
+    psi = _ints(psi, "psi")
     if not is_perm(psi) or len(psi) != ncols:
         raise ValueError("psi must be a permutation of the columns")
     if any(psi[c] != c for c in A):

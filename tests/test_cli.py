@@ -382,8 +382,8 @@ def test_solution_rows_must_be_lists(tmp_path, data):
     ("group-aut", [1, 2], None),
     ("rees-example", [1, 2], None),
     ("descriptor", [1, 2], None),
-    ("perm", {"images": 5}, None),
-    ("group-aut", {"table": 5, "phi": [0]}, None),
+    ("perm", {"images": 5}, "images"),
+    ("group-aut", {"table": 5, "phi": [0]}, "table"),
     ("group-aut", {"table": [[0, 1], [1]], "phi": [0, 1]}, "table"),
     ("group-aut", {"table": [[0, 7], [1, 0]], "phi": [0, 1]}, "table"),
     ("group-aut", {"table": [[True]], "phi": [0]}, "table"),
@@ -402,13 +402,19 @@ def test_solution_rows_must_be_lists(tmp_path, data):
     ("perm", {"images": [0, 0]}, "images"),
     ("rees-example", dict(REES_PARAMS, A=[0, 7]), "A"),
     ("rees-example", dict(REES_PARAMS, psi=[1, 0, 2, 3]), "A"),
+    ("rees-example", dict(REES_PARAMS, ncols="4"), "ncols"),
+    ("rees-example", dict(REES_PARAMS, t={"x": 0}), "t"),
+    ("perm", {"image": [0, 1]}, "images"),
+    ("perm", {"images": ["a", 0]}, "images"),
+    ("rees-example", dict(REES_PARAMS, A=[0, 1.0]), "A"),
 ], ids=["perm-list", "group-aut-list", "rees-list", "descriptor-list",
         "perm-int", "group-aut-int", "group-aut-ragged", "group-aut-range",
         "group-aut-bool", "rees-ragged", "rees-range", "rees-t-list",
         "descriptor-n-bool", "descriptor-q-bool", "perm-images-bool",
         "group-aut-phi-bool", "rees-a-bool", "rees-t-bool", "rees-f-bool",
         "rees-psi-bool", "perm-images-repeat", "rees-a-range",
-        "rees-psi-moves-a"])
+        "rees-psi-moves-a", "rees-ncols-str", "rees-t-key-str",
+        "perm-missing-key", "perm-images-str", "rees-a-float"])
 def test_construct_params_malformed(tmp_path, kind, params, key):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))

@@ -27,6 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -919,6 +920,29 @@ def test_canonical_table_matches_all_relabelings_on_generators7(rows, psi):
     assert_iso_witness(t, s)
 
 
+def centralizer_order(parts):
+    """prod_k k^m_k * m_k! for m_k cycles of length k: |C(phi)| in Sym(n)."""
+    order = 1
+    for k, m in Counter(parts).items():
+        order *= k ** m * factorial(m)
+    return order
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_constant_rows_aut_is_the_centralizer_order(n):
+    # relabelings fixing constant rows lam_x = phi are those commuting
+    # with phi; every cycle type up to n = 9, the identity at n = 10
+    rng = random.Random(n)
+    for parts in (_partitions(n, n) if n <= 9 else [(1,) * n]):
+        rows = _cycle_type_rows(parts)
+        form, psi, aut = canonical_table(rows)
+        assert aut == centralizer_order(parts)
+        assert flatten(relabel_lambda(rows, psi)) == form
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        assert canonical_table(relabel_lambda(rows, sigma))[0] == form
+
+
 @st.composite
 def tables(draw):
     # rows: permutations or arbitrary self-maps
@@ -937,3 +961,48 @@ def test_canonical_table_matches_all_relabelings_on_random_tables(table, rnd):
     assert canonical_table(other)[0] == canonical_table(table)[0]
     assert_iso_witness(SimpleNamespace(n=len(table), lam=table),
                        SimpleNamespace(n=len(table), lam=other))
+
+
+def _cycle(start, step):
+    out = [start]
+    while step(out[-1]) != start:
+        out.append(step(out[-1]))
+    return out
+
+
+@st.composite
+def symmetric_tables(draw):
+    """A table and a permutation g with T[g x][g y] = g T[x][y].
+
+    Each orbit of g on the cells gets one drawn value v, whose g-cycle
+    length divides the orbit length, and v, g v, g^2 v, ... along it.
+    """
+    n = draw(st.integers(1, 6))
+    g = tuple(draw(st.permutations(range(n))))
+    table = [[None] * n for _ in range(n)]
+    for x, y in product(range(n), repeat=2):
+        if table[x][y] is None:
+            cells = _cycle((x, y), lambda c: (g[c[0]], g[c[1]]))
+            v = draw(st.sampled_from(
+                [v for v in range(n)
+                 if len(cells) % len(_cycle(v, g.__getitem__)) == 0]))
+            for a, b in cells:
+                table[a][b] = v
+                v = g[v]
+    return tuple(map(tuple, table)), g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(symmetric_tables(), st.randoms(use_true_random=False))
+def test_canonical_table_matches_all_relabelings_on_symmetric_tables(drawn,
+                                                                     rnd):
+    # random tables seldom have automorphisms; these have g at least
+    table, g = drawn
+    assert relabel_lambda(table, g) == table
+    assert_matches_all_relabelings(table)
+    psi = list(range(len(table)))
+    rnd.shuffle(psi)
+    s1 = SimpleNamespace(n=len(table), lam=table)
+    s2 = SimpleNamespace(n=len(table), lam=relabel_lambda(table, psi))
+    assert_iso_witness(s1, s2)
+    assert_iso_witness(s2, s1)
