@@ -12,12 +12,14 @@ A candidate table is an :class:`RMap`; :func:`check` evaluates the three
 Yang-Baxter identities, left non-degeneracy and idempotency exhaustively,
 and :func:`promote` upgrades a fully valid candidate to a :class:`Solution`
 carrying the derived data (q, d).
+
+Every exhaustive check runs through one scanner, :func:`failures`, which
+calls a row kernel once per prefix of the points, not once per point.
 """
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import filterfalse, product
+from itertools import islice, product
 
 from .perms import compose, exponent, inverse, is_perm
 
@@ -63,7 +65,7 @@ class VerificationReport:
     ``first_counterexample`` is ``(identity name, points)`` for the first
     failing check in the order of :data:`IDENTITY_NAMES`, or None when all
     five booleans are true.  Re-evaluating the named identity at the cited
-    points (see :func:`identity_holds`) reproduces the failure.
+    points reproduces the failure.
     """
 
     ybe1: bool
@@ -118,25 +120,53 @@ class Solution:
                           compare=False)
 
 
-def failures(holds, arity, n):
-    """The points of {0..n-1}^arity where ``holds(points)`` is false, lazily.
+def failures(kernel, arity, n):
+    """(index, point) for every failure of a row kernel on {0..n-1}^arity.
 
-    Points come in lexicographic order, so ``next(failures(...), None)`` is
-    the first counterexample of the nested loop over the coordinates.
+    ``kernel(*prefix)`` runs once per prefix of arity - 1 points, in
+    lexicographic order, and returns the failing (identity index, last
+    coordinate) pairs of that prefix in order of the last coordinate.  The
+    points come lazily in lexicographic order: the first is the first
+    counterexample of the nested loop, and the scan stops with its reader.
     """
-    return filterfalse(holds, product(range(n), repeat=arity))
+    for prefix in product(range(n), repeat=arity - 1):
+        for i, last in kernel(*prefix):
+            yield i, prefix + (last,)
 
 
-def associative_at(op, points):
-    """(x . y) . z == x . (y . z) for the table op at points (x, y, z)."""
-    x, y, z = points
-    return op[op[x][y]][z] == op[x][op[y][z]]
+def _first_mismatches(left, right, pending):
+    """(i, z) for the first z where a pending identity i fails in one row,
+    in order of z; a reported identity leaves ``pending``.
+
+    Each side holds the values of identity 0 over z, and the pairs of
+    values of identities 1 and 2, which are compared as one.
+    """
+    if left == right:
+        return ()
+    (l0, l12), (r0, r12) = left, right
+    sides = (l0, r0), *zip(zip(*l12), zip(*r12))
+    found = sorted((next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b), i)
+                   for i, (lhs, rhs) in enumerate(sides)
+                   if lhs != rhs and i in pending)
+    pending.difference_update(i for _, i in found)
+    return [(i, z) for z, i in found]
 
 
-def homomorphic_at(f, op, points):
-    """f(x . y) == f(x) . f(y) for the map f and the table op at (x, y)."""
-    x, y = points
-    return f[op[x][y]] == op[f[x]][f[y]]
+def associativity(op):
+    """Row kernel of (x . y) . z = x . (y . z): the failing z of (x, y)."""
+    def row(x, y):
+        opx, xy = op[x], op[op[x][y]]
+        return [(0, z) for z, v in enumerate(op[y]) if xy[z] != opx[v]]
+    return row
+
+
+def homomorphism(f, op, points):
+    """Row kernel of f(x . y) = f(x) . f(y) on a list of points: the
+    failing indices j of the i-th point."""
+    def row(i):
+        opx, ofx = op[points[i]], op[f[points[i]]]
+        return [(0, j) for j, y in enumerate(points) if f[opx[y]] != ofx[f[y]]]
+    return row
 
 
 def apply_r(m, x, y):
@@ -147,42 +177,39 @@ def apply_r(m, x, y):
     return (m.lam[x][y], m.rho[x][y])
 
 
-def identity_holds(m, name, points):
-    """Re-evaluate one named identity of :func:`check` at explicit points."""
-    lam, rho = m.lam, m.rho
-    if name == "ybe1":
-        x, y, z = points
-        return lam[x][lam[y][z]] == lam[lam[x][y]][lam[rho[x][y]][z]]
-    if name == "ybe2":
-        x, y, z = points
-        lhs = lam[rho[x][lam[y][z]]][rho[y][z]]
-        rhs = rho[lam[x][y]][lam[rho[x][y]][z]]
-        return lhs == rhs
-    if name == "ybe3":
-        x, y, z = points
-        lhs = rho[rho[x][y]][z]
-        rhs = rho[rho[x][lam[y][z]]][rho[y][z]]
-        return lhs == rhs
-    if name == "left_nondegenerate":
-        (x,) = points
-        return is_perm(lam[x])
-    if name == "idempotent":
-        x, y = points
-        w, v = lam[x][y], rho[x][y]
-        return lam[w][v] == w and rho[w][v] == v
-    raise ValueError(f"unknown identity {name!r}")
-
-
 def check(m):
-    """Exhaustively verify an RMap over all triples and pairs of points."""
-    results = {}
-    first = None
-    for name, arity in zip(IDENTITY_NAMES, (3, 3, 3, 1, 2)):
-        p = next(failures(partial(identity_holds, m, name), arity, m.n), None)
-        results[name] = p is None
-        if first is None and p is not None:
-            first = (name, p)
-    return VerificationReport(first_counterexample=first, **results)
+    """Exhaustively verify an RMap over all triples and pairs of points.
+
+    A row kernel evaluates the three Yang-Baxter identities at every z of
+    (x, y); their right-hand sides read only (w, v) = r(x, y), so they are
+    built once per such pair.  Each identity is evaluated until it fails.
+    """
+    lam, rho, n = m.lam, m.rho, m.n
+    r = [list(zip(lam[x], rho[x])) for x in range(n)]
+    pending, rights = {0, 1, 2}, {}
+
+    def braid_row(x, y):
+        lx, rx, ly, ry = lam[x], rho[x], lam[y], rho[y]
+        wv = lx[y], rx[y]
+        if wv not in rights:
+            lw, rw, lv = lam[wv[0]], rho[wv[0]], lam[wv[1]]
+            rights[wv] = ([lw[t] for t in lv],
+                          list(zip([rw[t] for t in lv], rho[wv[1]])))
+        # ybe2 and ybe3 compare the pair r(rho_{lam_y(z)}(x), rho_z(y))
+        return _first_mismatches(
+            ([lx[t] for t in ly], [r[rx[t]][a] for t, a in zip(ly, ry)]),
+            rights[wv], pending)
+
+    firsts = dict(islice(failures(braid_row, 3, n), 3))
+    firsts.update(islice(failures(
+        lambda: [(3, x) for x in range(n) if not is_perm(lam[x])], 1, n), 1))
+    firsts.update(islice(failures(lambda x: [
+        (4, y) for y, (w, v) in enumerate(zip(lam[x], rho[x]))
+        if lam[w][v] != w or rho[w][v] != v], 2, n), 1))
+    first = min(firsts.items(), default=None)
+    return VerificationReport(
+        first_counterexample=first and (IDENTITY_NAMES[first[0]], first[1]),
+        **{name: i not in firsts for i, name in enumerate(IDENTITY_NAMES)})
 
 
 def diagonal_map(lam):

@@ -19,11 +19,11 @@ raised, so the library doubles as an empirical checker.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import islice
 
 from .core import (RMap, SolutionFormatError, VerificationReport, _check_table,
-                   associative_at, check, diagonal_image, failures,
-                   homomorphic_at, word_level)
+                   _first_mismatches, associativity, check, diagonal_image,
+                   failures, homomorphism, word_level)
 from .perms import is_perm
 
 
@@ -68,13 +68,12 @@ class SimpleSemigroupTable:
 def _operation_discrepancies(op, prefix):
     """The first associativity failure and the first non-injective row."""
     n = len(op)
-    bad = []
-    p = next(failures(partial(associative_at, op), 3, n), None)
-    if p is not None:
-        bad.append(Discrepancy(f"{prefix}-associativity", p))
-    p = next(failures(lambda x: len(set(op[x[0]])) == n, 1, n), None)
-    if p is not None:
-        bad.append(Discrepancy(f"{prefix}-left-cancellative", p))
+    bad = [Discrepancy(f"{prefix}-associativity", p)
+           for _, p in islice(failures(associativity(op), 3, n), 1)]
+    bad.extend(Discrepancy(f"{prefix}-left-cancellative", p)
+               for _, p in islice(failures(
+                   lambda: [(0, x) for x in range(n) if len(set(op[x])) != n],
+                   1, n), 1))
     return bad
 
 
@@ -176,9 +175,7 @@ def torsion_iso(sg, u, v):
         bad.append(Discrepancy("torsion-iso-bijective", (u, v)))
     # the scan runs on local indices into xs
     bad.extend(Discrepancy("torsion-iso-homomorphism", (u, v, xs[i], xs[j]))
-               for i, j in failures(
-                   lambda p: homomorphic_at(f, op, (xs[p[0]], xs[p[1]])),
-                   2, len(xs)))
+               for _, (i, j) in failures(homomorphism(f, op, xs), 2, len(xs)))
     return {x: f[x] for x in xs}, tuple(bad)
 
 
@@ -192,9 +189,13 @@ def phi_maps(s, sg):
     # the Rees column of x is q^d(x)
     phi = tuple(s.lam[u] for _, _, u in sg.rees_coords)
     op = sg.op
-    bad = tuple(Discrepancy("lambda-from-phi", p) for p in failures(
-        lambda p: s.lam[p[0]][p[1]] == op[p[0]][phi[p[0]][p[1]]], 2, s.n))
-    return phi, bad
+
+    def row(x):
+        opx = op[x]
+        return [(0, y) for y, (v, p) in enumerate(zip(s.lam[x], phi[x]))
+                if v != opx[p]]
+    return phi, tuple(Discrepancy("lambda-from-phi", p)
+                      for _, p in failures(row, 2, s.n))
 
 
 @dataclass(frozen=True)
@@ -277,55 +278,69 @@ class FineqReport:
                 "ok": self.ok}
 
 
-def fineq_holds(dsc, name, points):
-    """Re-evaluate one descriptor identity at explicit points."""
-    op, q, phi = dsc.op, dsc.q, dsc.phi
-    if name == "fineq4":
-        (x,) = points
-        return q[op[x][phi[x][q[x]]]] == q[x]
-    x, y, z = points
-    a = op[x][phi[x][y]]          # x . phi_x(y)
-    b = op[y][phi[y][z]]          # y . phi_y(z)
-    c = op[x][phi[x][b]]          # x . phi_x(y . phi_y(z))
-    if name == "fineq1":
-        return phi[x][b] == op[phi[x][y]][phi[a][phi[q[a]][z]]]
-    if name == "fineq2":
-        return phi[q[c]][q[b]] == q[op[a][phi[a][phi[q[a]][z]]]]
-    if name == "fineq3":
-        return q[phi[q[a]][z]] == q[phi[c][q[b]]]
-    raise ValueError(f"unknown identity {name!r}")
+FINEQ_NAMES = ("fineq1", "fineq2", "fineq3", "fineq4")
 
 
 def check_fineq(dsc):
     """Evaluate the four compatibility identities of a descriptor.
 
-    When all phi_x coincide, the reduced conditions are evaluated as well
-    and reported side by side.
+    With a = x . phi_x(y), b = y . phi_y(z) and c = x . phi_x(b):
+
+      fineq1  phi_x(b) = phi_x(y) . phi_a(phi_{q(a)}(z))
+      fineq2  phi_{q(c)}(q(b)) = q(a . phi_a(phi_{q(a)}(z)))
+      fineq3  q(phi_{q(a)}(z)) = q(phi_c(q(b)))
+      fineq4  q(x . phi_x(q(x))) = q(x)
+
+    A row kernel evaluates fineq1-3 at every z of (x, y), each until it
+    fails; what reads only y or only a is built once.  When all phi_x
+    coincide, the reduced conditions are evaluated as well and reported
+    side by side.
     """
     n = dsc.n
     rng = range(n)
-    results = {}
-    examples = []
-    for name, arity in (("fineq1", 3), ("fineq2", 3), ("fineq3", 3), ("fineq4", 1)):
-        p = next(failures(partial(fineq_holds, dsc, name), arity, n), None)
-        results[name] = p is None
-        if p is not None:
-            examples.append((name, p))
+    op, q, phi = dsc.op, dsc.q, dsc.phi
+    b_rows = [[op[y][p] for p in phi[y]] for y in rng]
+    qb_rows = [[q[b] for b in row] for row in b_rows]
+    # fineq2 and fineq3 compare a pair: its side at c and q(b) ...
+    at_c = [[(phi[q[c]][v], q[phi[c][v]]) for v in rng] for c in rng]
+    # ... and its side at a, with t = phi_a(phi_{q(a)}(z))
+    by_a = []
+    for a in rng:
+        s = phi[q[a]]
+        t = [phi[a][v] for v in s]
+        by_a.append((t, [(q[op[a][v]], q[w]) for v, w in zip(t, s)]))
+    pending = {0, 1, 2}
+
+    def fineq_row(x, y):
+        px, opx = phi[x], op[x]
+        t, right = by_a[opx[px[y]]]
+        pxb = [px[b] for b in b_rows[y]]    # phi_x(b)
+        oppy = op[px[y]]
+        return _first_mismatches(
+            (pxb, [at_c[opx[v]][w] for v, w in zip(pxb, qb_rows[y])]),
+            ([oppy[v] for v in t], right), pending)
+
+    firsts = dict(islice(failures(fineq_row, 3, n), 3))
+    firsts.update(islice(failures(
+        lambda: [(3, x) for x in rng if q[op[x][phi[x][q[x]]]] != q[x]],
+        1, n), 1))
 
     allphi = None
-    if len(set(dsc.phi)) == 1:
-        phi = dsc.phi[0]
-        op, q = dsc.op, dsc.q
-        p = next(failures(partial(homomorphic_at, phi, op), 2, n), None)
-        ce = [] if p is None else [("automorphism",) + p]
-        held = {"phi_q_is_q2": all(phi[q[x]] == q[q[x]] for x in rng),
+    if len(set(phi)) == 1:
+        f = phi[0]
+        ce = [("automorphism",) + p
+              for _, p in islice(failures(homomorphism(f, op, rng), 2, n), 1)]
+        auto = is_perm(f) and not ce
+        held = {"phi_q_is_q2": all(f[q[x]] == q[q[x]] for x in rng),
                 "q_is_q4": all(q[x] == q[q[q[q[x]]]] for x in rng),
                 "absorbs_q2": all(q[op[x][q[q[x]]]] == q[x] for x in rng)}
         ce.extend((name,) for name, ok in held.items() if not ok)
-        allphi = AllPhiReport(is_perm(phi) and p is None,
-                              counterexamples=tuple(ce), **held)
+        allphi = AllPhiReport(auto, counterexamples=tuple(ce), **held)
 
-    return FineqReport(counterexamples=tuple(examples), allphi=allphi, **results)
+    return FineqReport(
+        counterexamples=tuple((FINEQ_NAMES[i], p) for i, p in sorted(firsts.items())),
+        allphi=allphi,
+        **{name: i not in firsts for i, name in enumerate(FINEQ_NAMES)})
 
 
 def q_image_in_idempotents(dsc):

@@ -50,9 +50,10 @@ def mul(s, a, b):
 
 
 def power(s, a, e):
+    """a^e, multiplied on the left so that only the word level |a| is read."""
     out = ONE
     for _ in range(e):
-        out = mul(s, out, a)
+        out = mul(s, a, out)
     return out
 
 
@@ -71,8 +72,11 @@ def sigma(s, y, x):
 
 def sigma_discrepancies(s):
     """sigma_y(x) must equal y on every pair (the derived relation collapses)."""
+    inv = [inverse(row) for row in s.lam]   # lam_x^-1, once per x
     return tuple(Discrepancy("derived-map-constant", (y, x, sigma(s, y, x)))
-                 for y, x in failures(lambda p: sigma(s, *p) == p[0], 2, s.n))
+                 for _, (y, x) in failures(lambda y: [
+                     (0, x) for x in range(s.n)
+                     if s.lam[y][s.rho[x][inv[x][y]]] != y], 2, s.n))
 
 
 def normal_form(s, word, t):
@@ -122,7 +126,8 @@ def _word_classes(s, max_len):
             w = parent[w]
         return w
 
-    rewrite = [[(s.lam[b][a], s.rho[b][a]) for a in range(n)] for b in range(n)]
+    moved = [(b, a, s.lam[b][a], s.rho[b][a]) for b in range(n)
+             for a in range(n) if (s.lam[b][a], s.rho[b][a]) != (b, a)]
     # entries[c * n + b] is the class of w.b for w in class c; the empty
     # prefix is class 0 and single letters are their own classes
     entries = list(range(n))
@@ -130,14 +135,15 @@ def _word_classes(s, max_len):
     for _ in range(max_len - 1):
         size = counts[-1] * n
         parent = list(range(size))   # node (C, a) is C * n + a
-        for i, cls in enumerate(entries):
-            c, b = divmod(i, n)
-            for a in range(n):
-                b2, a2 = rewrite[b][a]
-                if (b2, a2) != (b, a):
-                    ra, rb = find(cls * n + a), find(entries[c * n + b2] * n + a2)
-                    if ra != rb:
-                        parent[rb] = ra
+        # a prefix class's joins read only its row of classes, so equal
+        # rows make the same joins, and different rows share most of them
+        rows = {tuple(entries[i:i + n]) for i in range(0, len(entries), n)}
+        joins = {(row[b] * n + a, row[b2] * n + a2)
+                 for row in rows for b, a, b2, a2 in moved}
+        for u, v in joins:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[rv] = ru
         ids = {}
         entries = [ids.setdefault(find(node), len(ids)) for node in range(size)]
         counts.append(len(ids))
@@ -151,7 +157,9 @@ def growth(s, max_len):
     word lies inside its length-L prefix or acts on its last pair, so the
     nodes of level L+1 are the pairs (class of the prefix, last letter),
     and r(b, a) = (b', a') joins the node of w.b.a to that of w.b'.a'.
-    A degree costs classes * n^2 steps, not L * n^L.
+    The joins of a prefix class read only its row of classes, one per last
+    letter, so they run once per distinct row: a degree costs the distinct
+    rows times the pairs that r moves, not L * n^L.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -170,13 +178,13 @@ def is_cancellative(s, max_len):
     """
     n = s.n
     for k in range(1, max_len + 1):
-        rows = word_level(s, k)[0]
-        for x in range(n):
-            for y in range(x + 1, n):
-                for z in range(n):
-                    if rows[x][z] == rows[y][z]:
-                        return False, ("right", MElem(k, x), MElem(k, y),
-                                       MElem(1, z))
+        cols = list(zip(*word_level(s, k)[0]))   # cols[z][x] = lam_{kx}(z)
+        if any(len(set(col)) < n for col in cols):
+            # the first failure of the nested loop over x < y and z
+            x, y, z = min((x, col.index(v, x + 1), z)
+                          for z, col in enumerate(cols)
+                          for x, v in enumerate(col) if v in col[x + 1:])
+            return False, ("right", MElem(k, x), MElem(k, y), MElem(1, z))
     return True, None
 
 

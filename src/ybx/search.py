@@ -40,14 +40,14 @@ each one verified again by :func:`~ybx.core.promote`.
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .core import (InvalidSolutionError, _check_table, associative_at,
+from .core import (InvalidSolutionError, _check_table, associativity,
                    canonical_form, canonical_table, diagonal_image, failures,
-                   homomorphic_at, promote, relabel_lambda,
-                   rmap_from_lambda, solution_from_lambda)
+                   homomorphism, promote, relabel_lambda, rmap_from_lambda,
+                   solution_from_lambda)
 from .invariants import Descriptor, descriptor_report, semigroup, torsion
 from .perms import compose, inverse, is_perm
 
@@ -362,8 +362,7 @@ def _group_axioms(table):
     table = tuple(_ints(r, "group table rows") for r in table)
     n = len(table)
     _check_table(table, n, "group table")
-    p = next(failures(partial(associative_at, table), 3, n), None)
-    if p is not None:
+    for _, p in failures(associativity(table), 3, n):
         raise ValueError(f"associativity fails at {p}")
     e = None
     for c in range(n):
@@ -385,8 +384,7 @@ def from_group_automorphism(table, phi):
     n = len(table)
     if len(phi) != n or not is_perm(phi):
         raise ValueError("phi must be a permutation of the group")
-    p = next(failures(partial(homomorphic_at, phi, table), 2, n), None)
-    if p is not None:
+    for _, p in failures(homomorphism(phi, table, range(n)), 2, n):
         raise ValueError(f"phi is not a homomorphism at {p}")
     rows = [tuple(table[x][phi[y]] for y in range(n)) for x in range(n)]
     s = solution_from_lambda(rows)
@@ -476,8 +474,7 @@ def from_rees_example(group, ncols, A, t, f, psi):
     f = _ints(f, "f")
     if not is_perm(f) or len(f) != order:
         raise ValueError("f must be a permutation of the group")
-    p = next(failures(partial(homomorphic_at, f, group), 2, order), None)
-    if p is not None:
+    for _, p in failures(homomorphism(f, group, range(order)), 2, order):
         raise ValueError(f"f is not a homomorphism at {p}")
     psi = _ints(psi, "psi")
     if not is_perm(psi) or len(psi) != ncols:

@@ -15,12 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from ybx.core import (RMap, canonical_form, check, diagonal_image,
-                      identity_holds, lambda_word)
+from ybx.core import RMap, canonical_form, check, diagonal_image, lambda_word
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
-from ybx.invariants import (check_fineq, descriptor, fineq_holds, phi_maps,
-                            reconstruct, semigroup, structure, torsion)
+from ybx.invariants import (check_fineq, descriptor, phi_maps, reconstruct,
+                            semigroup, structure, torsion)
 from ybx.monoid import (MElem, ONE, arithmetic_discrepancies, center_basis,
                         growth, is_cancellative, mul, normal_form, power)
 from ybx.groebner import check_overlaps, constant_rules, normal_word_count
@@ -29,6 +28,7 @@ from ybx.search import (EnumOptions, classify, enumerate_solutions,
                         from_group_automorphism, from_permutation,
                         from_rees_example, is_latin, partition_number)
 
+from pointwise import fineq_holds, identity_holds
 from test_kernel_oracles import brute_force_solutions
 
 

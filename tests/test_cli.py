@@ -339,6 +339,67 @@ def test_structure_stdout_pinned(tmp_path, family, command, digest):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family, command, digest", [
+    ("zn-neg", "analyze",
+     "3cbf301c595a27e22542e5b42119fb11399a90ec8359b3fc11c3484080e5b077"),
+    ("zn-neg", "groebner",
+     "b421664f01fd2504d7c8845d2e2ab4eb85f690df84ba7161e208bed35abf8b87"),
+    ("cycle", "analyze",
+     "ae1d799d78cf31beddda539938391d833a3c06130a2a1ee0d735a185f7bf2fac"),
+    ("cycle", "groebner",
+     "6db5fab0865725b55dd98288905b30a3dfb2a70f1a91d6190db66c436eb18ac9"),
+    ("identity", "analyze",
+     "80c742069187f9a5888f8429cfdaaee5e8cf85baa1f51cbf75ea67d2c6f045ec"),
+    ("identity", "groebner",
+     "6db5fab0865725b55dd98288905b30a3dfb2a70f1a91d6190db66c436eb18ac9"),
+], ids=["zn-neg-analyze", "zn-neg-groebner", "cycle-analyze",
+        "cycle-groebner", "identity-analyze", "identity-groebner"])
+def test_structure_stdout_pinned_n8(tmp_path, family, command, digest):
+    # digests of the stdout at n = 8 of the point-by-point scans
+    from ybx.core import dump_solution, solution_from_lambda
+    path = str(tmp_path / f"{family}.json")
+    dump_solution(solution_from_lambda(_family_rows(family, 8)), path)
+    extra = ("--max-deg", "3") if command == "groebner" else ()
+    r = run_cli(command, path, *extra)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+# One table per identity, named by the first counterexample verify
+# reports: ybe1 at the last point (2, 2, 2) with every check failing,
+# ybe2 at (2, 0, 1) before ybe3 fails, ybe3 at (2, 0, 0), a
+# non-bijective lam_1 and a non-idempotent pair (1, 0).
+FAILING_TABLES = {
+    "ybe1": ([[0, 1, 2], [0, 1, 0], [0, 1, 2]],
+             [[0, 0, 2], [1, 1, 1], [0, 0, 1]],
+             "1a551df5eb42e993e5c925b49d6558d3ecf205b37c8496cff4271285273a0f37"),
+    "ybe2": ([[0, 1, 2], [0, 1, 2], [2, 2, 2]],
+             [[1, 0, 1], [0, 0, 1], [1, 1, 2]],
+             "7cb2deb61530f80070972b5559d84cd77ebbc8b65bfddd010a47571208b5604f"),
+    "ybe3": ([[1, 1, 1], [0, 1, 2], [0, 1, 2]],
+             [[0, 0, 0], [1, 1, 1], [2, 1, 2]],
+             "e225b142f0d002cf55f43f17e8eee787d6d5529d54ae87867c795eb5c2eefe62"),
+    "left_nondegenerate": (
+        [[0, 1, 2], [0, 0, 2], [0, 1, 2]],
+        [[0, 0, 0], [1, 1, 1], [0, 0, 2]],
+        "f6c0e6f9ccdb5a75be350ae0b8396a692c666f85f6bc96a010286498e253f2f2"),
+    "idempotent": ([[0, 1, 2], [0, 2, 1], [0, 1, 2]],
+                   [[0, 2, 2], [1, 2, 2], [2, 2, 2]],
+                   "fba273539fb1518f5a02aaf8fc660111c947e822c94e3ae4e60b7dbe1a48d2bb"),
+}
+
+
+@pytest.mark.parametrize("name", list(FAILING_TABLES))
+def test_verify_failing_stdout_pinned(tmp_path, name):
+    lam, rho, digest = FAILING_TABLES[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "lambda": lam, "rho": rho}))
+    r = run_cli("verify", str(path))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["first_counterexample"][0] == name
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
 def test_groebner_constant_stdout_pinned():
     r = run_cli("groebner", "--constant-lambda", "32")
     assert r.returncode == 0

@@ -5,13 +5,14 @@ import pytest
 
 from ybx.core import (InvalidSolutionError, RMap, SolutionFormatError,
                       apply_r, canonical_form, canonical_table, check,
-                      diagonal_image, dump_solution, failures, identity_holds,
-                      iso_check, lambda_word, load_rmap, promote, q_power,
+                      diagonal_image, dump_solution, failures, iso_check,
+                      lambda_word, load_rmap, promote, q_power,
                       relabel_lambda, rmap_from_dict, rmap_from_lambda,
                       solution_from_lambda, word_level)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.perms import compose, identity, inverse
+from pointwise import identity_holds
 
 
 def as_rmap(s):
@@ -44,12 +45,24 @@ def test_apply_r_examples():
 
 
 def test_failures_lexicographic_and_lazy():
-    assert list(failures(lambda p: sum(p) % 2 == 0, 2, 3)) == [
-        (0, 1), (1, 0), (1, 2), (2, 1)]
+    def odd_sums(x):
+        return [(0, y) for y in range(3) if (x + y) % 2]
+    assert list(failures(odd_sums, 2, 3)) == [
+        (0, (0, 1)), (0, (1, 0)), (0, (1, 2)), (0, (2, 1))]
+    # one call per prefix, in lexicographic order, none after the reader stops
     tried = []
-    first = next(failures(lambda p: tried.append(p) or p != (0, 1, 0), 3, 4))
-    assert first == (0, 1, 0)
-    assert tried == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 0)]
+
+    def kernel(x, y):
+        tried.append((x, y))
+        return [(1, 0), (0, 2), (1, 2)] if (x, y) == (0, 1) else []
+    scan = failures(kernel, 3, 4)
+    assert next(scan) == (1, (0, 1, 0))
+    assert tried == [(0, 0), (0, 1)]
+    assert list(scan) == [(0, (0, 1, 2)), (1, (0, 1, 2))]
+    assert len(tried) == 16
+    # arity 1: the kernel is called once, with no prefix
+    assert list(failures(lambda: [(0, 2), (3, 4)], 1, 5)) == [
+        (0, (2,)), (3, (4,))]
 
 
 def test_check_valid_fixtures():

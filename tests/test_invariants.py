@@ -7,11 +7,12 @@ from ybx.core import (Solution, SolutionFormatError, diagonal_image,
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.invariants import (Descriptor, Discrepancy, check_fineq, descriptor,
-                            descriptor_from_dict, fineq_holds, phi_maps,
+                            descriptor_from_dict, phi_maps,
                             q_image_in_idempotents, reconstruct, semigroup,
                             structure, torsion, torsion_iso)
 from ybx.monoid import ONE, MElem, component
 from ybx.perms import identity, inverse
+from pointwise import fineq_holds, identity_holds
 
 
 def test_component_of_examples():
@@ -183,7 +184,6 @@ def test_check_fineq_special_instance():
     assert ver.ybe1 and ver.ybe2 and ver.ybe3 and ver.left_nondegenerate
     assert not ver.idempotent                 # the identities do not force r2 = r
     name, points = ver.first_counterexample
-    from ybx.core import identity_holds
     assert not identity_holds(m, name, points)
 
 

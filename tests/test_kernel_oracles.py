@@ -25,7 +25,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 from math import factorial
 from types import SimpleNamespace
@@ -36,24 +36,27 @@ from hypothesis import strategies as st
 
 from ybx import groebner, monoid
 from ybx.core import (IDENTITY_NAMES, RMap, Solution, VerificationReport,
-                      canonical_form, canonical_table, check, diagonal_image,
-                      failures, identity_holds, iso_check, lambda_word,
-                      relabel_lambda, rmap_from_lambda, solution_from_lambda,
-                      word_level)
+                      associativity, canonical_form, canonical_table, check,
+                      diagonal_image, failures, homomorphism, iso_check,
+                      lambda_word, relabel_lambda, rmap_from_lambda,
+                      solution_from_lambda, word_level)
 from ybx.groebner import (CompletionReport, RewriteSystem, Rule,
                           check_overlaps, constant_rules, reduce,
                           solution_rules)
 from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
                             check_fineq, descriptor, descriptor_diagnostics,
-                            fineq_holds, q_image_in_idempotents, semigroup,
+                            phi_maps, q_image_in_idempotents, semigroup,
                             structure, torsion_iso)
-from ybx.monoid import (MElem, _nullspace, _word_classes, center_basis,
-                        conjugation_action, growth, is_cancellative, mul)
+from ybx.monoid import (ONE, MElem, _nullspace, _word_classes, center_basis,
+                        conjugation_action, growth, is_cancellative, mul,
+                        power, sigma, sigma_discrepancies)
 from ybx.perms import compose, is_perm
 from ybx.search import (EnumOptions, EnumResult, _complete_tuple,
                         _orbit_minima, _search_slice, classify,
                         enumerate_solutions, from_group_automorphism,
                         from_rees_example)
+from pointwise import (associative_at, fineq_holds, homomorphic_at,
+                       identity_holds)
 
 
 def word_classes_all_words(s, length):
@@ -422,6 +425,46 @@ def test_is_cancellative_matches_all_lengths_scan(census4):
     assert verdicts == {True, False}
 
 
+def test_is_cancellative_matches_all_lengths_scan_on_random_tables():
+    # word tables read only lam and q, so any permutation rows and any q
+    # make a record; half the records have latin rows, which pass level 1,
+    # so that witnesses sit at higher levels too
+    rng = random.Random(5)
+    deep = False
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        lam = tuple(tuple(rng.sample(range(n), n)) for _ in range(n))
+        if rng.random() < 0.5:
+            r, c, v = (rng.sample(range(n), n) for _ in range(3))
+            lam = tuple(tuple(v[(r[x] + c[y]) % n] for y in range(n))
+                        for x in range(n))
+        q = tuple(rng.randrange(n) for _ in range(n))
+        s = Solution(n, lam, lam, q, rng.randint(1, 6))
+        for max_len in range(1, 7):
+            got = is_cancellative(s, max_len)
+            assert got == is_cancellative_all_lengths(s, max_len)
+        witness = got[1]
+        deep = deep or (witness is not None and witness[1].k > 1
+                        and witness[3].x > 0)
+    assert deep
+
+
+def power_right_multiplied(s, a, e):
+    """a^e as the loop out = out . a, which reads levels up to (e - 1)|a|."""
+    out = ONE
+    for _ in range(e):
+        out = mul(s, out, a)
+    return out
+
+
+def test_power_matches_right_multiplied_loop_on_census4(census4):
+    for s in census4:
+        for a in [MElem(k, x) for k in range(1, 2 * s.d + 1)
+                  for x in range(s.n)]:
+            for e in range(s.d + 2):
+                assert power(s, a, e) == power_right_multiplied(s, a, e)
+
+
 SYM3 = sorted(permutations(range(3)))
 
 
@@ -446,6 +489,102 @@ def test_check_and_fineq_match_nested_loops_on_census4(census4):
         assert check(s) == check_nested_loops(s)
         dsc = descriptor(s)
         assert check_fineq(dsc) == check_fineq_nested_loops(dsc)
+
+
+def first_failures(holds, names, arity, n):
+    """{name: first failing point} of each identity, by the nested loop."""
+    firsts = {}
+    for name in names:
+        for p in product(range(n), repeat=arity):
+            if not holds(name, p):
+                firsts[name] = p
+                break
+    return firsts
+
+
+# Tables on 3 points found by a search: the named identity fails only at
+# the last point (2, 2, 2), and the other two Yang-Baxter identities hold.
+LAST_POINT_RMAPS = {
+    "ybe1": (((0, 1, 0), (0, 1, 0), (2, 2, 0)), ((0, 1, 2),) * 3),
+    "ybe2": (((0, 1, 2), (1, 0, 2), (2, 2, 2)),
+             ((0, 0, 0), (0, 0, 0), (0, 1, 1))),
+    "ybe3": (((0, 1, 2),) * 3, ((0, 0, 0), (1, 1, 0), (2, 2, 1))),
+}
+
+
+@pytest.mark.parametrize("name", ["ybe1", "ybe2", "ybe3"])
+def test_check_finds_a_failure_at_the_last_point(name):
+    m = RMap(3, *LAST_POINT_RMAPS[name])
+    assert [p for p in product(range(3), repeat=3)
+            if not identity_holds(m, name, p)] == [(2, 2, 2)]
+    report = check(m)
+    assert report == check_nested_loops(m)
+    assert report.first_counterexample == (name, (2, 2, 2))
+
+
+@pytest.mark.parametrize("lam, rho", [
+    (((0, 0), (0, 1)), ((1, 1), (0, 0))),
+    (((0, 1, 0), (0, 1, 0), (0, 1, 2)), ((0, 1, 1),) * 3),
+], ids=["n2", "n3"])
+def test_check_scans_on_after_ybe2_fails_first(lam, rho):
+    m = RMap(len(lam), lam, rho)
+    firsts = first_failures(partial(identity_holds, m),
+                            ("ybe1", "ybe2"), 3, m.n)
+    assert firsts["ybe2"] < firsts["ybe1"] == (m.n - 1,) * 3
+    report = check(m)
+    assert report == check_nested_loops(m)
+    assert report.first_counterexample == ("ybe1", firsts["ybe1"])
+
+
+# Descriptors on 3 points found by a search: the named identity fails only
+# at the last point; in "fineq2-first" fineq2 fails before fineq1.
+LAST_POINT_DESCRIPTORS = {
+    "fineq1": (((0, 1, 0), (0, 1, 0), (0, 1, 2)), (0, 1, 0),
+               ((0, 1, 0), (0, 1, 0), (0, 1, 2))),
+    "fineq2": (((0, 1, 1), (0, 1, 2), (0, 1, 0)), (0, 1, 0),
+               ((0, 1, 2),) * 3),
+    "fineq3": (((0, 1, 0), (0, 1, 0), (1, 0, 2)), (0, 1, 0),
+               ((0, 1, 0), (0, 1, 0), (1, 0, 2))),
+    "fineq2-first": (((0, 1, 0), (1, 0, 0), (0, 1, 2)), (0, 0, 1),
+                     ((0, 1, 0), (0, 1, 0), (0, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", ["fineq1", "fineq2", "fineq3"])
+def test_check_fineq_finds_a_failure_at_the_last_point(name):
+    dsc = Descriptor(3, *LAST_POINT_DESCRIPTORS[name])
+    assert [p for p in product(range(3), repeat=3)
+            if not fineq_holds(dsc, name, p)] == [(2, 2, 2)]
+    report = check_fineq(dsc)
+    assert report == check_fineq_nested_loops(dsc)
+    assert (name, (2, 2, 2)) in report.counterexamples
+
+
+def test_check_fineq_scans_on_after_fineq2_fails_first():
+    dsc = Descriptor(3, *LAST_POINT_DESCRIPTORS["fineq2-first"])
+    firsts = first_failures(partial(fineq_holds, dsc),
+                            ("fineq1", "fineq2"), 3, 3)
+    assert firsts["fineq2"] < firsts["fineq1"] == (2, 2, 2)
+    report = check_fineq(dsc)
+    assert report == check_fineq_nested_loops(dsc)
+    assert report.counterexamples[:2] == (("fineq1", (2, 2, 2)),
+                                          ("fineq2", firsts["fineq2"]))
+
+
+def test_check_and_fineq_match_nested_loops_on_every_small_table():
+    firsts = set()
+    for n in (1, 2):
+        table = list(product(product(range(n), repeat=n), repeat=n))
+        for lam, rho in product(table, repeat=2):
+            m = RMap(n, lam, rho)
+            got = check(m)
+            assert got == check_nested_loops(m)
+            firsts.add(got.first_counterexample)
+        for op, phi in product(table, repeat=2):
+            for q in product(range(n), repeat=n):
+                dsc = Descriptor(n, op, q, phi)
+                assert check_fineq(dsc) == check_fineq_nested_loops(dsc)
+    assert {f[0] for f in firsts if f} == set(IDENTITY_NAMES)
 
 
 def nullspace_fractions(rows, unknowns):
@@ -617,7 +756,7 @@ def dropped_semigroup_scans(s):
         return coords[op[x][y]] == (op[gx][gy], uy)
 
     bad.extend(Discrepancy("rees-multiplication", p)
-               for p in failures(rees_multiplies, 2, n))
+               for p in product(rng, repeat=2) if not rees_multiplies(p))
     return bad
 
 
@@ -696,6 +835,45 @@ def test_dropped_structure_scans_imply_a_discrepancy(census_to4, data):
     found = structure(bent).discrepancies
     if dropped_structure_scans(bent):
         assert found
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_section_kernels_match_per_point_scans(census_to4, data):
+    s = perturbed(data, census_to4)
+    rng = range(s.n)
+    sg = semigroup(s)
+    op = sg.op
+    phi, bad = phi_maps(s, sg)
+    assert [b.counterexample for b in bad] == [
+        (x, y) for x, y in product(rng, repeat=2)
+        if s.lam[x][y] != op[x][phi[x][y]]]
+    assert [b.counterexample for b in sigma_discrepancies(s)] == [
+        (y, x, sigma(s, y, x)) for y, x in product(rng, repeat=2)
+        if sigma(s, y, x) != y]
+    parts = sg.xu_dict()
+    for u, v in product(parts, repeat=2):
+        f = [row[v] for row in op]
+        want = [(u, v, x, y) for x, y in product(parts[u], repeat=2)
+                if not homomorphic_at(f, op, (x, y))]
+        assert [b.counterexample for b in torsion_iso(sg, u, v)[1]
+                if b.claim == "torsion-iso-homomorphism"] == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    _table(n), _row(n), st.lists(st.integers(0, n - 1), max_size=n))))
+def test_table_kernels_match_per_point_predicates(table_map_points):
+    op, f, points = table_map_points
+    n = len(op)
+    assert list(failures(associativity(op), 3, n)) == [
+        (0, p) for p in product(range(n), repeat=3)
+        if not associative_at(op, p)]
+    # the homomorphism scan runs on indices into the listed points
+    for pts in (range(n), points):
+        assert list(failures(homomorphism(f, op, pts), 2, len(pts))) == [
+            (0, (i, j)) for i, j in product(range(len(pts)), repeat=2)
+            if not homomorphic_at(f, op, (pts[i], pts[j]))]
 
 
 def test_stale_rho_is_rejected_by_the_full_verifier():

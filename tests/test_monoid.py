@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ybx.core import diagonal_image, lambda_word
+from ybx.core import diagonal_image, lambda_word, solution_from_lambda
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.invariants import semigroup, torsion
@@ -266,3 +266,17 @@ def test_conjugation_action_examples():
 def test_arithmetic_discrepancies_empty_on_fixtures():
     for s in ALL_FIXTURES.values():
         assert arithmetic_discrepancies(s) == ()
+
+
+@pytest.mark.parametrize("family", ["zn-neg", "cycle", "identity"])
+def test_arithmetic_discrepancies_keep_few_word_levels(family):
+    # power multiplies on the left, so a^d reads only the level |a|; the
+    # grading scan reads up to 2L = 4d (the right-multiplied power kept
+    # 1,129 levels on Z_24 with x -> -x)
+    n = 16
+    rows = {"zn-neg": [tuple((x - y) % n for y in range(n)) for x in range(n)],
+            "cycle": [tuple((y + 1) % n for y in range(n))] * n,
+            "identity": [tuple(range(n))] * n}[family]
+    s = solution_from_lambda(rows)
+    assert arithmetic_discrepancies(s) == ()
+    assert max(s._levels) <= 4 * s.d
