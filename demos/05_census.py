@@ -4,11 +4,11 @@
 The search walks over row assignments with two sound prunes and fully
 verifies every completed table.  Classes with full diagonal are counted
 by integer partitions; prime sizes split into exactly two families.
+Both are read off one census by ``check_closed_forms``.
 """
 
-from ybx import (by_diag_size, check_partition_count,
-                 check_prime_classification, classify, from_rees_example,
-                 partition_number)
+from ybx import (by_diag_size, check_closed_forms, classify,
+                 from_rees_example, partition_number)
 from ybx.search import EnumOptions, enumerate_solutions
 
 for n in (1, 2, 3, 4):
@@ -22,13 +22,13 @@ print("== full-diagonal classes against the partition numbers ==")
 for n in (1, 2, 3, 4):
     full = sum(1 for r in classify(n) if r.diag_size == n)
     print(f"n={n}: {full} classes with full diagonal, p({n}) = {partition_number(n)},"
-          f" agreement: {check_partition_count(n)}")
+          f" agreement: {check_closed_forms(n)}")
 
 print()
 print("== prime sizes: constant-row family and cyclic-group family ==")
 for p in (2, 3, 5):
     print(f"p={p}: families exhaust the classification:",
-          check_prime_classification(p))
+          check_closed_forms(p))
 
 print()
 print("== class signatures at n = 4 ==")

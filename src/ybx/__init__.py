@@ -20,10 +20,9 @@ from .groebner import (RewriteSystem, Rule, check_overlaps, constant_rules,
                        normal_word_count, reduce, solution_rules)
 from .perms import exponent
 from .search import (ClassificationRecord, EnumOptions, EnumResult,
-                     by_diag_size, check_partition_count,
-                     check_prime_classification, classify,
-                     enumerate_solutions, from_group_automorphism,
-                     from_permutation, from_rees_example, is_latin,
-                     partition_number)
+                     by_diag_size, check_closed_forms, classify,
+                     diagonal_strata, enumerate_solutions,
+                     from_group_automorphism, from_permutation,
+                     from_rees_example, is_latin, partition_number)
 
 __version__ = "0.1.0"

@@ -12,15 +12,16 @@ import sys
 
 from .core import (InvalidSolutionError, SolutionFormatError,
                    VerificationReport, check, diagonal_image, load_rmap,
-                   promote, rmap_to_dict)
+                   promote, read_json, rmap_to_dict)
 from .groebner import (check_overlaps, constant_rules, normal_word_count,
                        solution_rules)
 from .invariants import (Discrepancy, descriptor_diagnostics,
                          descriptor_from_dict, descriptor_report,
                          q_image_in_idempotents, structure)
 from .monoid import center_basis, growth, is_cancellative, sigma_discrepancies
-from .search import (EnumOptions, enumerate_solutions, from_group_automorphism,
-                     from_permutation, from_rees_example, is_latin)
+from .search import (EnumOptions, diagonal_strata, enumerate_solutions,
+                     from_group_automorphism, from_permutation,
+                     from_rees_example, is_latin)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -196,30 +197,19 @@ def cmd_enumerate(args):
         "incomplete": not result.complete,
     }
     if result.complete:
-        diag_of_class = {}
-        for canon, s in zip(result.canonical, result.solutions):
-            diag_of_class[canon] = len(diagonal_image(s))
-        by_size = {}
-        for size in diag_of_class.values():
-            by_size[size] = by_size.get(size, 0) + 1
-        summary["classes"] = len(diag_of_class)
-        summary["by_diagonal_size"] = {str(k): v
-                                       for k, v in sorted(by_size.items())}
+        strata = diagonal_strata(result)
+        summary["classes"] = sum(len(forms) for forms in strata.values())
+        summary["by_diagonal_size"] = {str(size): len(forms)
+                                       for size, forms in strata.items()}
     _emit(summary, args.pretty)
     return EXIT_OK if result.complete else EXIT_BUDGET
 
 
-def _load_params(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        params = json.load(fh)
-    if not isinstance(params, dict):
-        raise SolutionFormatError("params must be a JSON object")
-    return params
-
-
 def cmd_construct(args):
     try:
-        params = _load_params(args.params)
+        params = read_json(args.params)
+        if not isinstance(params, dict):
+            return _fail("params must be a JSON object")
         if args.type == "perm":
             s = from_permutation(params["images"])
             _emit(rmap_to_dict(s), args.pretty)

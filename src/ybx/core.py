@@ -480,13 +480,17 @@ def rmap_to_dict(m):
     }
 
 
-def load_rmap(path):
+def read_json(path):
+    """The parsed file; undecodable, malformed or too deep JSON is a format error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise SolutionFormatError(f"invalid JSON: {exc}") from exc
-    return rmap_from_dict(data)
+
+
+def load_rmap(path):
+    return rmap_from_dict(read_json(path))
 
 
 def dump_solution(m, path):

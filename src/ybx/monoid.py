@@ -20,7 +20,7 @@ from math import gcd
 
 from .core import (diagonal_image, failures, lambda_word, q_power,
                    word_level)
-from .invariants import Discrepancy, semigroup
+from .invariants import Discrepancy
 from .perms import inverse
 
 
@@ -343,9 +343,8 @@ def conjugation_action(s, u):
     base = min(x for x in range(s.n) if s.q[x] == u)
     g = gq_from(s, 1, base)
     ginv = gq_inverse(s, g)
-    sg = semigroup(s)
-    xs = sg.xu_dict()[u]
-    op = sg.op
+    op, ends = word_level(s, s.d)
+    xs = tuple(x for x in range(s.n) if ends[x] == u)
     bad = []
 
     act = {}

@@ -47,8 +47,8 @@ from math import factorial
 from .core import (InvalidSolutionError, _check_table, associativity,
                    canonical_form, canonical_table, diagonal_image, failures,
                    homomorphism, promote, relabel_lambda, rmap_from_lambda,
-                   solution_from_lambda)
-from .invariants import Descriptor, descriptor_report, semigroup, torsion
+                   solution_from_lambda, word_level)
+from .invariants import Descriptor, descriptor_report
 from .perms import compose, inverse, is_perm
 
 MAX_POINTS = 6
@@ -274,68 +274,56 @@ class ClassificationRecord:
     family: str = None
 
 
-def _family_tag(s):
-    image = diagonal_image(s)
-    if len(image) == s.n:
-        return "permutation"
-    if len(image) == 1:
-        return "group-automorphism"
-    return None
+def diagonal_strata(result):
+    """{diagonal size: set of canonical forms} over an enumeration result."""
+    strata = {}
+    for canon, s in zip(result.canonical, result.solutions):
+        strata.setdefault(len(diagonal_image(s)), set()).add(canon)
+    return strata
 
 
 def classify(n):
     """Isomorphism classes on n points, in canonical-table order.
 
     One record per representative of the up-to-iso census; ``members``
-    counts the labelled solutions of the class as n!/|Aut|.
+    counts the labelled solutions of the class as n!/|Aut|.  The torsion
+    group is X_u = {x : q^d(x) = u}, u = min q, under x . y = lam_dx(y).
     """
     result = enumerate_solutions(EnumOptions(n, up_to_iso=True))
     records = []
     for canon, rep in zip(result.canonical, result.solutions):
-        u0 = diagonal_image(rep)[0]
-        tor = torsion(rep, semigroup(rep), u0)
-        local = {x: i for i, x in enumerate(tor.elements)}
-        table = tuple(tuple(local[v] for v in row) for row in tor.op)
+        image = diagonal_image(rep)
+        op, ends = word_level(rep, rep.d)
+        xs = [x for x in range(n) if ends[x] == image[0]]
+        local = {x: i for i, x in enumerate(xs)}
+        table = tuple(tuple(local[op[x][y]] for y in xs) for x in xs)
         records.append(ClassificationRecord(
             canonical=canon,
             members=factorial(n) // canonical_table(rep.lam)[2],
-            diag_size=len(diagonal_image(rep)),
+            diag_size=len(image),
             d=rep.d,
-            torsion_order=len(tor.elements),
+            torsion_order=len(xs),
             torsion_table=canonical_table(table)[0],
-            family=_family_tag(rep),
+            family=("permutation" if len(image) == n else
+                    "group-automorphism" if len(image) == 1 else None),
         ))
     return records
 
 
 def by_diag_size(n):
     """Class counts keyed by the size of the diagonal."""
-    counts = {}
-    for rec in classify(n):
-        counts[rec.diag_size] = counts.get(rec.diag_size, 0) + 1
-    return counts
+    census = enumerate_solutions(EnumOptions(n, up_to_iso=True))
+    return {size: len(forms) for size, forms in diagonal_strata(census).items()}
 
 
 def partition_number(n):
-    """Number of integer partitions, by the pentagonal-number recurrence."""
+    """Number of integer partitions of n, adding one part size at a time."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     p = [1] + [0] * n
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m and g2 > m:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            if g1 <= m:
-                total += sign * p[m - g1]
-            if g2 <= m:
-                total += sign * p[m - g2]
-            k += 1
-        p[m] = total
+    for k in range(1, n + 1):
+        for m in range(k, n + 1):
+            p[m] += p[m - k]
     return p[n]
 
 
@@ -399,53 +387,26 @@ def is_latin(s):
     return all(len({s.lam[x][y] for x in range(n)}) == n for y in range(n))
 
 
-def check_partition_count(n):
-    """Classes with full diagonal are counted by integer partitions.
+def check_closed_forms(n):
+    """The census on n points against the paper's two closed forms.
 
-    Also verifies that each such class is a constant-row solution with
-    rho(x, y) = y.
+    The full-diagonal classes must be exactly the constant-row solutions
+    ``from_permutation(p)`` over all of Sym(n), one class per cycle type.
+    At prime n the only other classes must be the n - 1 latin solutions
+    over Z_n with phi(y) = a y.  At composite n the singleton diagonal
+    also holds groups other than Z_n, and it is not checked.
     """
-    full = [rec for rec in classify(n) if rec.diag_size == n]
-    if len(full) != partition_number(n):
+    strata = diagonal_strata(enumerate_solutions(EnumOptions(n, up_to_iso=True)))
+    full = {canonical_form(from_permutation(p)) for p in permutations(range(n))}
+    if strata.get(n) != full or len(full) != partition_number(n):
         return False
-    for rec in full:
-        lam = [rec.canonical[i * n:(i + 1) * n] for i in range(n)]
-        if len(set(lam)) != 1:
-            return False
-        s = solution_from_lambda(lam)
-        if any(s.rho[x][y] != y for x in range(n) for y in range(n)):
-            return False
-    return True
-
-
-def _cyclic_table(p):
-    return tuple(tuple((x + y) % p for y in range(p)) for x in range(p))
-
-
-def _cyclic_automorphisms(p):
-    return [tuple((a * x) % p for x in range(p)) for a in range(1, p)]
-
-
-def check_prime_classification(p):
-    """The two families exhaust the classification at prime sizes.
-
-    The constant-row family must give the partition number of classes and
-    the cyclic-group family p - 1 others, and together they must be exactly
-    the classes of the exhaustive census, for p in {2, 3, 5}.
-    """
-    if p not in (2, 3, 5):
-        raise ValueError("supported prime sizes: 2, 3, 5")
-    type1 = {canonical_form(from_permutation(phi))
-             for phi in permutations(range(p))}
-    table = _cyclic_table(p)
-    type2 = {canonical_form(from_group_automorphism(table, phi))
-             for phi in _cyclic_automorphisms(p)}
-    if type1 & type2:
-        return False
-    if len(type1) != partition_number(p) or len(type2) != p - 1:
-        return False
-    enumerated = {rec.canonical for rec in classify(p)}
-    return enumerated == type1 | type2
+    if n == 1 or any(n % k == 0 for k in range(2, n)):
+        return True
+    zn = [[(x + y) % n for y in range(n)] for x in range(n)]
+    latin = {canonical_form(from_group_automorphism(
+        zn, [a * y % n for y in range(n)])) for a in range(1, n)}
+    return strata.keys() == {1, n} and strata[1] == latin \
+        and len(latin) == n - 1
 
 
 def from_rees_example(group, ncols, A, t, f, psi):

@@ -501,6 +501,26 @@ def test_usage_errors_are_json(tmp_path, argv):
     assert list(json.loads(r.stderr)) == ["error"]
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b"[" * 200000,
+], ids=["undecodable", "too-deep"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "FILE"),
+    ("analyze", "FILE"),
+    ("groebner", "FILE"),
+    ("construct", "--type", "perm", "--params", "FILE"),
+], ids=["verify", "analyze", "groebner", "construct"])
+def test_unreadable_json_is_a_format_error(tmp_path, argv, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    r = run_cli(*(str(path) if a == "FILE" else a for a in argv))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    error = json.loads(r.stderr)
+    assert list(error) == ["error"] and error["error"].startswith("invalid JSON")
+
+
 def _failing_fineq(dsc):
     return FineqReport(False, True, True, True, (("fineq1", (0, 1, 0)),))
 

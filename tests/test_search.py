@@ -1,5 +1,4 @@
 import hashlib
-from functools import cache
 
 import pytest
 
@@ -8,12 +7,11 @@ from ybx.fixtures import SOL_SWAP2, SOL_Z2, SOL_Z3INV, SOL_PROJ3
 from ybx.invariants import descriptor, reconstruct
 from ybx.monoid import is_cancellative
 from ybx import search
-from ybx.search import (EnumOptions, _orbit_minima, _search_slice,
-                        by_diag_size, check_partition_count,
-                        check_prime_classification, classify,
-                        enumerate_solutions, from_group_automorphism,
-                        from_permutation, from_rees_example, is_latin,
-                        partition_number)
+from ybx.search import (EnumOptions, EnumResult, _orbit_minima,
+                        _search_slice, by_diag_size, check_closed_forms,
+                        classify, enumerate_solutions,
+                        from_group_automorphism, from_permutation,
+                        from_rees_example, is_latin, partition_number)
 
 from itertools import permutations
 import time
@@ -148,7 +146,7 @@ def test_n6_slice_counts(first, count):
 
 
 def test_classify_counts():
-    assert len(classify(1)) == 1
+    assert [r.family for r in classify(1)] == ["permutation"]
     assert len(classify(2)) == 3
     assert len(classify(3)) == 5
 
@@ -173,43 +171,75 @@ def test_partition_number():
     values = [partition_number(k) for k in range(11)]
     assert values == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert partition_number(100) == 190569292
+    with pytest.raises(ValueError):
+        partition_number(-1)
 
 
-def test_check_partition_count():
-    for n in (1, 2, 3, 4):
-        assert check_partition_count(n)
+def test_check_closed_forms():
+    # exhaustive over Sym(n); at p = 2, 3, 5 the census is exactly the two
+    # families, and at n = 4 the V4 classes of the singleton diagonal
+    # are left unchecked
+    for n in (1, 2, 3, 4, 5):
+        assert check_closed_forms(n)
+    for n in (0, 7):
+        with pytest.raises(ValueError):
+            check_closed_forms(n)
+
+
+def _tampered(result, size, extra):
+    """The census with one class of the given diagonal size dropped, or
+    with one made-up class of that size added."""
+    keep = list(zip(result.canonical, result.solutions))
+    i = next(i for i, (_, s) in enumerate(keep)
+             if len(diagonal_image(s)) == size)
+    if extra:
+        keep.append(((-1,) * result.solutions[i].n ** 2, keep[i][1]))
+    else:
+        del keep[i]
+    return EnumResult(tuple(s for _, s in keep), result.complete,
+                      tuple(c for c, _ in keep))
+
+
+@pytest.mark.parametrize("n, size, extra", [
+    (4, 4, False), (4, 4, True), (5, 1, False), (5, 1, True),
+], ids=["drop-full", "add-full", "drop-z5", "add-singleton"])
+def test_check_closed_forms_tampered(monkeypatch, n, size, extra):
+    run = search.enumerate_solutions
+    monkeypatch.setattr(search, "enumerate_solutions",
+                        lambda opts: _tampered(run(opts), size, extra))
+    assert not check_closed_forms(n)
 
 
 # The n = 6 figures come from the walk over all 720 choices of lam_0, which
 # took 325 s on one core.
 
-def test_classify_n6(monkeypatch):
-    # the three checks share one n = 6 census
-    monkeypatch.setattr(search, "classify", cache(search.classify))
-    assert sum(rec.members for rec in search.classify(6)) == 7200
+@pytest.fixture(scope="session")
+def census6():
+    """The n = 6 up-to-iso census, built once for the tests that read it."""
+    return enumerate_solutions(EnumOptions(6, up_to_iso=True))
+
+
+def test_classify_n6(monkeypatch, census6):
+    # the three checks share the one n = 6 census
+    run = search.enumerate_solutions
+    iso6 = EnumOptions(6, up_to_iso=True)
+    monkeypatch.setattr(search, "enumerate_solutions",
+                        lambda opts: census6 if opts == iso6 else run(opts))
+    assert sum(rec.members for rec in classify(6)) == 7200
     assert by_diag_size(6) == {1: 5, 2: 8, 3: 7, 6: 11}
-    assert check_partition_count(6)
+    assert check_closed_forms(6)
 
 
 @pytest.mark.parametrize("up_to_iso, digest", [
     (False, "9f24e1c3962a246b43df5fe9557608d1e486079a0000536133a4fa1dfa94601f"),
     (True, "ddc07c03dd32a0d8318df6b4982e954962fba8b64112eb963359c3d00a086467"),
 ], ids=["labelled", "iso"])
-def test_enumerate_n6_pinned(up_to_iso, digest):
-    r = enumerate_solutions(EnumOptions(6, up_to_iso=up_to_iso))
+def test_enumerate_n6_pinned(request, up_to_iso, digest):
+    r = (request.getfixturevalue("census6") if up_to_iso
+         else enumerate_solutions(EnumOptions(6)))
     assert r.complete
     assert hashlib.sha256(repr((r.solutions, r.canonical)).encode()
                           ).hexdigest() == digest
-
-
-def test_check_prime_classification():
-    # exhaustive for every p: at p = 5 the enumerated classes are exactly
-    # the 7 + 4 family classes
-    assert check_prime_classification(2)
-    assert check_prime_classification(3)
-    assert check_prime_classification(5)
-    with pytest.raises(ValueError):
-        check_prime_classification(4)
 
 
 def test_prime_five_exhaustive_converse_within_budget():
@@ -219,7 +249,7 @@ def test_prime_five_exhaustive_converse_within_budget():
     result = enumerate_solutions(EnumOptions(5, budget_secs=300))
     assert result.complete
     assert len(set(result.canonical)) == partition_number(5) + 4
-    assert check_prime_classification(5)
+    assert check_closed_forms(5)
     assert time.monotonic() - start < 300
 
 
