@@ -6,6 +6,7 @@ discrepancy, 4 budget exceeded.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -287,6 +288,7 @@ def cmd_groebner(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="ybx",

@@ -17,6 +17,7 @@ obstruction to quadratic confluence.
 
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 
 
 @dataclass(frozen=True, order=True)
@@ -33,11 +34,14 @@ class RewriteSystem:
     rules: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(sorted(set(self.rules))))
-        lookup = {}
+        rules = sorted(set(self.rules), key=attrgetter("lhs", "rhs"))
+        object.__setattr__(self, "rules", tuple(rules))
+        letters, lookup = set(range(self.n)), {}
         for rule in self.rules:
             if len(rule.lhs) != 2 or len(rule.rhs) != 2:
                 raise ValueError("rules must be quadratic")
+            if not letters.issuperset(rule.lhs + rule.rhs):
+                raise ValueError(f"rule {rule} has a letter outside 0..{self.n - 1}")
             if (len(rule.rhs), rule.rhs) >= (len(rule.lhs), rule.lhs):
                 raise ValueError(f"rule {rule} does not decrease the word order")
             if rule.lhs in lookup:
@@ -85,22 +89,35 @@ def reduce(rs, word):
 def check_overlaps(rs):
     """Unresolved length-3 ambiguities; an empty list certifies confluence.
 
-    Many overlaps share their one-step reducts, so each distinct word is
-    reduced once, into a table that lives only for this call.
+    The overlaps of a rule ab -> i are the words abc, c running over the
+    letters with a rule on bc: their left reducts i + (c,) and right
+    reducts (a,) + image(bc) form two rows.  Each distinct reduct is
+    reduced once, into a table that lives only for this call, and a rule
+    is walked overlap by overlap only when its two rows differ.
     """
     rules = rs.rule_map()
-    normal = {}
+    follow = {}  # b -> (the letters c with a rule on bc, increasing; their images)
+    for (b, c), image in rules.items():
+        cs, images = follow.setdefault(b, ([], []))
+        cs.append(c)
+        images.append(image)
+    rows = [(a, b, image, *follow[b]) for (a, b), image in rules.items() if b in follow]
+    suffixes, prefixed = {}, {}  # image -> letters c after it; a -> images after a
+    for a, _, image, cs, images in rows:
+        suffixes.setdefault(image, set()).update(cs)
+        prefixed.setdefault(a, set()).update(images)
+    normal = {w: reduce(rs, w) for w in
+              {i + (c,) for i, cs in suffixes.items() for c in cs}
+              | {(a,) + i for a, images in prefixed.items() for i in images}}
+    left = {i: {c: normal[i + (c,)] for c in cs} for i, cs in suffixes.items()}
+    right = {a: {i: normal[(a,) + i] for i in images} for a, images in prefixed.items()}
     unresolved = []
-    for (a, b), image in rules.items():
-        for c in range(rs.n):
-            if (b, c) in rules:
-                words = image + (c,), (a,) + rules[(b, c)]
-                for w in words:
-                    if w not in normal:
-                        normal[w] = reduce(rs, w)
-                left, right = normal[words[0]], normal[words[1]]
-                if left != right:
-                    unresolved.append(((a, b, c), left, right))
+    for a, b, image, cs, images in rows:
+        lrow = list(map(left[image].__getitem__, cs))
+        rrow = list(map(right[a].__getitem__, images))
+        if lrow != rrow:
+            unresolved += [((a, b, c), l, r)
+                           for c, l, r in zip(cs, lrow, rrow) if l != r]
     return unresolved
 
 

@@ -576,3 +576,19 @@ def test_analyze_computes_each_section_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["analyze", path]) == 0
     capsys.readouterr()
     assert calls == {"semigroup": 1, "check_fineq": 1, "word_level": 1}
+
+
+def test_parser_is_reused_without_leaks(tmp_path, capsys):
+    # the parser is built once per process; each parse must still start
+    # from the defaults, so a flag of one call never reaches the next
+    path = write_solution(tmp_path, SOL_SWAP2)
+    for argv in (["analyze", path, "--pretty"], ["analyze", path],
+                 ["groebner"], ["groebner", path, "--max-deg", "3"]):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli.build_parser() is cli.build_parser()

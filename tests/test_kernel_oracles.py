@@ -90,6 +90,13 @@ def word_classes_all_words(s, length):
     return sum(1 for w in range(size) if find(w) == w)
 
 
+def overlap_words(rs):
+    """Both one-step reducts of every overlap, from the all-pairs walk."""
+    rules = {r.lhs: r.rhs for r in rs.rules}
+    return {w for (a, b) in rules for (b2, c) in rules if b2 == b
+            for w in (rules[(a, b)] + (c,), (a,) + rules[(b, c)])}
+
+
 def overlaps_all_pairs(rs):
     rules = {r.lhs: r.rhs for r in rs.rules}
     unresolved = []
@@ -327,11 +334,11 @@ def test_word_classes_match_all_words_on_random_maps():
     assert any(len(set(counts)) > 1 for counts in seen)
 
 
-def _random_system(rng, n):
+def _random_system(rng, n, density=0.6):
     words = [(a, b) for a in range(n) for b in range(n)]
     rules = []
     for i, lhs in enumerate(words):
-        if i and rng.random() < 0.6:
+        if i and rng.random() < density:
             rules.append(Rule(lhs, words[rng.randrange(i)]))
     return RewriteSystem(n, tuple(rules))
 
@@ -379,7 +386,18 @@ def test_solution_rules_match_union_find(census_to4):
         assert (rs.rules, report) == (want_rs.rules, want_report)
 
 
-def test_overlaps_match_all_pairs_scan(census4):
+def _counting_reduce(monkeypatch):
+    calls = Counter()
+
+    def counting_reduce(system, word):
+        calls[word] += 1
+        return reduce(system, word)
+
+    monkeypatch.setattr(groebner, "reduce", counting_reduce)
+    return calls
+
+
+def test_overlaps_match_all_pairs_scan(monkeypatch, census4):
     systems = [constant_rules(8)]
     systems += [solution_rules(s)[0] for s in census4]
     systems += [solution_rules(solution_from_lambda(rows))[0]
@@ -388,10 +406,50 @@ def test_overlaps_match_all_pairs_scan(census4):
     systems += [_random_system(rng, n) for n in (2, 3, 4, 5) for _ in range(10)]
     unresolved = 0
     for rs in systems:
+        calls = _counting_reduce(monkeypatch)
         want = overlaps_all_pairs(rs)
         assert check_overlaps(rs) == want
         unresolved += len(want)
+        # each distinct one-step reduct is reduced exactly once
+        assert set(calls.values()) <= {1}
+        assert sum(calls.values()) == len(overlap_words(rs))
     assert unresolved > 0
+
+
+def test_overlaps_match_all_pairs_scan_dense():
+    # densities from sparse (many rules ab whose b starts no rule) to full
+    # (every word but 00 has a rule), up to seven letters
+    rng = random.Random(17)
+    systems = [_random_system(rng, n, density)
+               for n in range(1, 8) for density in (0.2, 0.5, 0.8, 1.0)
+               for _ in range(3)]
+    dead_ends = full = unresolved = 0
+    for rs in systems:
+        starts = {lhs[0] for lhs in rs.rule_map()}
+        dead_ends += sum(b not in starts for _, b in rs.rule_map())
+        full += rs.n > 1 and len(rs.rules) == rs.n * rs.n - 1
+        want = overlaps_all_pairs(rs)
+        assert check_overlaps(rs) == want
+        unresolved += len(want)
+    assert dead_ends > 0 and full >= 6 and unresolved > 0
+
+
+def test_check_overlaps_reduces_a_left_and_right_word_once(monkeypatch):
+    # overlap 120: the left reduct 10.0 and the right reduct 1.00 are one word
+    rs = RewriteSystem(3, (Rule((1, 2), (1, 0)), Rule((2, 0), (0, 0))))
+    assert overlap_words(rs) == {(1, 0, 0)}
+    calls = _counting_reduce(monkeypatch)
+    assert check_overlaps(rs) == []
+    assert calls == {(1, 0, 0): 1}
+
+
+def test_rewrite_system_rejects_letters_outside_range():
+    # normal_word_count reads letters 0..n-1 only and would count [2, 4, 8]
+    # here, blind to the stray letters 5 and 7 and to the overlap 157
+    with pytest.raises(ValueError, match="outside"):
+        RewriteSystem(2, (Rule((1, 5), (0, 1)), Rule((5, 7), (0, 0))))
+    with pytest.raises(ValueError, match="outside"):
+        RewriteSystem(2, (Rule((1, 1), (0, -1)),))
 
 
 @pytest.mark.parametrize("build, words", [
@@ -402,13 +460,7 @@ def test_check_overlaps_reduces_each_distinct_word_once(monkeypatch, build,
                                                         words):
     # the all-pairs scan reduces 61,504 and 25,392 overlap words here
     rs = build()
-    calls = Counter()
-
-    def counting_reduce(system, word):
-        calls[word] += 1
-        return reduce(system, word)
-
-    monkeypatch.setattr(groebner, "reduce", counting_reduce)
+    calls = _counting_reduce(monkeypatch)
     got = check_overlaps(rs)
     assert sum(calls.values()) == words
     assert set(calls.values()) == {1}
