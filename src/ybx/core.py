@@ -232,20 +232,21 @@ def promote(m):
     if not report.ok:
         raise InvalidSolutionError(report)
     q = diagonal_map(m.lam)
-    for x in range(m.n):
-        for y in range(m.n):
-            # forced by idempotency; a failure here would be a bug in check()
-            assert m.rho[x][y] == q[m.lam[x][y]]
+    # forced by idempotency; a failure here would be a bug in check()
+    assert m.rho == forced_rho(m.lam, q)
     d = exponent(set(m.lam))
     return Solution(m.n, m.lam, m.rho, q, d)
+
+
+def forced_rho(lam, q):
+    """The rho table q(lam[x][y]) that idempotency forces."""
+    return tuple(tuple(map(q.__getitem__, row)) for row in lam)
 
 
 def rmap_from_lambda(lam_rows):
     """Build an RMap from lam tables alone, deriving rho as q(lam[x][y])."""
     lam = tuple(tuple(r) for r in lam_rows)
-    q = diagonal_map(lam)
-    rho = tuple(tuple(q[v] for v in row) for row in lam)
-    return RMap(len(lam), lam, rho)
+    return RMap(len(lam), lam, forced_rho(lam, diagonal_map(lam)))
 
 
 def solution_from_lambda(lam_rows):
@@ -295,14 +296,9 @@ def diagonal_image(s):
 
 def relabel_lambda(lam, psi):
     """Conjugated table: row psi(x) maps psi(y) to psi(lam[x][y])."""
-    n = len(lam)
-    out = [[0] * n for _ in range(n)]
-    for x in range(n):
-        px = psi[x]
-        row = lam[x]
-        for y in range(n):
-            out[px][psi[y]] = psi[row[y]]
-    return tuple(tuple(r) for r in out)
+    back = inverse(psi)
+    return tuple(tuple(map(psi.__getitem__, map(lam[x].__getitem__, back)))
+                 for x in back)
 
 
 def iso_check(s1, s2):

@@ -34,8 +34,9 @@ Yang-Baxter equation", Math. Comp. 2022).  This finds every class:
     (canonical form, lam), so the representatives are exactly those of
     the walk over all n! choices of lam_0.
 
-The labelled census is the set of relabelings of the representatives,
-each one verified again by :func:`~ybx.core.promote`.
+The labelled census is the set of relabelings of the representatives.
+A relabeling carries q along and keeps d (see :func:`_class_members`);
+each one is verified again by the exhaustive :func:`~ybx.core.check`.
 """
 
 import time
@@ -44,10 +45,10 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .core import (InvalidSolutionError, _check_table, associativity,
-                   canonical_form, canonical_table, diagonal_image, failures,
-                   homomorphism, promote, relabel_lambda, rmap_from_lambda,
-                   solution_from_lambda, word_level)
+from .core import (InvalidSolutionError, RMap, Solution, _check_table,
+                   associativity, canonical_form, canonical_table, check,
+                   diagonal_image, failures, forced_rho, homomorphism,
+                   relabel_lambda, solution_from_lambda, word_level)
 from .invariants import Descriptor, descriptor_report
 from .perms import compose, inverse, is_perm
 
@@ -88,10 +89,21 @@ def _sym_index(n):
     b of ``compat[a]`` is set iff perms[a] perms[b]^-1 is the identity or
     has no fixed point.  Built on first use for each n, so an n = 5 run
     never builds the n = 6 tables.
+
+    ``comp`` is built by columns: ``rights[i][a]`` is the id of perms[a] . s
+    for the transposition s of i and i + 1, and column p = r . s is
+    ``rights[i]`` applied to column r.  Only those tables hash permutations.
     """
     perms = tuple(sorted(permutations(range(n))))
     ids = {p: a for a, p in enumerate(perms)}
-    comp = tuple(tuple(ids[compose(p, r)] for r in perms) for p in perms)
+    rights = [[ids[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for p in perms]
+              for i in range(n - 1)]
+    cols = [range(len(perms))]   # id 0 is the identity
+    for a, p in enumerate(perms[1:], 1):
+        # swapping the first descent gives r = p . s, with a smaller id
+        i = next(i for i in range(n - 1) if p[i] > p[i + 1])
+        cols.append(list(map(rights[i].__getitem__, cols[rights[i][a]])))
+    comp = tuple(zip(*cols))
     # a . b^-1 fixes a point iff a and b agree somewhere
     agree = [[0] * n for _ in range(n)]   # agree[i][v]: ids mapping i to v
     for a, p in enumerate(perms):
@@ -130,7 +142,7 @@ def _orbit_minima(n):
 def _complete_tuple(rows):
     """Full verification of a finished lam tuple; None when it fails."""
     try:
-        return promote(rmap_from_lambda(rows))
+        return solution_from_lambda(rows)
     except InvalidSolutionError:
         return None
 
@@ -207,12 +219,23 @@ def _slice_worker(args):
 def _class_members(rep):
     """The n!/|Aut| relabelings of a class representative.
 
-    Each one is verified by ``promote``, which raises on a failure.
+    A relabeling psi carries q' = psi q psi^-1 and rho' = q'(lam') along,
+    and keeps d, a conjugation invariant.  One exhaustive ``check`` per
+    member, raising InvalidSolutionError, certifies q' as well: every lam'_w
+    is a bijection, so idempotency, lam'_w(q'(w)) = w, pins q'(w) down.
     """
     n = rep.n
-    tables = {relabel_lambda(rep.lam, psi) for psi in permutations(range(n))}
+    tables = {relabel_lambda(rep.lam, psi): psi for psi in permutations(range(n))}
     assert len(tables) * canonical_table(rep.lam)[2] == factorial(n)
-    return [solution_from_lambda(t) for t in tables]
+    members = []
+    for lam, psi in tables.items():
+        q = tuple(map(psi.__getitem__, map(rep.q.__getitem__, inverse(psi))))
+        m = RMap(n, lam, forced_rho(lam, q))
+        report = check(m)
+        if not report.ok:
+            raise InvalidSolutionError(report)
+        members.append(Solution(n, lam, m.rho, q, rep.d))
+    return members
 
 
 def enumerate_solutions(opts):
@@ -387,18 +410,30 @@ def is_latin(s):
     return all(len({s.lam[x][y] for x in range(n)}) == n for y in range(n))
 
 
+def _cycle_types(n, largest):
+    """One permutation of n points per cycle type with cycles of at most
+    ``largest`` points, each cycle on consecutive points."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        yield from ((*range(1, k), 0, *(v + k for v in rest))
+                    for rest in _cycle_types(n - k, k))
+
+
 def check_closed_forms(n):
     """The census on n points against the paper's two closed forms.
 
     The full-diagonal classes must be exactly the constant-row solutions
-    ``from_permutation(p)`` over all of Sym(n), one class per cycle type.
+    ``from_permutation(p)`` for one p per cycle type, p(n) pairwise
+    distinct classes.
     At prime n the only other classes must be the n - 1 latin solutions
     over Z_n with phi(y) = a y.  At composite n the singleton diagonal
     also holds groups other than Z_n, and it is not checked.
     """
     strata = diagonal_strata(enumerate_solutions(EnumOptions(n, up_to_iso=True)))
-    full = {canonical_form(from_permutation(p)) for p in permutations(range(n))}
-    if strata.get(n) != full or len(full) != partition_number(n):
+    full = [canonical_form(from_permutation(p)) for p in _cycle_types(n, n)]
+    if strata.get(n) != set(full) or \
+            not len(set(full)) == len(full) == partition_number(n):
         return False
     if n == 1 or any(n % k == 0 for k in range(2, n)):
         return True

@@ -11,7 +11,9 @@ nullspace eliminated in ``Fraction``s that the integer elimination
 replaced, the minimum over all n! relabelings that the branch-and-bound
 canonical labeling replaced, the unpruned check of
 every lam tuple in Sym(n)^n, the row search over all n! choices of lam_0
-that the Stab(0)-orbit minima replaced, the
+that the Stab(0)-orbit minima replaced, the composition table of Sym(n)
+hashed entry by entry that the build by columns replaced, q and d derived
+again for each relabeling that transporting them replaced, the
 semigroup claims that follow from the four ``semigroup`` checks, the
 torsion, round-trip and all-pairs isomorphism scans whose claims
 ``structure`` now checks once or derives, the union-find over two-letter
@@ -37,9 +39,9 @@ from hypothesis import strategies as st
 from ybx import groebner, monoid
 from ybx.core import (IDENTITY_NAMES, RMap, Solution, VerificationReport,
                       associativity, canonical_form, canonical_table, check,
-                      diagonal_image, failures, homomorphism, iso_check,
-                      lambda_word, relabel_lambda, rmap_from_lambda,
-                      solution_from_lambda, word_level)
+                      diagonal_image, diagonal_map, failures, homomorphism,
+                      iso_check, lambda_word, promote, relabel_lambda,
+                      rmap_from_lambda, solution_from_lambda, word_level)
 from ybx.groebner import (CompletionReport, RewriteSystem, Rule,
                           check_overlaps, constant_rules, reduce,
                           solution_rules)
@@ -50,9 +52,9 @@ from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
 from ybx.monoid import (ONE, MElem, _nullspace, _word_classes, center_basis,
                         conjugation_action, growth, is_cancellative, mul,
                         power, sigma, sigma_discrepancies)
-from ybx.perms import compose, is_perm
+from ybx.perms import compose, exponent, is_perm
 from ybx.search import (EnumOptions, EnumResult, _complete_tuple,
-                        _orbit_minima, _search_slice, classify,
+                        _orbit_minima, _search_slice, _sym_index, classify,
                         enumerate_solutions, from_group_automorphism,
                         from_rees_example)
 from pointwise import (associative_at, fineq_holds, homomorphic_at,
@@ -1034,6 +1036,15 @@ def test_canonical_table_matches_all_relabelings_on_census5(census5):
         assert_matches_all_relabelings(s.lam)
 
 
+def test_relabelings_carry_the_derived_q_and_d(census5):
+    # the labelled census transports q and d from each class
+    # representative; here they are derived again from lam alone
+    for s in census5:
+        assert s.q == diagonal_map(s.lam)
+        assert s.d == exponent(set(s.lam))
+        assert s == promote(RMap(s.n, s.lam, s.rho))
+
+
 def test_iso_check_matches_forms_on_census3(census5):
     sols = [s for s in census5 if s.n <= 3]
     for s1 in sols:
@@ -1081,6 +1092,19 @@ def all_slices_census(n, up_to_iso=False):
 def test_enumerate_matches_all_slices_census(n, up_to_iso):
     want = all_slices_census(n, up_to_iso)
     assert enumerate_solutions(EnumOptions(n, up_to_iso=up_to_iso)) == want
+
+
+def composition_by_hashes(n):
+    """comp[a][b] = id of perms[a] . perms[b], one hashed lookup per entry."""
+    perms = sorted(permutations(range(n)))
+    ids = {p: a for a, p in enumerate(perms)}
+    return tuple(tuple(ids[compose(p, r)] for r in perms) for p in perms)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sym_index_composition_matches_hash_per_entry(n):
+    # n = 1 has no transposition: the identity column is the whole table
+    assert _sym_index(n)[1] == composition_by_hashes(n)
 
 
 def test_orbit_minima():

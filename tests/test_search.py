@@ -2,7 +2,9 @@ import hashlib
 
 import pytest
 
-from ybx.core import canonical_form, diagonal_image, iso_check
+from ybx import cli, core
+from ybx.core import (InvalidSolutionError, canonical_form, diagonal_image,
+                      iso_check)
 from ybx.fixtures import SOL_SWAP2, SOL_Z2, SOL_Z3INV, SOL_PROJ3
 from ybx.invariants import descriptor, reconstruct
 from ybx.monoid import is_cancellative
@@ -13,6 +15,7 @@ from ybx.search import (EnumOptions, EnumResult, _orbit_minima,
                         from_group_automorphism, from_permutation,
                         from_rees_example, is_latin, partition_number)
 
+from collections import Counter
 from itertools import permutations
 import time
 
@@ -143,6 +146,45 @@ def test_n6_slice_counts(first, count):
     for _, s in found:
         assert s.lam[0] == first
         assert check(RMap(s.n, s.lam, s.rho)).ok
+
+
+def test_enumerate_checks_each_table_once(monkeypatch, capsys):
+    # one exhaustive check per emitted table (240) and per walk leaf (27);
+    # only the leaves derive d, the relabelings carry it over
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    check = counting("check", core.check)
+    monkeypatch.setattr(core, "check", check)
+    monkeypatch.setattr(search, "check", check)
+    monkeypatch.setattr(core, "exponent", counting("exponent", core.exponent))
+    assert cli.main(["enumerate", "-n", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 240 + 1
+    assert calls == {"check": 267, "exponent": 27}
+
+
+@pytest.mark.parametrize("bend", ["lam-entry", "q"])
+def test_class_members_reject_a_corrupted_relabeling(monkeypatch, bend):
+    # constant rows of a 3-cycle: two members, and q = p^-1 is a bijection,
+    # so a q' transported with the wrong inverse is wrong
+    rep = from_permutation((1, 2, 0))
+    relabel, target = core.relabel_lambda, ((2, 0, 1),) * 3
+    assert [s.lam for s in search._class_members(rep)] == [rep.lam, target]
+    if bend == "lam-entry":
+        # the same corruption for every psi reaching the member, so the
+        # member count still matches |Aut|
+        monkeypatch.setattr(search, "relabel_lambda", lambda lam, psi: (
+            ((0, 0, 1),) + target[1:] if relabel(lam, psi) == target
+            else relabel(lam, psi)))
+    else:
+        monkeypatch.setattr(search, "inverse", lambda p: tuple(range(len(p))))
+    with pytest.raises(InvalidSolutionError):
+        search._class_members(rep)
 
 
 def test_classify_counts():
