@@ -13,9 +13,14 @@ sound filters prune:
     the candidates for the next row are the AND of the masks of the rows
     already assigned;
   - the first Yang-Baxter identity, as a permutation identity
-    lam_x lam_y = lam_w lam_u with w = lam_x(y) and u = q(w), compared
-    as composition-table ids as soon as all four rows are assigned.  Each
-    depth checks only the quadruples that involve the row just assigned.
+    lam_x lam_y = lam_w lam_u with w = lam_x(y) and u = q(w), checked
+    once all four rows are assigned.  A quadruple with x and w below its
+    last row j fixes lam_j outright (or, with y = u = j, holds already by
+    the fixed-point filter), so before trying candidates for row j the
+    walk ANDs the one id those quadruples force into the domain (see
+    :func:`_pin`).  Each candidate is then tested only on the quadruples
+    the pin cannot decide, x = j or w = j, which involve the candidate's
+    own lam_j(y) or q(j).
 
 A completed tuple still receives the full exhaustive verification before
 it is emitted; the pruning is an optimisation, never a proof.
@@ -81,11 +86,13 @@ class EnumResult:
 
 @lru_cache(maxsize=MAX_POINTS)
 def _sym_index(n):
-    """Sym(n) indexed for the row search, as (perms, comp, inv, compat).
+    """Sym(n) indexed for the row search, as (perms, comp, inv, inv_id,
+    compat).
 
     ``perms`` lists Sym(n) in lexicographic order; a permutation's id is
     its position.  ``comp[a][b]`` is the id of perms[a] . perms[b];
-    ``inv[a][w] = perms[a].index(w)``, so q(w) = inv[id of lam_w][w]; bit
+    ``inv[a][w] = perms[a].index(w)``, so q(w) = inv[id of lam_w][w], and
+    ``inv_id[a]`` is the id of perms[a]^-1; bit
     b of ``compat[a]`` is set iff perms[a] perms[b]^-1 is the identity or
     has no fixed point.  Built on first use for each n, so an n = 5 run
     never builds the n = 6 tables.
@@ -116,7 +123,8 @@ def _sym_index(n):
         for i, v in enumerate(p):
             meets |= agree[i][v]
         compat.append((everything ^ meets) | (1 << a))
-    return perms, comp, tuple(inverse(p) for p in perms), tuple(compat)
+    inv = tuple(inverse(p) for p in perms)
+    return perms, comp, inv, tuple(ids[p] for p in inv), tuple(compat)
 
 
 @lru_cache(maxsize=MAX_POINTS)
@@ -147,42 +155,73 @@ def _complete_tuple(rows):
         return None
 
 
+def _pin(ids, tables):
+    """The ids YBE1 leaves for row j = len(ids) given rows 0..j-1, as a
+    mask to AND into the domain: -1 when no quadruple fixes lam_j, one bit
+    when some do, 0 when two of them force different ids.
+
+    With w = lam_x(y) and u = q(w), the quadruples whose last row is j and
+    whose x and w lie below j are decided here:
+      - y = j, u < j: lam_j = lam_x^-1 lam_w lam_u;
+      - y, w < j, u = j: lam_j = lam_w^-1 lam_x lam_y;
+      - y = j, u = j: lam_x lam_j = lam_w lam_j, so lam_x = lam_w.  Rows x
+        and w agree at j (both send it to w), so on rows that pass the
+        fixed-point filter this holds already.
+    """
+    perms, comp, inv, inv_id, _ = tables
+    j = len(ids)
+    q = [inv[a][w] for w, a in enumerate(ids)]
+    mask = -1
+    for a in ids:
+        w = perms[a][j]
+        if w < j:
+            u = q[w]
+            if u < j:
+                mask &= 1 << comp[inv_id[a]][comp[ids[w]][ids[u]]]
+    for w, u in enumerate(q):
+        if u == j:
+            b = inv_id[ids[w]]
+            for a in ids:
+                y = inv[a][w]
+                if y < j:
+                    mask &= 1 << comp[b][comp[a][ids[y]]]
+    return mask
+
+
 def _search_slice(n, first, deadline=None):
     """All verified solutions whose lam_0 equals the given permutation.
 
     Returns ([(canonical form, solution), ...], complete); an expired
     deadline stops the walk.
     """
-    perms, comp, inv, compat = _sym_index(n)
+    tables = _sym_index(n)
+    perms, comp, inv, _, compat = tables
     ids = [perms.index(tuple(first))]
     found = []
     complete = True
 
-    def holds(x, y, j):
-        """YBE1 at (x, y); vacuous until rows w and u = q(w) are assigned."""
-        ix = ids[x]
-        w = perms[ix][y]
-        if w > j:
-            return True
-        iw = ids[w]
-        u = inv[iw][w]
-        return u > j or comp[ix][ids[y]] == comp[iw][ids[u]]
-
     def ybe_ok(j):
-        """YBE1 at the (x, y) whose quadruple (x, y, w, u) peaks at row j.
+        """YBE1 at the quadruples (x, y, w, u) peaking at row j that
+        ``_pin`` leaves open: x = j, or w = lam_x(y) = j.
 
-        Quadruples on rows below j were checked at an earlier depth.
+        Quadruples on rows below j were checked at an earlier depth, and
+        one with w or u above j waits for that row.
         """
-        for k in range(j + 1):
-            if not (holds(j, k, j) and holds(k, j, j)):
-                return False
-        # x, y < j: the quadruple reaches row j through w = j or u = q(w) = j
-        for w in range(j + 1):
-            if w == j or inv[ids[w]][w] == j:
-                for x in range(j):
-                    y = inv[ids[x]][w]
-                    if y < j and not holds(x, y, j):
-                        return False
+        a = ids[j]
+        left = comp[a]
+        for y, w in enumerate(perms[a][:j + 1]):
+            if w <= j:
+                iw = ids[w]
+                u = inv[iw][w]
+                if u <= j and left[ids[y]] != comp[iw][ids[u]]:
+                    return False
+        u = inv[a][j]   # q(j)
+        if u <= j:
+            right = left[ids[u]]
+            for ix in ids[:j]:
+                y = inv[ix][j]
+                if y <= j and comp[ix][ids[y]] != right:
+                    return False
         return True
 
     def walk(domain):
@@ -196,7 +235,7 @@ def _search_slice(n, first, deadline=None):
             if sol is not None:
                 found.append((canonical_form(sol), sol))
             return
-        rest = domain
+        rest = domain & _pin(ids, tables)
         while rest:
             low = rest & -rest
             rest ^= low

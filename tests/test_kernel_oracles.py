@@ -10,8 +10,10 @@ replaced, the center rows before repeated rows were dropped, the
 nullspace eliminated in ``Fraction``s that the integer elimination
 replaced, the minimum over all n! relabelings that the branch-and-bound
 canonical labeling replaced, the unpruned check of
-every lam tuple in Sym(n)^n, the row search over all n! choices of lam_0
-that the Stab(0)-orbit minima replaced, the composition table of Sym(n)
+every lam tuple in Sym(n)^n, the row search that tested every candidate
+on every YBE1 quadruple before ``_pin`` solved the rows those quadruples
+force, run over all n! choices of lam_0 that the Stab(0)-orbit minima
+replaced, the composition table of Sym(n)
 hashed entry by entry that the build by columns replaced, q and d derived
 again for each relabeling that transporting them replaced, the
 semigroup claims that follow from the four ``semigroup`` checks, the
@@ -36,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx import groebner, monoid
+from ybx import groebner, monoid, search
 from ybx.core import (IDENTITY_NAMES, RMap, Solution, VerificationReport,
                       associativity, canonical_form, canonical_table, check,
                       diagonal_image, diagonal_map, failures, homomorphism,
@@ -54,9 +56,9 @@ from ybx.monoid import (ONE, MElem, _nullspace, _word_classes, center_basis,
                         power, sigma, sigma_discrepancies)
 from ybx.perms import compose, exponent, is_perm
 from ybx.search import (EnumOptions, EnumResult, _complete_tuple,
-                        _orbit_minima, _search_slice, _sym_index, classify,
-                        enumerate_solutions, from_group_automorphism,
-                        from_rees_example)
+                        _orbit_minima, _pin, _search_slice, _sym_index,
+                        classify, enumerate_solutions,
+                        from_group_automorphism, from_rees_example)
 from pointwise import (associative_at, fineq_holds, homomorphic_at,
                        identity_holds)
 
@@ -1070,13 +1072,147 @@ def brute_force_solutions(n):
     return out
 
 
+def ybe_ok_unpinned(ids, tables):
+    """YBE1 at every quadruple (x, y, w, u) whose last row is
+    j = len(ids) - 1, with w = lam_x(y) and u = q(w)."""
+    perms, comp, inv, _, _ = tables
+    j = len(ids) - 1
+
+    def holds(x, y):
+        ix = ids[x]
+        w = perms[ix][y]
+        if w > j:
+            return True
+        iw = ids[w]
+        u = inv[iw][w]
+        return u > j or comp[ix][ids[y]] == comp[iw][ids[u]]
+
+    for k in range(j + 1):
+        if not (holds(j, k) and holds(k, j)):
+            return False
+    # x, y < j: the quadruple reaches row j through w = j or u = q(w) = j
+    for w in range(j + 1):
+        if w == j or inv[ids[w]][w] == j:
+            for x in range(j):
+                y = inv[ids[x]][w]
+                if y < j and not holds(x, y):
+                    return False
+    return True
+
+
+def quadruples_below_hold(ids, tables):
+    """YBE1 at the quadruples whose last row is j = len(ids) - 1 and whose
+    x and w lie below j, the ones ``_pin`` is to decide."""
+    perms, comp, inv, _, _ = tables
+    j = len(ids) - 1
+    for x in range(j):
+        for y in range(j + 1):
+            w = perms[ids[x]][y]
+            if w < j:
+                u = inv[ids[w]][w]
+                if j in (y, u) and u <= j and \
+                        comp[ids[x]][ids[y]] != comp[ids[w]][ids[u]]:
+                    return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def search_slice_unpinned(n, first):
+    """The row search with no pin: every compatible candidate for row j is
+    tested on every YBE1 quadruple peaking at j.  Returns what
+    ``_search_slice`` returns, ([(form, solution), ...], complete), and
+    the number of nodes below a leaf that tried candidates."""
+    tables = _sym_index(n)
+    perms, compat = tables[0], tables[4]
+    ids = [perms.index(first)]
+    found = []
+    inner = 0
+
+    def walk(domain):
+        nonlocal inner
+        if len(ids) == n:
+            sol = _complete_tuple(tuple(perms[a] for a in ids))
+            if sol is not None:
+                found.append((canonical_form(sol), sol))
+            return
+        inner += 1
+        for a in range(len(perms)):
+            if domain >> a & 1:
+                ids.append(a)
+                if ybe_ok_unpinned(ids, tables):
+                    walk(domain & compat[a])
+                ids.pop()
+
+    walk(compat[ids[0]])
+    return (found, True), inner
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_search_slice_matches_unpinned_walk(monkeypatch, n):
+    # every lam_0, not only the orbit minima: 1 + 2 + 6 + 24 + 120 slices;
+    # the pinned walk also visits the same nodes, one _pin call at each
+    pins = Counter()
+
+    def counted(ids, tables):
+        pins[ids[0]] += 1
+        return _pin(ids, tables)
+
+    monkeypatch.setattr(search, "_pin", counted)
+    for first in permutations(range(n)):
+        want, inner = search_slice_unpinned(n, first)
+        assert _search_slice(n, first) == want
+        assert pins[_sym_index(n)[0].index(first)] == inner
+
+
+def _bits(mask, size):
+    return {a for a in range(size) if mask >> a & 1}
+
+
+def test_pin_keeps_every_candidate_the_unpinned_check_accepts():
+    # prefixes that pass the fixed-point filter, as every walk prefix does:
+    # rows drawn at random from the filter's domain, or grown one row at a
+    # time among the candidates the unpinned walk keeps
+    rng = random.Random(19)
+    seen = Counter()
+    for n in (4, 5, 6):
+        tables = _sym_index(n)
+        size, compat = len(tables[0]), tables[4]
+        for trial in range(100):
+            depth = rng.randrange(1, n)
+            ids = [rng.randrange(size)]
+            while len(ids) < depth:
+                domain = -1
+                for a in ids:
+                    domain &= compat[a]
+                kept = sorted(a for a in _bits(domain, size) if trial % 2 or
+                              ybe_ok_unpinned(ids + [a], tables))
+                if not kept:
+                    break
+                ids.append(rng.choice(kept))
+            mask = _pin(ids, tables)
+            accepted = {a for a in range(size)
+                        if ybe_ok_unpinned(ids + [a], tables)}
+            assert mask == -1 or len(_bits(mask, size)) <= 1
+            assert accepted <= _bits(mask, size)
+            if mask == 0:
+                assert not accepted
+            # the pin is exact on the quadruples it decides
+            assert _bits(mask, size) == {
+                a for a in range(size)
+                if quadruples_below_hold(ids + [a], tables)}
+            kind = "open" if mask == -1 else "empty" if mask == 0 else "pinned"
+            seen[kind, bool(accepted)] += 1
+    assert {("open", True), ("empty", False), ("pinned", True),
+            ("pinned", False)} <= set(seen)
+
+
 @lru_cache(maxsize=None)
 def all_slices_census(n, up_to_iso=False):
-    """The row search on every choice of lam_0, sorted by (form, lam);
-    up to iso, the first solution of each class is kept."""
+    """The unpinned row search on every choice of lam_0, sorted by
+    (form, lam); up to iso, the first solution of each class is kept."""
     keyed = []
     for first in permutations(range(n)):
-        found, complete = _search_slice(n, first)
+        (found, complete), _ = search_slice_unpinned(n, first)
         assert complete
         keyed.extend(found)
     keyed.sort(key=lambda cs: (cs[0], cs[1].lam))

@@ -133,14 +133,27 @@ def test_enumerate_jobs_capped_by_slices(monkeypatch):
     assert lam_tuples(wide) == lam_tuples(enumerate_solutions(EnumOptions(3)))
 
 
-@pytest.mark.parametrize("first, count", [
-    ((0, 1, 2, 3, 4, 5), 201),
-    ((1, 2, 3, 4, 5, 0), 14),
-], ids=["identity", "6-cycle"])
+# The identity (201) and 6-cycle (14) counts were found by a row search
+# that composed permutation tuples directly, independent of the id tables
+# and bitmasks.  The other 17 are pins recorded from the walk before
+# ``_pin``, which tested every candidate on every YBE1 quadruple.
+N6_SLICES = {
+    (0, 1, 2, 3, 4, 5): 201, (0, 1, 2, 3, 5, 4): 13, (0, 1, 2, 4, 5, 3): 9,
+    (0, 1, 3, 2, 5, 4): 33, (0, 1, 3, 4, 5, 2): 5, (0, 2, 1, 4, 5, 3): 1,
+    (0, 2, 3, 4, 5, 1): 1, (1, 0, 2, 3, 4, 5): 13, (1, 0, 2, 3, 5, 4): 33,
+    (1, 0, 2, 4, 5, 3): 1, (1, 0, 3, 2, 5, 4): 77, (1, 0, 3, 4, 5, 2): 5,
+    (1, 2, 0, 3, 4, 5): 9, (1, 2, 0, 3, 5, 4): 1, (1, 2, 0, 4, 5, 3): 24,
+    (1, 2, 3, 0, 4, 5): 5, (1, 2, 3, 0, 5, 4): 5, (1, 2, 3, 4, 0, 5): 1,
+    (1, 2, 3, 4, 5, 0): 14,
+}
+
+
+@pytest.mark.parametrize("first, count", N6_SLICES.items(), ids=[
+    {(0, 1, 2, 3, 4, 5): "identity", (1, 2, 3, 4, 5, 0): "6-cycle"}.get(
+        first, "".join(map(str, first))) for first in N6_SLICES])
 def test_n6_slice_counts(first, count):
-    # counts found by a row search that composed permutation tuples
-    # directly, independent of the id tables and bitmasks
     from ybx.core import RMap, check
+    assert tuple(N6_SLICES) == _orbit_minima(6)
     found, complete = _search_slice(6, first)
     assert complete and len(found) == count
     for _, s in found:
