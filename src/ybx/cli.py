@@ -82,18 +82,21 @@ def _analyze_report(s, max_len, center_deg):
     basis = center_basis(s, deg)
     latin = is_latin(s)
 
+    singleton = len(image) == 1
     discrepancies = list(st.discrepancies)
     discrepancies.extend(sigma_discrepancies(s))
     discrepancies.extend(gr.discrepancies())
     # short test lengths may miss witnesses; the criterion only binds
     # once products reach twice the exponent
-    if cancel_len >= 2 * s.d + 1 and cancellative != (len(image) == 1):
+    if cancel_len >= 2 * s.d + 1 and cancellative != singleton:
         discrepancies.append(
             Discrepancy("cancellative-iff-singleton-diagonal", (cancel_len,)))
-    if latin != (len(image) == 1):
+    if latin != singleton:
         discrepancies.append(Discrepancy("latin-iff-singleton-diagonal", ()))
+    if bool(basis) != singleton:
+        discrepancies.append(
+            Discrepancy("center-iff-singleton-diagonal", (deg,)))
 
-    singleton = len(image) == 1
     report = {
         # a Solution exists only once promote's full check has passed
         "verification": VerificationReport(True, True, True, True,

@@ -18,8 +18,11 @@ calls a row kernel once per prefix of the points, not once per point.
 """
 
 import json
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import chain, islice, product
+from math import factorial
 
 from .perms import compose, exponent, inverse, is_perm
 
@@ -321,16 +324,21 @@ def iso_check(s1, s2):
 
 def _orbits(gens, fixed, n):
     """Smallest point of each orbit of the gens fixing fixed; None if none do."""
-    gens = [g for g in gens if all(g[p] == p for p in fixed)]
+    key = tuple(fixed)
+    gens = [g for g in gens if tuple(map(g.__getitem__, key)) == key]
     if not gens:
         return None
-    orbit = [None] * n
+    orbit = [-1] * n
     for x in range(n):
-        todo = [x]
-        for y in todo:   # grows while it is read
-            if orbit[y] is None:
-                orbit[y] = x
-                todo.extend(g[y] for g in gens)
+        if orbit[x] < 0:
+            orbit[x] = x
+            todo = [x]
+            for y in todo:   # grows while it is read
+                for g in gens:
+                    z = g[y]
+                    if orbit[z] < 0:
+                        orbit[z] = x
+                        todo.append(z)
     return orbit
 
 
@@ -347,28 +355,54 @@ def canonical_table(table):
     (McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput.
     2014), without a refinement that would reorder the labels.  Labels are
     handed out while row 0 is read cell by cell; row 0 is the row of the
-    point labelled 0.  The only branches are the point for a label that is
-    still free when its cell is reached; a cell whose value is an unlabelled
+    point labelled 0.  A label still free when its cell is reached is a
+    branch over the unlabelled points; a cell whose value is an unlabelled
     point must take the next free label to stay minimal.  A branch whose
-    prefix exceeds the best form so far is cut.  Every label is in use
-    after row 0, and each leaf compares its full table with the best.
+    prefix exceeds the best form so far is cut.
+
+    The pool.  Once a point is labelled 0, the other fixed points of its
+    row are pooled if there are at least two and no other cell of the row
+    reaches them.  Whichever of them takes a free label j reads j in its
+    cell, so one branch hands j to the pool: the pooled point it goes to is
+    anonymous, a stand-in for any of them.  Every label is in use after row
+    0.  While two or more points are pooled, the later rows are read in
+    order:
+
+    - a cell whose value is a pooled point names that point by the
+      smallest label the pool holds, which is forced;
+    - an anonymous row is individualized, a branch over the pool, only if
+      the pooled points' rows differ, and an anonymous column only if its
+      row moves a pooled point;
+    - a row that fixes every pooled point and keeps named points named is
+      read in one step.
+
+    Once at most one point is pooled, a leaf compares its full table with
+    the best.  A leaf with m points still pooled stands for m! labelings,
+    and the pool's transposition and m-cycle are automorphisms.  That leaf
+    is reached at once if the pooled points have equal rows, every row
+    fixes them, and no other cell holds them.  A table without a pool is
+    searched as if pools did not exist.
 
     Automorphism pruning.  A leaf equal to the best form gives the
-    automorphism best^-1 . psi of the two labelings.  A branch skips a free
+    automorphism best^-1 . psi of the two labelings.  A branch skips a
     point sharing an orbit with one already searched there, under the
-    automorphisms found that fix every labelled point: these carry the one
-    subtree onto the other and keep every leaf's form.  A node's count of
-    leaves reaching the form sums, over the orbits of its free points, the
-    orbit size times the count of one member searched since the form last
-    changed.  Members of one orbit have isomorphic subtrees, so the count is
-    exact however few automorphisms were found.  Without a refinement the
-    search still visits more than one leaf per orbit: lam_x(y) = x + y on
-    Z_7 (|Aut| = 6) takes 360 leaves.
+    automorphisms found that fix every named point: these keep the pool and
+    carry the one subtree onto the other with every leaf's form.  A node's
+    count of labelings reaching the form sums, over the orbits of its
+    points, the orbit size times the count of one member searched since the
+    form last changed, plus the count of its pool branch.  Members of one
+    orbit have isomorphic subtrees, so the count is exact however few
+    automorphisms were found.  Without a refinement the search still tries
+    equal-length cycles of row 0 in every order.
     """
     n = len(table)
-    psi = [-1] * n   # old point -> new label
+    psi = [-1] * n   # old point -> new label; n for an unlabelled pooled point
     pi = [-1] * n    # new label -> old point
+    pooled = [0] * n   # 1 for a pooled point
+    pool, handed = [], 0   # pooled points, ascending; pool labels handed out
     form, best, gens = None, None, []   # best form, its pi, automorphisms
+    row0, fresh = None, False   # fresh: no free label since label 0
+    solid = None   # solid[p]: p is in column p of every row and nowhere else
 
     def leaf():
         nonlocal form, best
@@ -383,52 +417,178 @@ def canonical_table(table):
         return False, 0
 
     def cell(j, k, tight):
-        """Fill cell (0, j) with labels 0..k-1 in use: (changed, count).
+        """Read row 0 from cell j on, labels 0..k-1 in use: (changed, count).
 
         ``tight`` says cells 0..j-1 equal those of ``form``; ``count`` is
-        the number of leaves below reaching the form as it stands on return.
+        the number of labelings below reaching the form as it stands on
+        return.  A cell whose value is unlabelled gives it label k.
         """
-        if j == n:
-            return leaf()
-        if pi[j] >= 0:
-            return value(j, k, tight)
-        # a free label: k == j and the labelled points are pi[:j]
+        given, result = [], (False, 0)
+        while j < n and pi[j] >= 0:
+            v = row0[pi[j]]
+            label = psi[v]
+            if label < 0:
+                psi[v] = label = k
+                pi[k] = v
+                k += 1
+                given.append(v)
+            if tight:
+                if label > form[j]:
+                    break
+                tight = label == form[j]
+            j += 1
+        else:
+            if j < n:
+                result = free(j, k, tight)
+            elif len(pool) < 2:
+                result = leaf()
+            else:
+                result = rows(1, tight)
+        for v in given:
+            pi[psi[v]] = psi[v] = -1
+        return result
+
+    def free(j, k, tight):
+        """Branch over the points for the free label j == k."""
+        nonlocal row0, fresh, handed
+        if fresh:   # the first free label after 0: pool row 0's fixed points
+            fresh = False
+            fixed = [x for x in range(n) if row0[x] == x and psi[x] < 0]
+            if len(fixed) > 1 and all(row0.count(y) == 1 for y in fixed):
+                pool[:] = fixed
+                for y in fixed:
+                    psi[y], pooled[y] = n, 1
+                result = free(j, k, tight)
+                for y in fixed:
+                    psi[y], pooled[y] = -1, 0
+                pool.clear()
+                return result
         changed, counts, searched, orbit, seen = False, {}, [], None, 0
+        if handed < len(pool):   # one branch for the unlabelled pool
+            x = pool[handed]
+            psi[x], pi[j] = j, x
+            handed += 1
+            changed, counts[-1] = cell(j, k + 1, tight)
+            handed -= 1
+            psi[x], pi[j] = n, -1
         for x in range(n):
             if psi[x] >= 0:
                 continue
             if searched and len(gens) > seen:
-                orbit, seen = _orbits(gens, pi[:j], n), len(gens)
-            if orbit and any(orbit[y] == orbit[x] for y in searched):
+                named = [y for y in pi[:j] if not pooled[y]] if pool else pi[:j]
+                orbit, seen = _orbits(gens, named, n), len(gens)
+            if orbit and orbit[x] in map(orbit.__getitem__, searched):
                 continue
             searched.append(x)
             psi[x], pi[j] = j, x
+            if not j:
+                row0, fresh = table[x], True
             # a new form shares this node's prefix
-            improved, count = value(j, k + 1, tight or changed)
+            improved, count = cell(j, k + 1, tight or changed)
             psi[x] = pi[j] = -1
             if improved:
                 changed, counts = True, {}
             counts[x] = count
         if not orbit:
             return changed, sum(counts.values())
+        pool_count = counts.pop(-1, 0)
         member = {orbit[x]: c for x, c in counts.items()}
-        return changed, sum(member.get(orbit[x], 0)
-                            for x in range(n) if psi[x] < 0)
+        return changed, pool_count + sum(member.get(orbit[x], 0)
+                                         for x in range(n) if psi[x] < 0)
 
-    def value(j, k, tight):
-        v = table[pi[0]][pi[j]]
-        label = psi[v]
-        forced = label < 0
-        if forced:
-            label = psi[v] = k
-            pi[k] = v
-            k += 1
-        result = False, 0
-        if not (tight and label > form[j]):
-            result = cell(j + 1, k, tight and label == form[j])
-        if forced:
-            psi[v] = pi[label] = -1
+    def take(x, label, then, *args):
+        """then(*args) once the pooled point x takes the pool's label."""
+        y, old = pi[label], psi[x]
+        psi[y], pi[old], psi[x], pi[label] = old, y, label, x
+        pool.remove(x)
+        pooled[x] = 0
+        result = then(*args)
+        psi[x], pi[old], psi[y], pi[label] = old, x, label, y
+        insort(pool, x)
+        pooled[x] = 1
         return result
+
+    def individualize(label, tight, then, *args):
+        """Branch over the pool for its label: (changed, count)."""
+        changed, counts, searched, orbit, seen = False, {}, [], None, 0
+        points = pool[:]
+        for x in points:
+            if searched and len(gens) > seen:
+                named = [y for y in pi if not pooled[y]]
+                orbit, seen = _orbits(gens, named, n), len(gens)
+            if orbit and orbit[x] in map(orbit.__getitem__, searched):
+                continue
+            searched.append(x)
+            improved, count = take(x, label, then, *args, tight or changed)
+            if improved:
+                changed, counts = True, {}
+            counts[x] = count
+        if not orbit:
+            return changed, sum(counts.values())
+        member = {orbit[x]: c for x, c in counts.items()}
+        return changed, sum(member.get(orbit[x], 0) for x in points)
+
+    def rows(i, tight):
+        """Read rows i, i+1, ... while two or more points are pooled."""
+        nonlocal solid
+        if len(pool) < 2:
+            return leaf()
+        lam = table[pool[0]]
+        uniform = all(table[x] == lam for x in pool)
+        if i < n and uniform:
+            if solid is None:
+                every = [table[x] for x in range(n)]
+                occurs = Counter(chain.from_iterable(every))
+                solid = [occurs[p] == n and col == (p,) * n
+                         for p, col in enumerate(zip(*every))]
+            if all(solid[x] for x in pool):   # no row tells them apart
+                i = n
+        if i == n:   # the pooled points are interchangeable
+            changed, count = leaf()
+            swap, cycle = list(range(n)), list(range(n))
+            swap[pool[0]], swap[pool[1]] = pool[1], pool[0]
+            for x, y in zip(pool, pool[1:] + pool[:1]):
+                cycle[x] = y
+            for g in (tuple(swap), tuple(cycle)):
+                if g not in gens:
+                    gens.append(g)
+            return changed, count * factorial(len(pool))
+        if not pooled[pi[i]]:
+            lam = table[pi[i]]
+        elif not uniform:   # the rows of the pooled points differ
+            return individualize(i, tight, rows, i)
+        if (all(lam[x] == x for x in pool)
+                and sum(map(pooled.__getitem__, lam)) == len(pool)):
+            labels = tuple(map(psi.__getitem__, map(lam.__getitem__, pi)))
+            if tight:
+                ref = form[i * n:i * n + n]
+                if labels > ref:
+                    return False, 0
+                tight = labels == ref
+            return rows(i + 1, tight)
+        return cells(i, 0, lam, tight)
+
+    def cells(i, j, lam, tight):
+        """Read row i, whose point maps by lam, from column j on."""
+        if len(pool) < 2:
+            return leaf()
+        moves = None
+        for j in range(j, n):
+            c = pi[j]
+            if pooled[c]:
+                if moves is None:
+                    moves = any(lam[x] != x for x in pool)
+                if moves:
+                    return individualize(j, tight, cells, i, j, lam)
+            elif pooled[lam[c]]:   # the smallest pool label is forced
+                label = min(map(psi.__getitem__, pool))
+                return take(lam[c], label, cells, i, j, lam, tight)
+            if tight:
+                label, ref = psi[lam[c]], form[i * n + j]
+                if label > ref:
+                    return False, 0
+                tight = label == ref
+        return rows(i + 1, tight)
 
     aut = cell(0, 0, False)[1]
     return form, inverse(best), aut

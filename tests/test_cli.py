@@ -553,7 +553,10 @@ def _failing_semigroup(s):
       "context": []}),
     ("ybx.invariants.phi_maps", _failing_phi_maps,
      {"claim": "lambda-from-phi", "counterexample": [1, 0], "context": []}),
-], ids=["latin", "fineq", "cancellative", "semigroup", "phi"])
+    ("ybx.cli.center_basis", lambda s, deg: [],
+     {"claim": "center-iff-singleton-diagonal", "counterexample": [2],
+      "context": []}),
+], ids=["latin", "fineq", "cancellative", "semigroup", "phi", "center"])
 def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, target,
                                   replacement, entry):
     # SOL_Z2 satisfies every claim of analyze; a patched check reports

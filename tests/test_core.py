@@ -251,6 +251,17 @@ def test_canonical_table_prunes_by_automorphisms(n):
     assert table.reads < 1000
 
 
+@pytest.mark.parametrize("n, units", [(8, 4), (9, 6), (10, 4)])
+def test_canonical_table_reads_few_rows_of_rigid_latin_tables(n, units):
+    # lam_x(y) = x + y on Z_n: its automorphisms are the units of Z_n, and
+    # the row of 0 fixes every point; labelling those fixed points one by
+    # one read 23,481 rows at n = 8 and 2,179,409 at n = 10
+    table = CountingRows([tuple((x + y) % n for y in range(n))
+                          for x in range(n)])
+    assert canonical_table(table)[2] == units
+    assert table.reads < 2000
+
+
 def test_json_round_trip(tmp_path):
     path = tmp_path / "z2.json"
     dump_solution(as_rmap(SOL_Z2), path)

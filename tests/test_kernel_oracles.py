@@ -1318,12 +1318,12 @@ def centralizer_order(parts):
     return order
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", [*range(1, 11), 12])
 def test_constant_rows_aut_is_the_centralizer_order(n):
     # relabelings fixing constant rows lam_x = phi are those commuting
-    # with phi; every cycle type up to n = 9, the identity at n = 10
+    # with phi; every cycle type up to n = 10, the identity at n = 12
     rng = random.Random(n)
-    for parts in (_partitions(n, n) if n <= 9 else [(1,) * n]):
+    for parts in (_partitions(n, n) if n <= 10 else [(1,) * n]):
         rows = _cycle_type_rows(parts)
         form, psi, aut = canonical_table(rows)
         assert aut == centralizer_order(parts)
@@ -1331,6 +1331,68 @@ def test_constant_rows_aut_is_the_centralizer_order(n):
         sigma = list(range(n))
         rng.shuffle(sigma)
         assert canonical_table(relabel_lambda(rows, sigma))[0] == form
+
+
+@st.composite
+def pooled_tables(draw):
+    """A table whose row x0 fixes at least two points besides x0.
+
+    Row x0 permutes or maps its other points among themselves, or maps
+    them anywhere.  Each other row is the identity, a repeat of an earlier
+    row, a permutation, a self-map, or a permutation or self-map fixing
+    the fixed points of row x0; such a self-map may send other points onto
+    them.
+    """
+    n = draw(st.integers(3, 6))
+    x0 = draw(st.integers(0, n - 1))
+    fixed = draw(st.sets(st.sampled_from([y for y in range(n) if y != x0]),
+                         min_size=2))
+    moved = [y for y in range(n) if y not in fixed]
+
+    def fixing(kind):
+        if kind == "permutation":
+            images = draw(st.permutations(moved))
+        else:
+            images = draw(st.lists(st.sampled_from(
+                moved if kind == "among" else range(n)),
+                min_size=len(moved), max_size=len(moved)))
+        row = list(range(n))
+        for y, v in zip(moved, images):
+            row[y] = v
+        return tuple(row)
+
+    rows = {x0: fixing(draw(st.sampled_from(["permutation", "among",
+                                             "anywhere"])))}
+    for x in range(n):
+        if x == x0:
+            continue
+        kind = draw(st.sampled_from(["identity", "repeat", "permutation",
+                                     "self-map", "fixing permutation",
+                                     "fixing self-map"]))
+        if kind == "identity":
+            rows[x] = tuple(range(n))
+        elif kind == "repeat":
+            rows[x] = draw(st.sampled_from(sorted(rows.values())))
+        elif kind == "permutation":
+            rows[x] = tuple(draw(st.permutations(range(n))))
+        elif kind == "self-map":
+            rows[x] = draw(_row(n))
+        else:
+            rows[x] = fixing("permutation" if kind == "fixing permutation"
+                             else "anywhere")
+    return tuple(rows[x] for x in range(n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pooled_tables(), st.randoms(use_true_random=False))
+def test_canonical_table_matches_all_relabelings_on_pooled_tables(table,
+                                                                  rnd):
+    # the fixed points of row x0 are pooled once x0 is labelled 0
+    assert_matches_all_relabelings(table)
+    psi = list(range(len(table)))
+    rnd.shuffle(psi)
+    other = relabel_lambda(table, psi)
+    assert canonical_table(other)[0] == canonical_table(table)[0]
 
 
 @st.composite
