@@ -327,8 +327,9 @@ def build_parser():
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("groebner", help="rewriting systems and word counts")
-    p.add_argument("path", nargs="?")
-    p.add_argument("--constant-lambda", type=_positive_int, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("path", nargs="?")
+    source.add_argument("--constant-lambda", type=_positive_int, default=None)
     p.add_argument("--max-deg", type=_positive_int, default=8)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_groebner)
@@ -337,10 +338,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "groebner" and args.constant_lambda is None and not args.path:
-        parser.error("groebner needs a path or --constant-lambda")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -13,7 +13,7 @@ Yang-Baxter identities, left non-degeneracy and idempotency exhaustively,
 and :func:`promote` upgrades a fully valid candidate to a :class:`Solution`
 carrying the derived data (q, d).
 
-Every exhaustive check runs through one scanner, :func:`failures`, which
+Counterexamples are located by one scanner, :func:`failures`, which
 calls a row kernel once per prefix of the points, not once per point.
 """
 
@@ -80,20 +80,13 @@ class VerificationReport:
 
     @property
     def ok(self):
-        return (self.ybe1 and self.ybe2 and self.ybe3
-                and self.left_nondegenerate and self.idempotent)
+        return all(getattr(self, name) for name in IDENTITY_NAMES)
 
     def to_json(self):
-        return {
-            "ybe1": self.ybe1,
-            "ybe2": self.ybe2,
-            "ybe3": self.ybe3,
-            "left_nondegenerate": self.left_nondegenerate,
-            "idempotent": self.idempotent,
-            "first_counterexample": (list(self.first_counterexample)
-                                     if self.first_counterexample else None),
-            "ok": self.ok,
-        }
+        first = self.first_counterexample
+        return {**{name: getattr(self, name) for name in IDENTITY_NAMES},
+                "first_counterexample": list(first) if first else None,
+                "ok": self.ok}
 
 
 class InvalidSolutionError(ValueError):
@@ -183,32 +176,36 @@ def apply_r(m, x, y):
 def check(m):
     """Exhaustively verify an RMap over all triples and pairs of points.
 
-    A row kernel evaluates the three Yang-Baxter identities at every z of
-    (x, y); their right-hand sides read only (w, v) = r(x, y), so they are
-    built once per such pair.  Each identity is evaluated until it fails.
+    r is R[x n + y] = lam_x(y) n + rho_y(x); the Yang-Baxter identities at
+    (x, y, z) are the digits of r12 r23 r12 = r23 r12 r23 at (x n + y) n + z.
+    Each identity is one equality of whole maps, in O(n^3) memory.
     """
-    lam, rho, n = m.lam, m.rho, m.n
-    r = [list(zip(lam[x], rho[x])) for x in range(n)]
-    pending, rights = {0, 1, 2}, {}
+    lam, rho, n, nn = m.lam, m.rho, m.n, m.n * m.n
+    R = [w * n + v for lx, rx in zip(lam, rho) for w, v in zip(lx, rx)]
+    cube = list(range(nn * n))   # every code below is one of its ints
+    r12, r23, h = [], [], []   # h = r23 r12
+    for a in range(0, nn * n, nn):
+        r23 += map(cube[a:a + nn].__getitem__, R)
+    for k in R:   # t r12 has row r(a, b) of t as its row (a, b)
+        r12 += cube[k * n:k * n + n]
+        h += r23[k * n:k * n + n]
+    left = list(map(r12.__getitem__, h))
+    right = list(map(h.__getitem__, r23))
+    pending = {0, 1, 2}
 
     def braid_row(x, y):
-        lx, rx, ly, ry = lam[x], rho[x], lam[y], rho[y]
-        wv = lx[y], rx[y]
-        if wv not in rights:
-            lw, rw, lv = lam[wv[0]], rho[wv[0]], lam[wv[1]]
-            rights[wv] = ([lw[t] for t in lv],
-                          list(zip([rw[t] for t in lv], rho[wv[1]])))
-        # ybe2 and ybe3 compare the pair r(rho_{lam_y(z)}(x), rho_z(y))
-        return _first_mismatches(
-            ([lx[t] for t in ly], [r[rx[t]][a] for t, a in zip(ly, ry)]),
-            rights[wv], pending)
+        i = (x * n + y) * n
+        return _first_mismatches(*(
+            ([v // nn for v in side], [divmod(v % nn, n) for v in side])
+            for side in (left[i:i + n], right[i:i + n])), pending)
 
-    firsts = dict(islice(failures(braid_row, 3, n), 3))
-    firsts.update(islice(failures(
-        lambda: [(3, x) for x in range(n) if not is_perm(lam[x])], 1, n), 1))
-    firsts.update(islice(failures(lambda x: [
-        (4, y) for y, (w, v) in enumerate(zip(lam[x], rho[x]))
-        if lam[w][v] != w or rho[w][v] != v], 2, n), 1))
+    firsts = dict(islice(failures(braid_row, 3, n), 3) if left != right else ())
+    if min(map(len, map(set, lam))) < n or list(map(R.__getitem__, R)) != R:
+        firsts.update(islice(failures(lambda: [
+            (3, x) for x in range(n) if not is_perm(lam[x])], 1, n), 1))
+        firsts.update(islice(failures(lambda x: [
+            (4, y) for y, k in enumerate(R[x * n:x * n + n]) if R[k] != k],
+            2, n), 1))
     first = min(firsts.items(), default=None)
     return VerificationReport(
         first_counterexample=first and (IDENTITY_NAMES[first[0]], first[1]),

@@ -39,9 +39,9 @@ Yang-Baxter equation", Math. Comp. 2022).  This finds every class:
     (canonical form, lam), so the representatives are exactly those of
     the walk over all n! choices of lam_0.
 
-The labelled census is the set of relabelings of the representatives.
-A relabeling carries q along and keeps d (see :func:`_class_members`);
-each one is verified again by the exhaustive :func:`~ybx.core.check`.
+The labelled census is the union of the Sym(n)-orbits of the
+representatives, one relabeling per coset of Aut (:func:`_class_members`);
+each member is verified again by the exhaustive :func:`~ybx.core.check`.
 """
 
 import time
@@ -50,7 +50,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .core import (InvalidSolutionError, RMap, Solution, _check_table,
+from .core import (InvalidSolutionError, Solution, _check_table,
                    associativity, canonical_form, canonical_table, check,
                    diagonal_image, failures, forced_rho, homomorphism,
                    relabel_lambda, solution_from_lambda, word_level)
@@ -256,24 +256,29 @@ def _slice_worker(args):
 
 
 def _class_members(rep):
-    """The n!/|Aut| relabelings of a class representative.
+    """The n!/|Aut| relabelings of a class representative, one per coset.
 
-    A relabeling psi carries q' = psi q psi^-1 and rho' = q'(lam') along,
-    and keeps d, a conjugation invariant.  One exhaustive ``check`` per
-    member, raising InvalidSolutionError, certifies q' as well: every lam'_w
-    is a bijection, so idempotency, lam'_w(q'(w)) = w, pins q'(w) down.
+    Aut lies among the psi that commute with q, and psi a gives the table
+    and q' = psi q psi^-1 of psi, so each coset psi Aut is relabeled once,
+    with rho' = q'(lam') and the same d.  One ``check`` per member
+    certifies q' too: each lam'_w is a bijection and lam'_w(q'(w)) = w.
     """
-    n = rep.n
-    tables = {relabel_lambda(rep.lam, psi): psi for psi in permutations(range(n))}
-    assert len(tables) * canonical_table(rep.lam)[2] == factorial(n)
-    members = []
-    for lam, psi in tables.items():
-        q = tuple(map(psi.__getitem__, map(rep.q.__getitem__, inverse(psi))))
-        m = RMap(n, lam, forced_rho(lam, q))
-        report = check(m)
-        if not report.ok:
-            raise InvalidSolutionError(report)
-        members.append(Solution(n, lam, m.rho, q, rep.d))
+    n, q = rep.n, rep.q
+    perms, comp = _sym_index(n)[:2]
+    aut = [a for a, psi in enumerate(perms)
+           if tuple(map(psi.__getitem__, q)) == tuple(map(q.__getitem__, psi))
+           and relabel_lambda(rep.lam, psi) == rep.lam]
+    assert len(aut) == canonical_table(rep.lam)[2]
+    members, covered = [], set()
+    for i, psi in enumerate(perms):
+        if i not in covered:
+            covered.update(map(comp[i].__getitem__, aut))   # psi a
+            lam = relabel_lambda(rep.lam, psi)
+            q2 = tuple(map(psi.__getitem__, map(q.__getitem__, inverse(psi))))
+            members.append(Solution(n, lam, forced_rho(lam, q2), q2, rep.d))
+            report = check(members[-1])
+            if not report.ok:
+                raise InvalidSolutionError(report)
     return members
 
 
@@ -283,8 +288,8 @@ def enumerate_solutions(opts):
     The walk tries as lam_0 only the Stab(0)-orbit minima (see the module
     docstring).  It finds the lam-smallest member of every isomorphism
     class, and with ``up_to_iso`` those members are the result.
-    Otherwise every relabeling of each representative is verified and
-    carries the representative's canonical form.  With ``jobs > 1`` the
+    Otherwise every distinct relabeling of each representative is verified
+    and carries the representative's canonical form.  With ``jobs > 1`` the
     slices run in a process pool, one worker per slice at most, and are
     merged in a fixed order, so the output does not depend on the worker
     count.  An expired budget stops every slice, or the relabeling between

@@ -489,10 +489,14 @@ def test_construct_params_malformed(tmp_path, kind, params, key):
 
 @pytest.mark.parametrize("argv", [
     ("groebner",),
+    ("groebner", "FILE", "--constant-lambda", "2"),
+    ("groebner", "missing.json", "--constant-lambda", "2"),
     ("analyze", "FILE", "--max-len", "abc"),
     ("enumerate", "-n", "x"),
     (),
-], ids=["groebner-no-path", "max-len-not-int", "n-not-int", "no-command"])
+], ids=["groebner-no-path", "groebner-path-and-constant",
+        "groebner-missing-path-and-constant", "max-len-not-int", "n-not-int",
+        "no-command"])
 def test_usage_errors_are_json(tmp_path, argv):
     path = write_solution(tmp_path, SOL_Z2)
     r = run_cli(*(path if a == "FILE" else a for a in argv))

@@ -15,7 +15,9 @@ on every YBE1 quadruple before ``_pin`` solved the rows those quadruples
 force, run over all n! choices of lam_0 that the Stab(0)-orbit minima
 replaced, the composition table of Sym(n)
 hashed entry by entry that the build by columns replaced, q and d derived
-again for each relabeling that transporting them replaced, the
+again for each relabeling that transporting them replaced, all n!
+relabelings of a class representative that one relabeling per coset of
+its automorphism group replaced, the
 semigroup claims that follow from the four ``semigroup`` checks, the
 torsion, round-trip and all-pairs isomorphism scans whose claims
 ``structure`` now checks once or derives, the union-find over two-letter
@@ -41,9 +43,10 @@ from hypothesis import strategies as st
 from ybx import groebner, monoid, search
 from ybx.core import (IDENTITY_NAMES, RMap, Solution, VerificationReport,
                       associativity, canonical_form, canonical_table, check,
-                      diagonal_image, diagonal_map, failures, homomorphism,
-                      iso_check, lambda_word, promote, relabel_lambda,
-                      rmap_from_lambda, solution_from_lambda, word_level)
+                      diagonal_image, diagonal_map, failures, forced_rho,
+                      homomorphism, iso_check, lambda_word, promote,
+                      relabel_lambda, rmap_from_lambda, solution_from_lambda,
+                      word_level)
 from ybx.groebner import (CompletionReport, RewriteSystem, Rule,
                           check_overlaps, constant_rules, reduce,
                           solution_rules)
@@ -538,6 +541,24 @@ def test_check_matches_nested_loops_on_sym3_cubed():
             assert got == check_nested_loops(c)
             firsts.add(got.first_counterexample and got.first_counterexample[0])
     assert firsts == {None, "ybe1", "ybe2", "ybe3", "idempotent"}
+
+
+def test_check_matches_nested_loops_on_corrupted_census5(census5):
+    # one entry of lam or rho changed in a labelled n = 5 solution
+    rng = random.Random(5)
+    sols = [s for s in census5 if s.n == 5]
+    firsts = set()
+    for _ in range(2000):
+        s = rng.choice(sols)
+        tables = [list(map(list, s.lam)), list(map(list, s.rho))]
+        row = rng.choice(tables)[rng.randrange(5)]
+        y = rng.randrange(5)
+        row[y] = (row[y] + rng.randrange(1, 5)) % 5
+        m = RMap(5, *tables)
+        got = check(m)
+        assert got == check_nested_loops(m)
+        firsts.add(got.first_counterexample[0])
+    assert {"ybe1", "ybe2", "ybe3", "idempotent"} <= firsts
 
 
 def test_check_and_fineq_match_nested_loops_on_census4(census4):
@@ -1045,6 +1066,27 @@ def test_relabelings_carry_the_derived_q_and_d(census5):
         assert s.q == diagonal_map(s.lam)
         assert s.d == exponent(set(s.lam))
         assert s == promote(RMap(s.n, s.lam, s.rho))
+
+
+def members_by_all_relabelings(rep):
+    """The labelled members of a class: all n! relabelings of its
+    representative, deduplicated, with q derived from each table."""
+    n = rep.n
+    tables = {relabel_lambda(rep.lam, psi) for psi in permutations(range(n))}
+    assert len(tables) * canonical_table(rep.lam)[2] == factorial(n)
+    # d is a conjugation invariant
+    return {Solution(n, lam, forced_rho(lam, q), q, rep.d)
+            for lam in tables for q in [diagonal_map(lam)]}
+
+
+def test_class_members_match_all_relabelings():
+    # every class with n <= 6; those whose Aut is not normal in Sym(n),
+    # such as constant rows of a transposition, tell psi a from a psi
+    for n in range(1, 7):
+        for rep in enumerate_solutions(EnumOptions(n, up_to_iso=True)).solutions:
+            members = search._class_members(rep)
+            assert len(set(members)) == len(members)
+            assert set(members) == members_by_all_relabelings(rep)
 
 
 def test_iso_check_matches_forms_on_census3(census5):
