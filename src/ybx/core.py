@@ -369,9 +369,7 @@ def canonical_table(table):
       smallest label the pool holds, which is forced;
     - an anonymous row is individualized, a branch over the pool, only if
       the pooled points' rows differ, and an anonymous column only if its
-      row moves a pooled point;
-    - a row that fixes every pooled point and keeps named points named is
-      read in one step.
+      row moves a pooled point.
 
     Once at most one point is pooled, a leaf compares its full table with
     the best.  A leaf with m points still pooled stands for m! labelings,
@@ -435,12 +433,7 @@ def canonical_table(table):
                 tight = label == form[j]
             j += 1
         else:
-            if j < n:
-                result = free(j, k, tight)
-            elif len(pool) < 2:
-                result = leaf()
-            else:
-                result = rows(1, tight)
+            result = free(j, k, tight) if j < n else rows(1, tight)
         for v in given:
             pi[psi[v]] = psi[v] = -1
         return result
@@ -554,15 +547,6 @@ def canonical_table(table):
             lam = table[pi[i]]
         elif not uniform:   # the rows of the pooled points differ
             return individualize(i, tight, rows, i)
-        if (all(lam[x] == x for x in pool)
-                and sum(map(pooled.__getitem__, lam)) == len(pool)):
-            labels = tuple(map(psi.__getitem__, map(lam.__getitem__, pi)))
-            if tight:
-                ref = form[i * n:i * n + n]
-                if labels > ref:
-                    return False, 0
-                tight = labels == ref
-            return rows(i + 1, tight)
         return cells(i, 0, lam, tight)
 
     def cells(i, j, lam, tight):
@@ -607,8 +591,8 @@ def rmap_from_dict(data):
         lam = data["lambda"]
     except (KeyError, TypeError) as exc:
         raise SolutionFormatError("missing field: n and lambda are required") from exc
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise SolutionFormatError("n must be an integer")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SolutionFormatError("n must be a positive integer")
     rho = data.get("rho")
     try:
         lam = tuple(tuple(row) for row in lam)

@@ -222,8 +222,8 @@ def descriptor_from_dict(data):
         phi = tuple(tuple(p) for p in data["phi"])
     except (KeyError, TypeError) as exc:
         raise SolutionFormatError("descriptor needs n, op, q, phi") from exc
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise SolutionFormatError("n must be an integer")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SolutionFormatError("n must be a positive integer")
     _check_table(op, n, "op")
     _check_table(phi, n, "phi")
     if len(q) != n or any(isinstance(v, bool) or not isinstance(v, int)

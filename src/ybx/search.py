@@ -40,7 +40,7 @@ Yang-Baxter equation", Math. Comp. 2022).  This finds every class:
     the walk over all n! choices of lam_0.
 
 The labelled census is the union of the Sym(n)-orbits of the
-representatives, one relabeling per coset of Aut (:func:`_class_members`);
+representatives, grown by two generators of Sym(n) (:func:`_class_members`);
 each member is verified again by the exhaustive :func:`~ybx.core.check`.
 """
 
@@ -256,29 +256,30 @@ def _slice_worker(args):
 
 
 def _class_members(rep):
-    """The n!/|Aut| relabelings of a class representative, one per coset.
+    """The n!/|Aut| relabelings of a class representative: its Sym(n)-orbit.
 
-    Aut lies among the psi that commute with q, and psi a gives the table
-    and q' = psi q psi^-1 of psi, so each coset psi Aut is relabeled once,
-    with rho' = q'(lam') and the same d.  One ``check`` per member
-    certifies q' too: each lam'_w is a bijection and lam'_w(q'(w)) = w.
+    The orbit grows from the representative by the transposition (0 1) and
+    the n-cycle, which generate Sym(n).  A relabeling g carries
+    q' = g q g^-1 along, with rho' = q'(lam') and the same d.  Each member
+    gets one ``check`` before its images are taken, which certifies q' too:
+    each lam'_w is a bijection and lam'_w(q'(w)) = w.
     """
-    n, q = rep.n, rep.q
-    perms, comp = _sym_index(n)[:2]
-    aut = [a for a, psi in enumerate(perms)
-           if tuple(map(psi.__getitem__, q)) == tuple(map(q.__getitem__, psi))
-           and relabel_lambda(rep.lam, psi) == rep.lam]
-    assert len(aut) == canonical_table(rep.lam)[2]
-    members, covered = [], set()
-    for i, psi in enumerate(perms):
-        if i not in covered:
-            covered.update(map(comp[i].__getitem__, aut))   # psi a
-            lam = relabel_lambda(rep.lam, psi)
-            q2 = tuple(map(psi.__getitem__, map(q.__getitem__, inverse(psi))))
-            members.append(Solution(n, lam, forced_rho(lam, q2), q2, rep.d))
-            report = check(members[-1])
-            if not report.ok:
-                raise InvalidSolutionError(report)
+    n = rep.n
+    # at n = 2 both generators are (0 1), and n = 1 needs none
+    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)][:n - 1]
+    members = [Solution(n, rep.lam, forced_rho(rep.lam, rep.q), rep.q, rep.d)]
+    seen = {rep.lam}
+    for s in members:   # grows while it is read
+        report = check(s)
+        if not report.ok:
+            raise InvalidSolutionError(report)
+        for g in gens:
+            lam = relabel_lambda(s.lam, g)
+            if lam not in seen:
+                seen.add(lam)
+                q = tuple(map(g.__getitem__, map(s.q.__getitem__, inverse(g))))
+                members.append(Solution(n, lam, forced_rho(lam, q), q, s.d))
+    assert len(members) * canonical_table(rep.lam)[2] == factorial(n)
     return members
 
 

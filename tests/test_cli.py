@@ -70,6 +70,24 @@ def test_verify_rejects_bool_points(tmp_path, data):
     assert "error" in json.loads(r.stderr)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("argv", [
+    ("verify", "FILE"),
+    ("analyze", "FILE"),
+    ("groebner", "FILE"),
+    ("construct", "--type", "descriptor", "--params", "FILE"),
+], ids=["verify", "analyze", "groebner", "construct-descriptor"])
+def test_point_count_must_be_positive(tmp_path, capsys, argv, n):
+    data = ({"n": n, "op": [], "q": [], "phi": []} if "construct" in argv
+            else {"n": n, "lambda": []})
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps(data))
+    code = cli.main([str(path) if a == "FILE" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "n must be a positive integer"}
+
+
 def test_verify_parse_error(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{ not json")

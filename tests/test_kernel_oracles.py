@@ -16,8 +16,8 @@ force, run over all n! choices of lam_0 that the Stab(0)-orbit minima
 replaced, the composition table of Sym(n)
 hashed entry by entry that the build by columns replaced, q and d derived
 again for each relabeling that transporting them replaced, all n!
-relabelings of a class representative that one relabeling per coset of
-its automorphism group replaced, the
+relabelings of a class representative that growing its Sym(n)-orbit
+from two generators replaced, the
 semigroup claims that follow from the four ``semigroup`` checks, the
 torsion, round-trip and all-pairs isomorphism scans whose claims
 ``structure`` now checks once or derives, the union-find over two-letter
@@ -61,7 +61,8 @@ from ybx.perms import compose, exponent, is_perm
 from ybx.search import (EnumOptions, EnumResult, _complete_tuple,
                         _orbit_minima, _pin, _search_slice, _sym_index,
                         classify, enumerate_solutions,
-                        from_group_automorphism, from_rees_example)
+                        from_group_automorphism, from_permutation,
+                        from_rees_example)
 from pointwise import (associative_at, fineq_holds, homomorphic_at,
                        identity_holds)
 
@@ -1087,6 +1088,23 @@ def test_class_members_match_all_relabelings():
             members = search._class_members(rep)
             assert len(set(members)) == len(members)
             assert set(members) == members_by_all_relabelings(rep)
+
+
+def test_class_members_at_seven_points_need_no_sym_table(monkeypatch):
+    # the orbit is grown from two generators of Sym(7), so the composition
+    # table of the row search, 5040 x 5040 ids, is never built
+    def no_table(n):
+        raise AssertionError("_sym_index was built")
+
+    monkeypatch.setattr(search, "_sym_index", no_table)
+    z7 = [[(x + y) % 7 for y in range(7)] for x in range(7)]
+    for rep, size in [
+            (from_permutation((1, 2, 3, 4, 5, 6, 0)), 720),
+            (from_permutation((1, 0, 2, 3, 4, 5, 6)), 21),
+            (from_group_automorphism(z7, [3 * y % 7 for y in range(7)]), 840)]:
+        members = search._class_members(rep)
+        assert len(members) == size
+        assert set(members) == members_by_all_relabelings(rep)
 
 
 def test_iso_check_matches_forms_on_census3(census5):

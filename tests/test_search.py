@@ -163,8 +163,8 @@ def test_n6_slice_counts(first, count):
 
 def test_enumerate_checks_each_table_once(monkeypatch, capsys):
     # one exhaustive check per emitted table (240) and per walk leaf (27);
-    # only the leaves derive d, the relabelings carry it over; each class
-    # relabels the psi commuting with q, to find Aut, and one psi per coset
+    # only the leaves derive d, the relabelings carry it over; each member
+    # is relabeled once by each of the two generators of Sym(5)
     calls = Counter()
 
     def counting(name, fn):
@@ -181,7 +181,7 @@ def test_enumerate_checks_each_table_once(monkeypatch, capsys):
                         counting("relabel_lambda", core.relabel_lambda))
     assert cli.main(["enumerate", "-n", "5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 240 + 1
-    assert calls == {"check": 267, "exponent": 27, "relabel_lambda": 497}
+    assert calls == {"check": 267, "exponent": 27, "relabel_lambda": 480}
 
 
 @pytest.mark.parametrize("bend", ["lam-entry", "q"])
@@ -192,8 +192,8 @@ def test_class_members_reject_a_corrupted_relabeling(monkeypatch, bend):
     relabel, target = core.relabel_lambda, ((2, 0, 1),) * 3
     assert [s.lam for s in search._class_members(rep)] == [rep.lam, target]
     if bend == "lam-entry":
-        # only the member is corrupted, not the representative, so Aut
-        # is still found
+        # only the member is corrupted, not the representative, so the
+        # representative passes its check and the member fails its own
         monkeypatch.setattr(search, "relabel_lambda", lambda lam, psi: (
             ((0, 0, 1),) + target[1:] if relabel(lam, psi) == target
             else relabel(lam, psi)))
