@@ -89,36 +89,33 @@ def reduce(rs, word):
 def check_overlaps(rs):
     """Unresolved length-3 ambiguities; an empty list certifies confluence.
 
-    The overlaps of a rule ab -> i are the words abc, c running over the
-    letters with a rule on bc: their left reducts i + (c,) and right
-    reducts (a,) + image(bc) form two rows.  Each distinct reduct is
-    reduced once, into a table that lives only for this call, and a rule
-    is walked overlap by overlap only when its two rows differ.
+    Word abc is the code (a n + b) n + c.  ``first`` rewrites ab and
+    ``second`` bc, each the identity where no rule applies; one step of
+    :func:`reduce` is ``first`` where ab has a rule, else ``second``, and
+    as each rule lowers its word, that step squared until idempotent is
+    the normal form.  normal . first = normal . second off the overlaps,
+    so one equality of whole maps certifies confluence, in O(n^3) memory;
+    the codes where it fails are the unresolved overlaps, in order.
     """
-    rules = rs.rule_map()
-    follow = {}  # b -> (the letters c with a rule on bc, increasing; their images)
-    for (b, c), image in rules.items():
-        cs, images = follow.setdefault(b, ([], []))
-        cs.append(c)
-        images.append(image)
-    rows = [(a, b, image, *follow[b]) for (a, b), image in rules.items() if b in follow]
-    suffixes, prefixed = {}, {}  # image -> letters c after it; a -> images after a
-    for a, _, image, cs, images in rows:
-        suffixes.setdefault(image, set()).update(cs)
-        prefixed.setdefault(a, set()).update(images)
-    normal = {w: reduce(rs, w) for w in
-              {i + (c,) for i, cs in suffixes.items() for c in cs}
-              | {(a,) + i for a, images in prefixed.items() for i in images}}
-    left = {i: {c: normal[i + (c,)] for c in cs} for i, cs in suffixes.items()}
-    right = {a: {i: normal[(a,) + i] for i in images} for a, images in prefixed.items()}
-    unresolved = []
-    for a, b, image, cs, images in rows:
-        lrow = list(map(left[image].__getitem__, cs))
-        rrow = list(map(right[a].__getitem__, images))
-        if lrow != rrow:
-            unresolved += [((a, b, c), l, r)
-                           for c, l, r in zip(cs, lrow, rrow) if l != r]
-    return unresolved
+    n, nn = rs.n, rs.n * rs.n
+    image = list(range(nn))
+    for (a, b), (c, d) in rs.rule_map().items():
+        image[a * n + b] = c * n + d
+    cube = list(range(nn * n))   # every code below is one of its ints
+    first, second, normal = [], [], []
+    for i in image:
+        first += cube[i * n:i * n + n]
+    for a in range(0, nn * n, nn):
+        second += map(cube[a:a + nn].__getitem__, image)
+    for p, i in enumerate(image):   # one step, squared below
+        normal += (second if i == p else first)[p * n:p * n + n]
+    while (twice := list(map(normal.__getitem__, normal))) != normal:
+        normal = twice
+    left = list(map(normal.__getitem__, first))
+    right = list(map(normal.__getitem__, second))
+    return [] if left == right else [
+        tuple((v // nn, v // n % n, v % n) for v in words)
+        for words in zip(cube, left, right) if words[1] != words[2]]
 
 
 def normal_word_count(rs, max_deg):

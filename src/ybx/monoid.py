@@ -227,18 +227,22 @@ def _nullspace(rows, unknowns):
 def center_basis(s, deg):
     """Rational basis of the homogeneous central elements of one degree.
 
-    Solves a . g = g . a for every generator g over the degree-deg basis
-    elements.  Each equation is a row of -1, 0 and 1, so the system is
-    row-reduced over the integers and only the basis is rational.
+    Solves a . g = g . a over the degree-deg basis elements: equation
+    (g, w) is +1 where lam_{deg x}(g) = w and -1 where lam_g(x) = w, so the
+    system is row-reduced over the integers; only the basis is rational.
     """
     if deg < 1:
         raise ValueError("degree must be >= 1")
     n = s.n
     lam_deg = word_level(s, deg)[0]
     # the basis depends only on the row space, so repeated rows are dropped
-    rows = {tuple((1 if lam_deg[x][g] == w else 0) - (1 if s.lam[g][x] == w else 0)
-                  for x in range(n))
-            for g in range(n) for w in range(n)}
+    rows = set()
+    for g, lam_g in enumerate(s.lam):
+        eqs = [[0] * n for _ in range(n)]
+        for x, w in enumerate(lam_g):
+            eqs[lam_deg[x][g]][x] += 1
+            eqs[w][x] -= 1
+        rows.update(map(tuple, eqs))
     rows.discard((0,) * n)
     return _nullspace(sorted(rows) or [[0] * n], n)
 

@@ -15,7 +15,7 @@ def is_perm(images):
 
 def compose(p, q):
     """p after q: (p.q)(i) = p[q[i]]."""
-    return tuple(p[j] for j in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p):
@@ -43,28 +43,26 @@ def order(p):
 def closure(perms):
     """Group generated by perms, by breadth-first composition.
 
-    Inverses come for free: the generators have finite order.
+    A generator already in the group is skipped.  A new one multiplies the
+    group so far, which the earlier ones keep closed, and every generator
+    multiplies what that brings in.  Inverses come for free: the
+    generators have finite order.
     """
-    gens = set(perms)
-    if not gens:
+    perms = list(perms)
+    if not perms:
         raise ValueError("need at least one permutation")
-    group = {identity(len(next(iter(gens))))}
-    frontier = list(group)
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in gens:
-                gh = compose(g, h)
-                if gh not in group:
-                    group.add(gh)
-                    new.append(gh)
-        frontier = new
+    group, gens = {identity(len(perms[0]))}, []
+    for h in perms:
+        if h not in group:
+            gens.append(h)
+            frontier = [compose(g, h) for g in group]
+            while frontier:
+                fresh = set(frontier) - group
+                group |= fresh
+                frontier = [compose(g, k) for g in fresh for k in gens]
     return group
 
 
 def exponent(perms):
     """lcm of the element orders of the group generated by perms."""
-    result = 1
-    for g in closure(perms):
-        result = math.lcm(result, order(g))
-    return result
+    return math.lcm(*map(order, closure(perms)))

@@ -191,8 +191,8 @@ def _pin(ids, tables):
 def _search_slice(n, first, deadline=None):
     """All verified solutions whose lam_0 equals the given permutation.
 
-    Returns ([(canonical form, solution), ...], complete); an expired
-    deadline stops the walk.
+    Returns ([(canonical form, solution, |Aut|), ...], complete); an
+    expired deadline stops the walk.
     """
     tables = _sym_index(n)
     perms, comp, inv, _, compat = tables
@@ -233,7 +233,8 @@ def _search_slice(n, first, deadline=None):
         if j == n:
             sol = _complete_tuple(tuple(perms[a] for a in ids))
             if sol is not None:
-                found.append((canonical_form(sol), sol))
+                form, _, aut = canonical_table(sol.lam)
+                found.append((form, sol, aut))
             return
         rest = domain & _pin(ids, tables)
         while rest:
@@ -255,8 +256,8 @@ def _slice_worker(args):
     return _search_slice(*args)
 
 
-def _class_members(rep):
-    """The n!/|Aut| relabelings of a class representative: its Sym(n)-orbit.
+def _class_members(rep, aut):
+    """The n!/aut relabelings of a class representative: its Sym(n)-orbit.
 
     The orbit grows from the representative by the transposition (0 1) and
     the n-cycle, which generate Sym(n).  A relabeling g carries
@@ -279,7 +280,7 @@ def _class_members(rep):
                 seen.add(lam)
                 q = tuple(map(g.__getitem__, map(s.q.__getitem__, inverse(g))))
                 members.append(Solution(n, lam, forced_rho(lam, q), q, s.d))
-    assert len(members) * canonical_table(rep.lam)[2] == factorial(n)
+    assert len(members) * aut == factorial(n)
     return members
 
 
@@ -319,14 +320,14 @@ def enumerate_solutions(opts):
              if i == 0 or cs[0] != keyed[i - 1][0]]
     if not opts.up_to_iso:
         reps, keyed = keyed, []
-        for canon, rep in reps:
+        for canon, rep, aut in reps:
             if deadline is not None and time.monotonic() > deadline:
                 complete = False
                 break
-            keyed.extend((canon, s) for s in _class_members(rep))
+            keyed.extend((canon, s) for s in _class_members(rep, aut))
         keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
-    return EnumResult(tuple(s for _, s in keyed), complete,
-                      tuple(c for c, _ in keyed))
+    return EnumResult(tuple(cs[1] for cs in keyed), complete,
+                      tuple(cs[0] for cs in keyed))
 
 
 @dataclass(frozen=True)

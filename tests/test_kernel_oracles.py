@@ -29,6 +29,7 @@ that ``structure`` and ``conjugation_action`` report, never raise.
 import hashlib
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -394,15 +395,13 @@ def test_solution_rules_match_union_find(census_to4):
         assert (rs.rules, report) == (want_rs.rules, want_report)
 
 
-def _counting_reduce(monkeypatch):
-    calls = Counter()
+def _no_reduce(monkeypatch):
+    """``check_overlaps`` reads normal forms off one map of all 3-letter
+    words, so it never reduces a word by itself."""
+    def no_reduce(system, word):
+        raise AssertionError(f"reduce({word}) was called")
 
-    def counting_reduce(system, word):
-        calls[word] += 1
-        return reduce(system, word)
-
-    monkeypatch.setattr(groebner, "reduce", counting_reduce)
-    return calls
+    monkeypatch.setattr(groebner, "reduce", no_reduce)
 
 
 def test_overlaps_match_all_pairs_scan(monkeypatch, census4):
@@ -412,16 +411,10 @@ def test_overlaps_match_all_pairs_scan(monkeypatch, census4):
                 for rows in families(8)]
     rng = random.Random(11)
     systems += [_random_system(rng, n) for n in (2, 3, 4, 5) for _ in range(10)]
-    unresolved = 0
-    for rs in systems:
-        calls = _counting_reduce(monkeypatch)
-        want = overlaps_all_pairs(rs)
-        assert check_overlaps(rs) == want
-        unresolved += len(want)
-        # each distinct one-step reduct is reduced exactly once
-        assert set(calls.values()) <= {1}
-        assert sum(calls.values()) == len(overlap_words(rs))
-    assert unresolved > 0
+    wants = [overlaps_all_pairs(rs) for rs in systems]
+    _no_reduce(monkeypatch)
+    assert [check_overlaps(rs) for rs in systems] == wants
+    assert sum(map(len, wants)) > 0
 
 
 def test_overlaps_match_all_pairs_scan_dense():
@@ -442,13 +435,64 @@ def test_overlaps_match_all_pairs_scan_dense():
     assert dead_ends > 0 and full >= 6 and unresolved > 0
 
 
-def test_check_overlaps_reduces_a_left_and_right_word_once(monkeypatch):
+def test_overlaps_match_all_pairs_scan_dense_at_ten_letters():
+    # n = 8..10 from sparse to nearly full; all but one of them are not
+    # confluent
+    rng = random.Random(23)
+    systems = [_random_system(rng, n, density) for n in (8, 9, 10)
+               for density in (0.3, 0.6, 0.9) for _ in range(4)]
+    wants = [overlaps_all_pairs(rs) for rs in systems]
+    assert [check_overlaps(rs) for rs in systems] == wants
+    assert 0 < sum(not want for want in wants) < len(wants)
+
+
+def _chain_system(n, second):
+    """Rules (k, 0) -> (k - 1, 0) for k >= 1, so k00 walks down through k
+    steps, with ``second`` rules on the second pair rewriting bc."""
+    rules = {(k, 0): (k - 1, 0) for k in range(1, n)}
+    rules.update(second)
+    return RewriteSystem(n, tuple(Rule(l, r) for l, r in rules.items()))
+
+
+def _steps(rs, word):
+    """Rewriting steps of ``reduce`` on one word, counted by hand."""
+    rules, w, count = rs.rule_map(), list(word), 0
+    i = 0
+    while i + 1 < len(w):
+        image = rules.get((w[i], w[i + 1]))
+        if image is None:
+            i += 1
+        else:
+            w[i], w[i + 1] = image
+            i, count = 0, count + 1
+    return count
+
+
+@pytest.mark.parametrize("n, second, unresolved", [
+    (12, {}, 0),
+    # k11 reduces to 001 by its first pair and to 000 by its second
+    (12, {(k, 1): (k, 0) for k in range(1, 12)}, 11),
+    (16, {(1, k): (0, k) for k in range(3, 16, 2)}, 0),
+    (20, {(2, k): (1, k - 1) for k in range(2, 20)}, 18),
+])
+def test_overlaps_match_all_pairs_scan_on_long_reduction_chains(
+        monkeypatch, n, second, unresolved):
+    # some words take 2n - 2 steps or more to reach their normal form, so
+    # ``normal`` is squared five or six times
+    rs = _chain_system(n, second)
+    assert max(_steps(rs, w) for w in product(range(n), repeat=3)) >= 2 * n - 2
+    want = overlaps_all_pairs(rs)
+    assert len(want) == unresolved
+    _no_reduce(monkeypatch)
+    assert check_overlaps(rs) == want
+
+
+def test_check_overlaps_resolves_a_shared_left_and_right_word(monkeypatch):
     # overlap 120: the left reduct 10.0 and the right reduct 1.00 are one word
     rs = RewriteSystem(3, (Rule((1, 2), (1, 0)), Rule((2, 0), (0, 0))))
     assert overlap_words(rs) == {(1, 0, 0)}
-    calls = _counting_reduce(monkeypatch)
+    _no_reduce(monkeypatch)
     assert check_overlaps(rs) == []
-    assert calls == {(1, 0, 0): 1}
 
 
 def test_rewrite_system_rejects_letters_outside_range():
@@ -460,19 +504,27 @@ def test_rewrite_system_rejects_letters_outside_range():
         RewriteSystem(2, (Rule((1, 1), (0, -1)),))
 
 
-@pytest.mark.parametrize("build, words", [
-    (lambda: constant_rules(32), 1984),
-    (lambda: solution_rules(solution_from_lambda(families(24)[0]))[0], 1128),
+@pytest.mark.parametrize("build", [
+    lambda: constant_rules(32),
+    lambda: solution_rules(solution_from_lambda(families(24)[0]))[0],
 ], ids=["constant-32", "zn-neg-24"])
-def test_check_overlaps_reduces_each_distinct_word_once(monkeypatch, build,
-                                                        words):
+def test_check_overlaps_makes_no_reduce_call(monkeypatch, build):
     # the all-pairs scan reduces 61,504 and 25,392 overlap words here
     rs = build()
-    calls = _counting_reduce(monkeypatch)
-    got = check_overlaps(rs)
-    assert sum(calls.values()) == words
-    assert set(calls.values()) == {1}
-    assert got == overlaps_all_pairs(rs)
+    want = overlaps_all_pairs(rs)
+    _no_reduce(monkeypatch)
+    assert check_overlaps(rs) == want
+
+
+def test_check_overlaps_memory_stays_cubic():
+    # seven lists of n^3 codes, about 25 MB traced at n = 64
+    tracemalloc.start()
+    try:
+        assert check_overlaps(constant_rules(64)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_is_cancellative_matches_all_lengths_scan(census4):
@@ -754,9 +806,10 @@ def test_center_basis_matches_all_rows_on_census4(census4):
 
 @pytest.mark.parametrize("family", [0, 1, 2], ids=["zn-neg", "cycle", "identity"])
 def test_center_basis_matches_all_rows_on_families(family):
-    s = solution_from_lambda(families(8)[family])
-    for deg in (1, s.d, 3):
-        assert center_basis(s, deg) == center_basis_all_rows(s, deg)
+    for n in (8, 16):
+        s = solution_from_lambda(families(n)[family])
+        for deg in sorted({1, 3, s.d, s.d + 1}):
+            assert center_basis(s, deg) == center_basis_all_rows(s, deg)
 
 
 def _row(n):
@@ -1085,7 +1138,7 @@ def test_class_members_match_all_relabelings():
     # such as constant rows of a transposition, tell psi a from a psi
     for n in range(1, 7):
         for rep in enumerate_solutions(EnumOptions(n, up_to_iso=True)).solutions:
-            members = search._class_members(rep)
+            members = search._class_members(rep, canonical_table(rep.lam)[2])
             assert len(set(members)) == len(members)
             assert set(members) == members_by_all_relabelings(rep)
 
@@ -1102,7 +1155,7 @@ def test_class_members_at_seven_points_need_no_sym_table(monkeypatch):
             (from_permutation((1, 2, 3, 4, 5, 6, 0)), 720),
             (from_permutation((1, 0, 2, 3, 4, 5, 6)), 21),
             (from_group_automorphism(z7, [3 * y % 7 for y in range(7)]), 840)]:
-        members = search._class_members(rep)
+        members = search._class_members(rep, factorial(7) // size)
         assert len(members) == size
         assert set(members) == members_by_all_relabelings(rep)
 
@@ -1180,7 +1233,7 @@ def quadruples_below_hold(ids, tables):
 def search_slice_unpinned(n, first):
     """The row search with no pin: every compatible candidate for row j is
     tested on every YBE1 quadruple peaking at j.  Returns what
-    ``_search_slice`` returns, ([(form, solution), ...], complete), and
+    ``_search_slice`` returns, ([(form, solution, |Aut|), ...], complete), and
     the number of nodes below a leaf that tried candidates."""
     tables = _sym_index(n)
     perms, compat = tables[0], tables[4]
@@ -1193,7 +1246,8 @@ def search_slice_unpinned(n, first):
         if len(ids) == n:
             sol = _complete_tuple(tuple(perms[a] for a in ids))
             if sol is not None:
-                found.append((canonical_form(sol), sol))
+                form, _, aut = canonical_table(sol.lam)
+                found.append((form, sol, aut))
             return
         inner += 1
         for a in range(len(perms)):
@@ -1274,7 +1328,7 @@ def all_slices_census(n, up_to_iso=False):
     for first in permutations(range(n)):
         (found, complete), _ = search_slice_unpinned(n, first)
         assert complete
-        keyed.extend(found)
+        keyed.extend((form, s) for form, s, _ in found)
     keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
     if up_to_iso:
         keyed = [cs for i, cs in enumerate(keyed)

@@ -1,4 +1,7 @@
+import random
 from itertools import permutations
+
+import pytest
 
 from ybx.perms import closure, compose, exponent, identity, inverse, is_perm, order
 
@@ -50,11 +53,53 @@ def test_closure_is_a_group():
             assert compose(g, h) in group
 
 
+def closure_by_all_generators(perms):
+    """Breadth-first closure that multiplies every element by every
+    generator, duplicates and members of the group included."""
+    gens = list(perms)
+    group = {identity(len(gens[0]))}
+    frontier = list(group)
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in gens:
+                gh = tuple(g[j] for j in h)
+                if gh not in group:
+                    group.add(gh)
+                    new.append(gh)
+        frontier = new
+    return group
+
+
+def test_closure_matches_all_generators_scan():
+    rng = random.Random(5)
+    cases = [[identity(4)], [(1, 0, 2, 3)] * 3,
+             # the second is the inverse of the first, so already in the group
+             [(1, 2, 0, 3), (2, 0, 1, 3), (1, 0, 2, 3), (0, 2, 1, 3)]]
+    for n in range(1, 7):
+        pool = list(permutations(range(n)))
+        for size in (1, 2, 3, 5):
+            gens = [rng.choice(pool) for _ in range(size)]
+            # a repeat, and a product of two generators, join the list
+            gens += [gens[-1], compose(gens[0], gens[-1])]
+            rng.shuffle(gens)
+            cases.append(gens)
+    for gens in cases:
+        assert closure(gens) == closure_by_all_generators(gens)
+        assert closure(set(gens)) == closure_by_all_generators(gens)
+    with pytest.raises(ValueError):
+        closure([])
+
+
 def test_exponent_examples():
     assert exponent({identity(3)}) == 1
     assert exponent({(0, 1), (1, 0)}) == 2
     # the three maps y -> x - y generate all six permutations
     assert exponent({(0, 2, 1), (1, 0, 2), (2, 1, 0)}) == 6
+    # the 24 maps y -> x - y on Z_24 generate the dihedral group of order 48
+    z24 = [tuple((x - y) % 24 for y in range(24)) for x in range(24)]
+    assert len(closure(z24)) == 48
+    assert exponent(set(z24)) == 24
 
 
 def test_is_perm_and_fixed_points():

@@ -156,7 +156,7 @@ def test_n6_slice_counts(first, count):
     assert tuple(N6_SLICES) == _orbit_minima(6)
     found, complete = _search_slice(6, first)
     assert complete and len(found) == count
-    for _, s in found:
+    for _, s, _ in found:
         assert s.lam[0] == first
         assert check(RMap(s.n, s.lam, s.rho)).ok
 
@@ -190,7 +190,7 @@ def test_class_members_reject_a_corrupted_relabeling(monkeypatch, bend):
     # so a q' transported with the wrong inverse is wrong
     rep = from_permutation((1, 2, 0))
     relabel, target = core.relabel_lambda, ((2, 0, 1),) * 3
-    assert [s.lam for s in search._class_members(rep)] == [rep.lam, target]
+    assert [s.lam for s in search._class_members(rep, 3)] == [rep.lam, target]
     if bend == "lam-entry":
         # only the member is corrupted, not the representative, so the
         # representative passes its check and the member fails its own
@@ -200,7 +200,7 @@ def test_class_members_reject_a_corrupted_relabeling(monkeypatch, bend):
     else:
         monkeypatch.setattr(search, "inverse", lambda p: tuple(range(len(p))))
     with pytest.raises(InvalidSolutionError):
-        search._class_members(rep)
+        search._class_members(rep, 3)
 
 
 def test_classify_counts():
