@@ -14,13 +14,15 @@ sound filters prune:
     already assigned;
   - the first Yang-Baxter identity, as a permutation identity
     lam_x lam_y = lam_w lam_u with w = lam_x(y) and u = q(w), checked
-    once all four rows are assigned.  A quadruple with x and w below its
-    last row j fixes lam_j outright (or, with y = u = j, holds already by
-    the fixed-point filter), so before trying candidates for row j the
-    walk ANDs the one id those quadruples force into the domain (see
-    :func:`_pin`).  Each candidate is then tested only on the quadruples
-    the pin cannot decide, x = j or w = j, which involve the candidate's
-    own lam_j(y) or q(j).
+    once all four rows are assigned.  A quadruple whose x, w and one of
+    y, u are assigned fixes its open row t outright (or, with y = u = t,
+    holds already by the fixed-point filter), so the one id those
+    quadruples force is ANDed into row t's domain (see :func:`_pin`).
+    At each node the walk does so for the next row j, whose mask lists
+    the node's candidates, and then, looking ahead, for each later row in
+    turn, and cuts the node at the first row left with no candidate.
+    Each candidate is then tested only on the quadruples the pin cannot
+    decide, x = j or w = j, which involve its own lam_j(y) or q(j).
 
 A completed tuple still receives the full exhaustive verification before
 it is emitted; the pruning is an optimisation, never a proof.
@@ -57,7 +59,7 @@ from .core import (InvalidSolutionError, Solution, _check_table,
 from .invariants import Descriptor, descriptor_report
 from .perms import compose, inverse, is_perm
 
-MAX_POINTS = 6
+MAX_POINTS = 7
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,7 @@ class EnumResult:
     solutions: tuple
     complete: bool
     canonical: tuple   # canonical_form of each solution, in the same order
+    aut: tuple         # |Aut| of each solution, in the same order
 
 
 @lru_cache(maxsize=MAX_POINTS)
@@ -94,8 +97,8 @@ def _sym_index(n):
     ``inv[a][w] = perms[a].index(w)``, so q(w) = inv[id of lam_w][w], and
     ``inv_id[a]`` is the id of perms[a]^-1; bit
     b of ``compat[a]`` is set iff perms[a] perms[b]^-1 is the identity or
-    has no fixed point.  Built on first use for each n, so an n = 5 run
-    never builds the n = 6 tables.
+    has no fixed point.  Built on first use for each n, so an n = 6 run
+    never builds the n = 7 tables (about 2 s and 420 MB).
 
     ``comp`` is built by columns: ``rights[i][a]`` is the id of perms[a] . s
     for the transposition s of i and i + 1, and column p = r . s is
@@ -133,8 +136,8 @@ def _orbit_minima(n):
 
     Stab(0) acts by conjugation, p -> psi p psi^-1 with psi(0) = 0.
     Sym(n) is read in lexicographic order, so the first permutation met in
-    each orbit is its minimum.  There are 1, 2, 4, 7, 12, 19 of them for
-    n = 1..6.
+    each orbit is its minimum.  There are 1, 2, 4, 7, 12, 19, 30 of them
+    for n = 1..7.
     """
     perms = _sym_index(n)[0]
     stab = [(psi, inverse(psi)) for psi in perms if psi[0] == 0]
@@ -155,17 +158,18 @@ def _complete_tuple(rows):
         return None
 
 
-def _pin(ids, tables):
-    """The ids YBE1 leaves for row j = len(ids) given rows 0..j-1, as a
-    mask to AND into the domain: -1 when no quadruple fixes lam_j, one bit
-    when some do, 0 when two of them force different ids.
+def _pin(ids, tables, t):
+    """The ids YBE1 leaves for an unassigned row t >= j = len(ids) given
+    rows 0..j-1, as a mask to AND into the domain: -1 when no quadruple
+    fixes lam_t, one bit when some do, 0 when two of them force different
+    ids.
 
-    With w = lam_x(y) and u = q(w), the quadruples whose last row is j and
+    With w = lam_x(y) and u = q(w), the quadruples on rows 0..j-1 and t
     whose x and w lie below j are decided here:
-      - y = j, u < j: lam_j = lam_x^-1 lam_w lam_u;
-      - y, w < j, u = j: lam_j = lam_w^-1 lam_x lam_y;
-      - y = j, u = j: lam_x lam_j = lam_w lam_j, so lam_x = lam_w.  Rows x
-        and w agree at j (both send it to w), so on rows that pass the
+      - y = t, u < j: lam_t = lam_x^-1 lam_w lam_u;
+      - y, w < j, u = t: lam_t = lam_w^-1 lam_x lam_y;
+      - y = t, u = t: lam_x lam_t = lam_w lam_t, so lam_x = lam_w.  Rows x
+        and w agree at t (both send it to w), so on rows that pass the
         fixed-point filter this holds already.
     """
     perms, comp, inv, inv_id, _ = tables
@@ -173,13 +177,13 @@ def _pin(ids, tables):
     q = [inv[a][w] for w, a in enumerate(ids)]
     mask = -1
     for a in ids:
-        w = perms[a][j]
+        w = perms[a][t]
         if w < j:
             u = q[w]
             if u < j:
                 mask &= 1 << comp[inv_id[a]][comp[ids[w]][ids[u]]]
     for w, u in enumerate(q):
-        if u == j:
+        if u == t:
             b = inv_id[ids[w]]
             for a in ids:
                 y = inv[a][w]
@@ -236,7 +240,11 @@ def _search_slice(n, first, deadline=None):
                 form, _, aut = canonical_table(sol.lam)
                 found.append((form, sol, aut))
             return
-        rest = domain & _pin(ids, tables)
+        # look ahead: stop at the first row left with no candidate
+        rest = domain & _pin(ids, tables, j)
+        for t in range(j + 1, n):
+            if not (rest and domain & _pin(ids, tables, t)):
+                return
         while rest:
             low = rest & -rest
             rest ^= low
@@ -324,10 +332,11 @@ def enumerate_solutions(opts):
             if deadline is not None and time.monotonic() > deadline:
                 complete = False
                 break
-            keyed.extend((canon, s) for s in _class_members(rep, aut))
+            keyed.extend((canon, s, aut) for s in _class_members(rep, aut))
         keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
     return EnumResult(tuple(cs[1] for cs in keyed), complete,
-                      tuple(cs[0] for cs in keyed))
+                      tuple(cs[0] for cs in keyed),
+                      tuple(cs[2] for cs in keyed))
 
 
 @dataclass(frozen=True)
@@ -360,7 +369,8 @@ def classify(n):
     """
     result = enumerate_solutions(EnumOptions(n, up_to_iso=True))
     records = []
-    for canon, rep in zip(result.canonical, result.solutions):
+    for canon, rep, aut in zip(result.canonical, result.solutions,
+                               result.aut):
         image = diagonal_image(rep)
         op, ends = word_level(rep, rep.d)
         xs = [x for x in range(n) if ends[x] == image[0]]
@@ -368,7 +378,7 @@ def classify(n):
         table = tuple(tuple(local[op[x][y]] for y in xs) for x in xs)
         records.append(ClassificationRecord(
             canonical=canon,
-            members=factorial(n) // canonical_table(rep.lam)[2],
+            members=factorial(n) // aut,
             diag_size=len(image),
             d=rep.d,
             torsion_order=len(xs),

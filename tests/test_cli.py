@@ -197,7 +197,7 @@ def test_enumerate_jobs_must_be_positive(jobs):
 
 
 def test_enumerate_size_refusal():
-    r = run_cli("enumerate", "-n", "7")
+    r = run_cli("enumerate", "-n", "8")
     assert r.returncode == 2
 
 

@@ -1213,18 +1213,21 @@ def ybe_ok_unpinned(ids, tables):
     return True
 
 
-def quadruples_below_hold(ids, tables):
-    """YBE1 at the quadruples whose last row is j = len(ids) - 1 and whose
-    x and w lie below j, the ones ``_pin`` is to decide."""
+def quadruples_below_hold(ids, a, t, tables):
+    """YBE1 at the quadruples over rows 0..j-1 (j = len(ids)) and row t,
+    holding id a, that reach row t as y or as u and whose x and w lie below
+    j: the ones ``_pin(ids, tables, t)`` is to decide."""
     perms, comp, inv, _, _ = tables
-    j = len(ids) - 1
+    j = len(ids)
+    rows = dict(enumerate(ids))
+    rows[t] = a
     for x in range(j):
-        for y in range(j + 1):
+        for y in rows:
             w = perms[ids[x]][y]
             if w < j:
                 u = inv[ids[w]][w]
-                if j in (y, u) and u <= j and \
-                        comp[ids[x]][ids[y]] != comp[ids[w]][ids[u]]:
+                if t in (y, u) and u in rows and \
+                        comp[ids[x]][rows[y]] != comp[ids[w]][rows[u]]:
                     return False
     return True
 
@@ -1261,25 +1264,48 @@ def search_slice_unpinned(n, first):
     return (found, True), inner
 
 
+# inner nodes entered and _pin calls of the look-ahead walk over all n!
+# slices, for n = 1..5; the unpinned walk enters 0, 2, 20, 364 and 17,952
+# inner nodes
+LOOK_AHEAD_TOTALS = {1: (0, 0), 2: (2, 2), 3: (18, 26), 4: (264, 540),
+                     5: (2352, 17734)}
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_search_slice_matches_unpinned_walk(monkeypatch, n):
-    # every lam_0, not only the orbit minima: 1 + 2 + 6 + 24 + 120 slices;
-    # the pinned walk also visits the same nodes, one _pin call at each
-    pins = Counter()
+    # every lam_0, not only the orbit minima: 1 + 2 + 6 + 24 + 120 slices.
+    # The look-ahead enters an inner node once the pin of its last row,
+    # which it computes last, leaves candidates in the node's domain.
+    tables = _sym_index(n)
+    compat = tables[4]
+    entered = Counter()
+    pins = 0
 
-    def counted(ids, tables):
-        pins[ids[0]] += 1
-        return _pin(ids, tables)
+    def counted(ids, tables, t):
+        nonlocal pins
+        pins += 1
+        mask = _pin(ids, tables, t)
+        left = mask
+        for a in ids:
+            left &= compat[a]
+        if t == n - 1 and left:
+            entered[ids[0]] += 1
+        return mask
 
     monkeypatch.setattr(search, "_pin", counted)
     for first in permutations(range(n)):
         want, inner = search_slice_unpinned(n, first)
         assert _search_slice(n, first) == want
-        assert pins[_sym_index(n)[0].index(first)] == inner
+        assert entered[tables[0].index(first)] <= inner
+    assert (sum(entered.values()), pins) == LOOK_AHEAD_TOTALS[n]
 
 
 def _bits(mask, size):
     return {a for a in range(size) if mask >> a & 1}
+
+
+def _kind(mask):
+    return "open" if mask == -1 else "empty" if mask == 0 else "pinned"
 
 
 def test_pin_keeps_every_candidate_the_unpinned_check_accepts():
@@ -1303,21 +1329,27 @@ def test_pin_keeps_every_candidate_the_unpinned_check_accepts():
                 if not kept:
                     break
                 ids.append(rng.choice(kept))
-            mask = _pin(ids, tables)
+            mask = _pin(ids, tables, len(ids))
             accepted = {a for a in range(size)
                         if ybe_ok_unpinned(ids + [a], tables)}
             assert mask == -1 or len(_bits(mask, size)) <= 1
             assert accepted <= _bits(mask, size)
             if mask == 0:
                 assert not accepted
-            # the pin is exact on the quadruples it decides
-            assert _bits(mask, size) == {
-                a for a in range(size)
-                if quadruples_below_hold(ids + [a], tables)}
-            kind = "open" if mask == -1 else "empty" if mask == 0 else "pinned"
-            seen[kind, bool(accepted)] += 1
+            # the pin is exact on the quadruples it decides, for the next
+            # row and for every later one, so a look-ahead cut on a later
+            # row's pin never loses a completion
+            for t in range(len(ids), n):
+                later = _pin(ids, tables, t)
+                assert _bits(later, size) == {
+                    a for a in range(size)
+                    if quadruples_below_hold(ids, a, t, tables)}
+                if t > len(ids):
+                    seen[_kind(later), "later"] += 1
+            seen[_kind(mask), bool(accepted)] += 1
     assert {("open", True), ("empty", False), ("pinned", True),
-            ("pinned", False)} <= set(seen)
+            ("pinned", False), ("open", "later"), ("empty", "later"),
+            ("pinned", "later")} <= set(seen)
 
 
 @lru_cache(maxsize=None)
@@ -1328,13 +1360,14 @@ def all_slices_census(n, up_to_iso=False):
     for first in permutations(range(n)):
         (found, complete), _ = search_slice_unpinned(n, first)
         assert complete
-        keyed.extend((form, s) for form, s, _ in found)
+        keyed.extend(found)
     keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
     if up_to_iso:
         keyed = [cs for i, cs in enumerate(keyed)
                  if i == 0 or cs[0] != keyed[i - 1][0]]
-    return EnumResult(tuple(s for _, s in keyed), True,
-                      tuple(c for c, _ in keyed))
+    return EnumResult(tuple(s for _, s, _ in keyed), True,
+                      tuple(c for c, _, _ in keyed),
+                      tuple(aut for _, _, aut in keyed))
 
 
 @pytest.mark.parametrize("up_to_iso", [False, True], ids=["labelled", "iso"])

@@ -67,9 +67,9 @@ def test_enumerate_soundness():
 
 def test_enumerate_size_guard():
     with pytest.raises(ValueError):
-        EnumOptions(7)
+        EnumOptions(8)
     with pytest.raises(ValueError):
-        classify(7)
+        classify(8)
 
 
 def test_enumerate_budget_zero_incomplete():
@@ -161,6 +161,17 @@ def test_n6_slice_counts(first, count):
         assert check(RMap(s.n, s.lam, s.rho)).ok
 
 
+def test_n7_seven_cycle_slice():
+    # q(0) = 6 is the last row, so until then only the pins of later rows
+    # can cut the walk
+    first = (1, 2, 3, 4, 5, 6, 0)
+    found, complete = _search_slice(7, first)
+    assert complete and len(found) == 2
+    for _, s, _ in found:
+        assert s.lam[0] == first
+        assert core.check(s).ok
+
+
 def test_enumerate_checks_each_table_once(monkeypatch, capsys):
     # one exhaustive check per emitted table (240) and per walk leaf (27);
     # only the leaves derive d, the relabelings carry it over; each member
@@ -239,7 +250,7 @@ def test_check_closed_forms():
     # are left unchecked
     for n in (1, 2, 3, 4, 5):
         assert check_closed_forms(n)
-    for n in (0, 7):
+    for n in (0, 8):
         with pytest.raises(ValueError):
             check_closed_forms(n)
 
@@ -247,15 +258,16 @@ def test_check_closed_forms():
 def _tampered(result, size, extra):
     """The census with one class of the given diagonal size dropped, or
     with one made-up class of that size added."""
-    keep = list(zip(result.canonical, result.solutions))
-    i = next(i for i, (_, s) in enumerate(keep)
+    keep = list(zip(result.canonical, result.solutions, result.aut))
+    i = next(i for i, (_, s, _) in enumerate(keep)
              if len(diagonal_image(s)) == size)
     if extra:
-        keep.append(((-1,) * result.solutions[i].n ** 2, keep[i][1]))
+        keep.append(((-1,) * result.solutions[i].n ** 2, *keep[i][1:]))
     else:
         del keep[i]
-    return EnumResult(tuple(s for _, s in keep), result.complete,
-                      tuple(c for c, _ in keep))
+    return EnumResult(tuple(s for _, s, _ in keep), result.complete,
+                      tuple(c for c, _, _ in keep),
+                      tuple(a for _, _, a in keep))
 
 
 @pytest.mark.parametrize("n, size, extra", [
@@ -298,6 +310,20 @@ def test_enumerate_n6_pinned(request, up_to_iso, digest):
     assert r.complete
     assert hashlib.sha256(repr((r.solutions, r.canonical)).encode()
                           ).hexdigest() == digest
+
+
+@pytest.mark.slow
+def test_census_n7(monkeypatch):
+    # the full n = 7 census, about 20 s on one core: run with pytest -m slow
+    iso7 = EnumOptions(7, up_to_iso=True)
+    census7 = enumerate_solutions(iso7)
+    run = search.enumerate_solutions
+    monkeypatch.setattr(search, "enumerate_solutions",
+                        lambda opts: census7 if opts == iso7 else run(opts))
+    assert len(_orbit_minima(7)) == 30
+    assert by_diag_size(7) == {1: 6, 7: 15}
+    assert sum(rec.members for rec in classify(7)) == 10080
+    assert check_closed_forms(7)
 
 
 def test_prime_five_exhaustive_converse_within_budget():
