@@ -27,19 +27,22 @@ sound filters prune:
 A completed tuple still receives the full exhaustive verification before
 it is emitted; the pruning is an optimisation, never a proof.
 
-Only the lexicographic minima of the orbits of Sym(n) under conjugation
-by Stab(0) are tried as lam_0 (symmetry breaking in the spirit of Akgün,
-Mereb & Vendramin, "Enumeration of set-theoretic solutions to the
-Yang-Baxter equation", Math. Comp. 2022).  This finds every class:
+The walk keeps lexicographic leaders under relabeling (the symmetry
+breaking of Akgün, Mereb & Vendramin, "Enumeration of set-theoretic
+solutions to the Yang-Baxter equation", Math. Comp. 2022).  Relabeling X
+by psi conjugates the rows, lam'_{psi(x)} = psi lam_x psi^-1, so the
+relabelings with psi(x) = 0 make row x into lam'_0 and give exactly one
+orbit of Stab(0) acting by conjugation, fixed by the cycle type of lam_x
+and the length of its cycle through x.  The slice of a given lam_0 keeps
+a row only if that orbit's minimum is not below lam_0 (the bound, see
+:func:`_row_bounds`), so only orbit minima can start a tuple.  This
+finds every class:
 
-  - relabeling X by psi conjugates the rows, lam'_{psi(x)} = psi lam_x
-    psi^-1, so a relabeling that fixes 0 conjugates lam_0, and the lam_0
-    values over one isomorphism class form a union of Stab(0) orbits;
-  - the class member with the smallest lam has the smallest lam_0 of the
-    class, which is the minimum of one of those orbits;
+  - the class member with the smallest lam has the smallest lam_0 of
+    the class, so it passes the bound on every row, row 0 included;
   - that member is the one ``up_to_iso`` keeps after the sort by
     (canonical form, lam), so the representatives are exactly those of
-    the walk over all n! choices of lam_0.
+    the walk over all n! choices of lam_0 without the bound.
 
 The labelled census is the union of the Sym(n)-orbits of the
 representatives, grown by two generators of Sym(n) (:func:`_class_members`);
@@ -57,7 +60,7 @@ from .core import (InvalidSolutionError, Solution, _check_table,
                    diagonal_image, failures, forced_rho, homomorphism,
                    relabel_lambda, solution_from_lambda, word_level)
 from .invariants import Descriptor, descriptor_report
-from .perms import compose, inverse, is_perm
+from .perms import inverse, is_perm
 
 MAX_POINTS = 7
 
@@ -131,23 +134,42 @@ def _sym_index(n):
 
 
 @lru_cache(maxsize=MAX_POINTS)
-def _orbit_minima(n):
-    """The lexicographic minimum of each orbit of Stab(0) on Sym(n).
+def _row_bounds(n):
+    """The Stab(0)-orbit minima of Sym(n), and the ids of Sym(n) grouped
+    at each point x by the orbit a relabeling moving x to 0 gives them.
 
-    Stab(0) acts by conjugation, p -> psi p psi^-1 with psi(0) = 0.
-    Sym(n) is read in lexicographic order, so the first permutation met in
-    each orbit is its minimum.  There are 1, 2, 4, 7, 12, 19, 30 of them
-    for n = 1..7.
+    Row p at x goes to the orbit keyed by (cycle type of p, length of the
+    cycle of p through x).  Sym(n) is read in lexicographic order, which
+    gives the ids of :func:`_sym_index` without building it, so the first
+    p with a given key at x = 0 is that orbit's minimum.  Returns (minima,
+    groups), groups[x] = ((id of a minimum, bitmask of the ids whose key at
+    x is its), ...).  There are 1, 2, 4, 7, 12, 19, 30 minima for n = 1..7.
     """
-    perms = _sym_index(n)[0]
-    stab = [(psi, inverse(psi)) for psi in perms if psi[0] == 0]
-    seen = set()
-    minima = []
-    for p in perms:
-        if p not in seen:
-            minima.append(p)
-            seen.update(compose(compose(psi, p), inv) for psi, inv in stab)
-    return tuple(minima)
+    first, keys = {}, []
+    for a, p in enumerate(permutations(range(n))):
+        through = [0] * n   # the length of the cycle through each point
+        for i in range(n):
+            if not through[i]:
+                cycle = [i]
+                while p[cycle[-1]] != i:
+                    cycle.append(p[cycle[-1]])
+                for v in cycle:
+                    through[v] = len(cycle)
+        kind = tuple(sorted(through))
+        first.setdefault((kind, through[0]), (a, p))
+        keys.append((kind, through))
+    groups = [{} for _ in range(n)]
+    for a, (kind, through) in enumerate(keys):
+        for x, group in enumerate(groups):
+            low = first[kind, through[x]][0]
+            group[low] = group.get(low, 0) | 1 << a
+    return (tuple(p for _, p in first.values()),
+            tuple(tuple(group.items()) for group in groups))
+
+
+def _orbit_minima(n):
+    """The lexicographic minimum of each orbit of Stab(0) on Sym(n)."""
+    return _row_bounds(n)[0]
 
 
 def _complete_tuple(rows):
@@ -193,7 +215,10 @@ def _pin(ids, tables, t):
 
 
 def _search_slice(n, first, deadline=None):
-    """All verified solutions whose lam_0 equals the given permutation.
+    """The verified solutions with lam_0 = ``first`` that pass the bound of
+    the module docstring on every row: none unless ``first`` is an orbit
+    minimum.  The bound drops only tuples that are not the lam-smallest of
+    their class, and the smallest passes it in the slice of its own lam_0.
 
     Returns ([(canonical form, solution, |Aut|), ...], complete); an
     expired deadline stops the walk.
@@ -201,6 +226,10 @@ def _search_slice(n, first, deadline=None):
     tables = _sym_index(n)
     perms, comp, inv, _, compat = tables
     ids = [perms.index(tuple(first))]
+    # bound[x]: the ids for row x that no relabeling moving x to 0 turns
+    # into a lam_0 below ``first``
+    bound = [sum(mask for low, mask in group if low >= ids[0])
+             for group in _row_bounds(n)[1]]
     found = []
     complete = True
 
@@ -241,9 +270,9 @@ def _search_slice(n, first, deadline=None):
                 found.append((form, sol, aut))
             return
         # look ahead: stop at the first row left with no candidate
-        rest = domain & _pin(ids, tables, j)
+        rest = domain & bound[j] & _pin(ids, tables, j)
         for t in range(j + 1, n):
-            if not (rest and domain & _pin(ids, tables, t)):
+            if not (rest and domain & bound[t] & _pin(ids, tables, t)):
                 return
         while rest:
             low = rest & -rest
@@ -256,7 +285,8 @@ def _search_slice(n, first, deadline=None):
             if not complete:
                 return
 
-    walk(compat[ids[0]])
+    if bound[0] >> ids[0] & 1:
+        walk(compat[ids[0]])
     return found, complete
 
 

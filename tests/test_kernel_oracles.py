@@ -13,7 +13,10 @@ canonical labeling replaced, the unpruned check of
 every lam tuple in Sym(n)^n, the row search that tested every candidate
 on every YBE1 quadruple before ``_pin`` solved the rows those quadruples
 force, run over all n! choices of lam_0 that the Stab(0)-orbit minima
-replaced, the composition table of Sym(n)
+replaced and on every row tuple that the relabeling bound cut, the
+minimum of each row's orbit under the relabelings moving its point to 0,
+taken over Stab(0), that the cycle-type keys replaced, the composition
+table of Sym(n)
 hashed entry by entry that the build by columns replaced, q and d derived
 again for each relabeling that transporting them replaced, all n!
 relabelings of a class representative that growing its Sym(n)-orbit
@@ -60,7 +63,8 @@ from ybx.monoid import (ONE, MElem, _nullspace, _word_classes, center_basis,
                         power, sigma, sigma_discrepancies)
 from ybx.perms import compose, exponent, is_perm
 from ybx.search import (EnumOptions, EnumResult, _complete_tuple,
-                        _orbit_minima, _pin, _search_slice, _sym_index,
+                        _orbit_minima, _pin, _row_bounds, _search_slice,
+                        _sym_index,
                         classify, enumerate_solutions,
                         from_group_automorphism, from_permutation,
                         from_rees_example)
@@ -1160,6 +1164,23 @@ def test_class_members_at_seven_points_need_no_sym_table(monkeypatch):
         assert set(members) == members_by_all_relabelings(rep)
 
 
+def test_orbit_minima_at_seven_points_need_no_sym_table(monkeypatch):
+    # with --jobs > 1 the main process only lists the slices, so the keys
+    # and masks read Sym(7) without the 5040 x 5040 composition table
+    def no_table(n):
+        raise AssertionError("_sym_index was built")
+
+    monkeypatch.setattr(search, "_sym_index", no_table)
+    _row_bounds.cache_clear()
+    minima, groups = _row_bounds(7)
+    assert len(minima) == 30 and minima[0] == tuple(range(7))
+    for group in groups:
+        assert len(group) == 30
+        # disjoint: the popcounts add up without a carry
+        assert sum(mask for _, mask in group) == (1 << 5040) - 1
+        assert sum(bin(mask).count("1") for _, mask in group) == 5040
+
+
 def test_iso_check_matches_forms_on_census3(census5):
     sols = [s for s in census5 if s.n <= 3]
     for s1 in sols:
@@ -1264,20 +1285,46 @@ def search_slice_unpinned(n, first):
     return (found, True), inner
 
 
+@lru_cache(maxsize=None)
+def relabeled_row_minimum(p, x):
+    """The smallest lam_0 that a relabeling psi with psi(x) = 0 makes of
+    row p at x: min over psi in Stab(0) of psi (tau p tau) psi^-1, with
+    tau the transposition of 0 and x."""
+    n = len(p)
+    tau = list(range(n))
+    tau[0], tau[x] = x, 0
+    r = compose(compose(tau, p), tau)
+    # psi r psi^-1 sends psi(y) to psi(r(y))
+    return min(tuple(psi[r[psi.index(z)]] for z in range(n))
+               for psi in permutations(range(n)) if psi[0] == 0)
+
+
+def relabeling_bound_holds(lam):
+    """No relabeling that moves some point to 0 makes lam_0 smaller."""
+    return all(relabeled_row_minimum(p, x) >= lam[0]
+               for x, p in enumerate(lam))
+
+
 # inner nodes entered and _pin calls of the look-ahead walk over all n!
-# slices, for n = 1..5; the unpinned walk enters 0, 2, 20, 364 and 17,952
-# inner nodes
-LOOK_AHEAD_TOTALS = {1: (0, 0), 2: (2, 2), 3: (18, 26), 4: (264, 540),
-                     5: (2352, 17734)}
+# slices, for n = 1..5; only the orbit-minimum slices are walked.  The
+# unpinned walk enters 0, 2, 20, 364 and 17,952 inner nodes
+LOOK_AHEAD_TOTALS = {1: (0, 0), 2: (2, 2), 3: (10, 16), 4: (65, 121),
+                     5: (125, 778)}
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_search_slice_matches_unpinned_walk(monkeypatch, n):
-    # every lam_0, not only the orbit minima: 1 + 2 + 6 + 24 + 120 slices.
-    # The look-ahead enters an inner node once the pin of its last row,
-    # which it computes last, leaves candidates in the node's domain.
+    # every lam_0, not only the orbit minima: 1 + 2 + 6 + 24 + 120 slices,
+    # against the unpinned walk's solutions that pass the relabeling bound
+    # (none when lam_0 is not an orbit minimum).  The look-ahead enters an
+    # inner node once the pin of its last row, which it computes last,
+    # leaves candidates in the node's domain within that row's bound.
     tables = _sym_index(n)
-    compat = tables[4]
+    perms, compat = tables[0], tables[4]
+    # the ids the bound keeps for the last row, by lam_0
+    last = {first: sum(1 << a for a, p in enumerate(perms)
+                       if relabeled_row_minimum(p, n - 1) >= first)
+            for first in perms}
     entered = Counter()
     pins = 0
 
@@ -1285,7 +1332,7 @@ def test_search_slice_matches_unpinned_walk(monkeypatch, n):
         nonlocal pins
         pins += 1
         mask = _pin(ids, tables, t)
-        left = mask
+        left = mask & last[perms[ids[0]]]
         for a in ids:
             left &= compat[a]
         if t == n - 1 and left:
@@ -1293,10 +1340,11 @@ def test_search_slice_matches_unpinned_walk(monkeypatch, n):
         return mask
 
     monkeypatch.setattr(search, "_pin", counted)
-    for first in permutations(range(n)):
-        want, inner = search_slice_unpinned(n, first)
-        assert _search_slice(n, first) == want
-        assert entered[tables[0].index(first)] <= inner
+    for first in perms:
+        (found, complete), inner = search_slice_unpinned(n, first)
+        want = [f for f in found if relabeling_bound_holds(f[1].lam)]
+        assert _search_slice(n, first) == (want, complete)
+        assert entered[perms.index(first)] <= inner
     assert (sum(entered.values()), pins) == LOOK_AHEAD_TOTALS[n]
 
 
@@ -1401,12 +1449,29 @@ def test_orbit_minima():
         assert _orbit_minima(n) == tuple(sorted(orbit_mins))
 
 
+def test_row_bounds_match_relabeled_orbit_minima():
+    # the keys (cycle type, length of the cycle through x) give the orbit
+    # minimum of each row at each point, and each id has one at each point
+    for n in range(1, 6):
+        perms = sorted(permutations(range(n)))
+        minima, groups = _row_bounds(n)
+        assert minima == _orbit_minima(n)
+        for x, group in enumerate(groups):
+            low = {a: m for m, mask in group for a in _bits(mask, len(perms))}
+            assert len(low) == len(perms) == sum(
+                bin(mask).count("1") for _, mask in group)
+            for a, p in enumerate(perms):
+                assert perms[low[a]] == relabeled_row_minimum(p, x)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_smallest_class_member_starts_with_an_orbit_minimum(n):
     # the representatives of the all-slices census are the lam-smallest
-    # members of their classes
+    # members of their classes, so no relabeling moving a point to 0 makes
+    # their lam_0 smaller: the lemma behind the relabeling bound
     for rep in all_slices_census(n, True).solutions:
         assert rep.lam[0] in _orbit_minima(n)
+        assert relabeling_bound_holds(rep.lam)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
