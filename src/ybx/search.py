@@ -24,8 +24,8 @@ sound filters prune:
     Each candidate is then tested only on the quadruples the pin cannot
     decide, x = j or w = j, which involve its own lam_j(y) or q(j).
 
-A completed tuple still receives the full exhaustive verification before
-it is emitted; the pruning is an optimisation, never a proof.
+The smallest tuple of each form is verified by the full exhaustive check
+before it is emitted; the pruning is an optimisation, never a proof.
 
 The walk keeps lexicographic leaders under relabeling (the symmetry
 breaking of Akgün, Mereb & Vendramin, "Enumeration of set-theoretic
@@ -52,13 +52,13 @@ each member is verified again by the exhaustive :func:`~ybx.core.check`.
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 
 from .core import (InvalidSolutionError, Solution, _check_table,
                    associativity, canonical_form, canonical_table, check,
                    diagonal_image, failures, forced_rho, homomorphism,
-                   relabel_lambda, solution_from_lambda, word_level)
+                   solution_from_lambda, word_level)
 from .invariants import Descriptor, descriptor_report
 from .perms import inverse, is_perm
 
@@ -172,22 +172,14 @@ def _orbit_minima(n):
     return _row_bounds(n)[0]
 
 
-def _complete_tuple(rows):
-    """Full verification of a finished lam tuple; None when it fails."""
-    try:
-        return solution_from_lambda(rows)
-    except InvalidSolutionError:
-        return None
-
-
-def _pin(ids, tables, t):
+def _pin(ids, q, tables, t):
     """The ids YBE1 leaves for an unassigned row t >= j = len(ids) given
     rows 0..j-1, as a mask to AND into the domain: -1 when no quadruple
     fixes lam_t, one bit when some do, 0 when two of them force different
     ids.
 
-    With w = lam_x(y) and u = q(w), the quadruples on rows 0..j-1 and t
-    whose x and w lie below j are decided here:
+    With w = lam_x(y) and u = q(w) from the walk's ``q``, the quadruples
+    on rows 0..j-1 and t whose x and w lie below j are decided here:
       - y = t, u < j: lam_t = lam_x^-1 lam_w lam_u;
       - y, w < j, u = t: lam_t = lam_w^-1 lam_x lam_y;
       - y = t, u = t: lam_x lam_t = lam_w lam_t, so lam_x = lam_w.  Rows x
@@ -196,7 +188,6 @@ def _pin(ids, tables, t):
     """
     perms, comp, inv, inv_id, _ = tables
     j = len(ids)
-    q = [inv[a][w] for w, a in enumerate(ids)]
     mask = -1
     for a in ids:
         w = perms[a][t]
@@ -215,17 +206,18 @@ def _pin(ids, tables, t):
 
 
 def _search_slice(n, first, deadline=None):
-    """The verified solutions with lam_0 = ``first`` that pass the bound of
+    """The walk's lam tuples with lam_0 = ``first`` that pass the bound of
     the module docstring on every row: none unless ``first`` is an orbit
     minimum.  The bound drops only tuples that are not the lam-smallest of
     their class, and the smallest passes it in the slice of its own lam_0.
 
-    Returns ([(canonical form, solution, |Aut|), ...], complete); an
-    expired deadline stops the walk.
+    Returns ([(canonical form, |Aut|, lam), ...], complete), unverified;
+    an expired deadline stops the walk.
     """
     tables = _sym_index(n)
     perms, comp, inv, _, compat = tables
     ids = [perms.index(tuple(first))]
+    q = [inv[ids[0]][0]]   # q(x) = lam_x^-1(x) of the assigned rows
     # bound[x]: the ids for row x that no relabeling moving x to 0 turns
     # into a lam_0 below ``first``
     bound = [sum(mask for low, mask in group if low >= ids[0])
@@ -244,11 +236,10 @@ def _search_slice(n, first, deadline=None):
         left = comp[a]
         for y, w in enumerate(perms[a][:j + 1]):
             if w <= j:
-                iw = ids[w]
-                u = inv[iw][w]
-                if u <= j and left[ids[y]] != comp[iw][ids[u]]:
+                u = q[w]
+                if u <= j and left[ids[y]] != comp[ids[w]][ids[u]]:
                     return False
-        u = inv[a][j]   # q(j)
+        u = q[j]
         if u <= j:
             right = left[ids[u]]
             for ix in ids[:j]:
@@ -264,24 +255,25 @@ def _search_slice(n, first, deadline=None):
             return
         j = len(ids)
         if j == n:
-            sol = _complete_tuple(tuple(perms[a] for a in ids))
-            if sol is not None:
-                form, _, aut = canonical_table(sol.lam)
-                found.append((form, sol, aut))
+            lam = tuple(perms[a] for a in ids)
+            form, _, aut = canonical_table(lam)
+            found.append((form, aut, lam))
             return
         # look ahead: stop at the first row left with no candidate
-        rest = domain & bound[j] & _pin(ids, tables, j)
+        rest = domain & bound[j] & _pin(ids, q, tables, j)
         for t in range(j + 1, n):
-            if not (rest and domain & bound[t] & _pin(ids, tables, t)):
+            if not (rest and domain & bound[t] & _pin(ids, q, tables, t)):
                 return
         while rest:
             low = rest & -rest
             rest ^= low
             a = low.bit_length() - 1
             ids.append(a)
+            q.append(inv[a][j])
             if ybe_ok(j):
                 walk(domain & compat[a])
             ids.pop()
+            q.pop()
             if not complete:
                 return
 
@@ -290,34 +282,43 @@ def _search_slice(n, first, deadline=None):
     return found, complete
 
 
-def _slice_worker(args):
-    return _search_slice(*args)
+@lru_cache(maxsize=MAX_POINTS)
+def _relabelings(n):
+    """(index, g) for the transposition (0 1) and the n-cycle g, which
+    generate Sym(n); both are (0 1) at n = 2, and n = 1 needs none.  Entry
+    i of the relabeling g lam g^-1, g q g^-1 of a member flattened as its
+    lam rows, then q, is g of entry index[i]."""
+    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)][:n - 1]
+    return tuple((tuple([b * n + c for b in back for c in back]
+                        + [n * n + b for b in back]), g)
+                 for g in gens for back in [inverse(g)])
 
 
 def _class_members(rep, aut):
-    """The n!/aut relabelings of a class representative: its Sym(n)-orbit.
+    """The n!/aut relabelings of a class representative: its Sym(n)-orbit,
+    grown by the generators of :func:`_relabelings`.
 
-    The orbit grows from the representative by the transposition (0 1) and
-    the n-cycle, which generate Sym(n).  A relabeling g carries
-    q' = g q g^-1 along, with rho' = q'(lam') and the same d.  Each member
-    gets one ``check`` before its images are taken, which certifies q' too:
-    each lam'_w is a bijection and lam'_w(q'(w)) = w.
+    A relabeling carries q' = g q g^-1 along, with rho' = q'(lam') and the
+    same d.  Each member gets one ``check`` before its images are taken,
+    which certifies q' too: each lam'_w is a bijection and lam'_w(q'(w)) = w.
     """
     n = rep.n
-    # at n = 2 both generators are (0 1), and n = 1 needs none
-    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)][:n - 1]
-    members = [Solution(n, rep.lam, forced_rho(rep.lam, rep.q), rep.q, rep.d)]
-    seen = {rep.lam}
-    for s in members:   # grows while it is read
+    flats = [tuple(chain.from_iterable(rep.lam)) + rep.q]
+    seen = set(flats)
+    members = []
+    for flat in flats:   # grows while it is read
+        lam = tuple(flat[i:i + n] for i in range(0, n * n, n))
+        q = flat[n * n:]
+        s = Solution(n, lam, forced_rho(lam, q), q, rep.d)
         report = check(s)
         if not report.ok:
             raise InvalidSolutionError(report)
-        for g in gens:
-            lam = relabel_lambda(s.lam, g)
-            if lam not in seen:
-                seen.add(lam)
-                q = tuple(map(g.__getitem__, map(s.q.__getitem__, inverse(g))))
-                members.append(Solution(n, lam, forced_rho(lam, q), q, s.d))
+        members.append(s)
+        for index, g in _relabelings(n):
+            image = tuple(map(g.__getitem__, map(flat.__getitem__, index)))
+            if image not in seen:
+                seen.add(image)
+                flats.append(image)
     assert len(members) * aut == factorial(n)
     return members
 
@@ -326,36 +327,37 @@ def enumerate_solutions(opts):
     """Every verified solution on n points, sorted by (canonical form, lam).
 
     The walk tries as lam_0 only the Stab(0)-orbit minima (see the module
-    docstring).  It finds the lam-smallest member of every isomorphism
-    class, and with ``up_to_iso`` those members are the result.
-    Otherwise every distinct relabeling of each representative is verified
-    and carries the representative's canonical form.  With ``jobs > 1`` the
-    slices run in a process pool, one worker per slice at most, and are
-    merged in a fixed order, so the output does not depend on the worker
-    count.  An expired budget stops every slice, or the relabeling between
-    two classes, and yields a partial, incomplete result.
+    docstring) and finds the lam-smallest member of every class, the first
+    leaf of its form and the only one promoted; with ``up_to_iso`` those
+    members are the result.  Otherwise every distinct relabeling of each
+    representative is verified and carries its form.  With ``jobs > 1``
+    the slices run in a process pool, one worker per slice at most, and
+    are merged in a fixed order, so the output does not depend on the
+    worker count.  An expired budget stops every slice, or the relabeling
+    between two classes, and yields a partial, incomplete result.
     """
-    n = opts.n
     # workers compare against the same deadline: the monotonic clock is
     # system-wide (CLOCK_MONOTONIC on Linux)
     deadline = (time.monotonic() + opts.budget_secs
                 if opts.budget_secs is not None else None)
-    args = [(n, f, deadline) for f in _orbit_minima(n)]
+    firsts = _orbit_minima(opts.n)
+    args = [opts.n] * len(firsts), firsts, [deadline] * len(firsts)
     if opts.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(opts.jobs, len(args))) as pool:
-            slices = list(pool.map(_slice_worker, args))
+        with ProcessPoolExecutor(max_workers=min(opts.jobs, len(firsts))) as pool:
+            slices = list(pool.map(_search_slice, *args))
     else:
-        slices = map(_slice_worker, args)
-
+        slices = list(map(_search_slice, *args))
+    complete = all(done for _, done in slices)
+    # by (form, lam): one form has one |Aut|
+    leaves = sorted(chain.from_iterable(found for found, _ in slices))
     keyed = []
-    complete = True
-    for found, done in slices:
-        keyed.extend(found)
-        complete = complete and done
-    keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
-    keyed = [cs for i, cs in enumerate(keyed)
-             if i == 0 or cs[0] != keyed[i - 1][0]]
+    for i, (form, aut, lam) in enumerate(leaves):
+        try:   # validity is a class invariant: a failing form goes whole
+            if not i or form != leaves[i - 1][0]:
+                keyed.append((form, solution_from_lambda(lam), aut))
+        except InvalidSolutionError:
+            pass
     if not opts.up_to_iso:
         reps, keyed = keyed, []
         for canon, rep, aut in reps:

@@ -20,7 +20,8 @@ table of Sym(n)
 hashed entry by entry that the build by columns replaced, q and d derived
 again for each relabeling that transporting them replaced, all n!
 relabelings of a class representative that growing its Sym(n)-orbit
-from two generators replaced, the
+from two generators replaced, the row-by-row conjugation of a table
+that the members' flat index maps replaced, the
 semigroup claims that follow from the four ``semigroup`` checks, the
 torsion, round-trip and all-pairs isomorphism scans whose claims
 ``structure`` now checks once or derives, the union-find over two-letter
@@ -45,12 +46,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybx import groebner, monoid, search
-from ybx.core import (IDENTITY_NAMES, RMap, Solution, VerificationReport,
-                      associativity, canonical_form, canonical_table, check,
-                      diagonal_image, diagonal_map, failures, forced_rho,
-                      homomorphism, iso_check, lambda_word, promote,
-                      relabel_lambda, rmap_from_lambda, solution_from_lambda,
-                      word_level)
+from ybx.core import (ALL_VALID, IDENTITY_NAMES, InvalidSolutionError, RMap,
+                      Solution, VerificationReport, associativity,
+                      canonical_form, canonical_table, check, diagonal_image,
+                      diagonal_map, failures, forced_rho, homomorphism,
+                      iso_check, lambda_word, promote, rmap_from_lambda,
+                      solution_from_lambda, word_level)
 from ybx.groebner import (CompletionReport, RewriteSystem, Rule,
                           check_overlaps, constant_rules, reduce,
                           solution_rules)
@@ -61,10 +62,9 @@ from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
 from ybx.monoid import (ONE, MElem, _nullspace, _word_classes, center_basis,
                         conjugation_action, growth, is_cancellative, mul,
                         power, sigma, sigma_discrepancies)
-from ybx.perms import compose, exponent, is_perm
-from ybx.search import (EnumOptions, EnumResult, _complete_tuple,
-                        _orbit_minima, _pin, _row_bounds, _search_slice,
-                        _sym_index,
+from ybx.perms import compose, exponent, inverse, is_perm
+from ybx.search import (EnumOptions, EnumResult, _orbit_minima, _pin,
+                        _row_bounds, _search_slice, _sym_index,
                         classify, enumerate_solutions,
                         from_group_automorphism, from_permutation,
                         from_rees_example)
@@ -618,6 +618,14 @@ def test_check_matches_nested_loops_on_corrupted_census5(census5):
     assert {"ybe1", "ybe2", "ybe3", "idempotent"} <= firsts
 
 
+def test_check_shares_one_report_among_valid_tables(census5):
+    # the report is frozen, so every valid table can get the same object
+    assert ALL_VALID == check_nested_loops(census5[-1]) and ALL_VALID.ok
+    for s in census5:
+        assert check(s) is ALL_VALID
+        assert check(RMap(s.n, s.lam, s.rho)) is ALL_VALID
+
+
 def test_check_and_fineq_match_nested_loops_on_census4(census4):
     for s in census4:
         assert check(s) == check_nested_loops(s)
@@ -1083,6 +1091,13 @@ def flatten(table):
     return tuple(v for row in table for v in row)
 
 
+def relabel_lambda(lam, psi):
+    """Conjugated table: row psi(x) maps psi(y) to psi(lam[x][y])."""
+    back = inverse(psi)
+    return tuple(tuple(map(psi.__getitem__, map(lam[x].__getitem__, back)))
+                 for x in back)
+
+
 def canonical_table_all_relabelings(table):
     """The minimal flattened relabeling and the relabelings that reach it."""
     flats = {psi: flatten(relabel_lambda(table, psi))
@@ -1195,6 +1210,14 @@ def test_iso_check_matches_forms_on_census3(census5):
                 assert iso_check(s1, s2) is None
 
 
+def _complete_tuple(rows):
+    """Full verification of a finished lam tuple; None when it fails."""
+    try:
+        return solution_from_lambda(rows)
+    except InvalidSolutionError:
+        return None
+
+
 def brute_force_solutions(n):
     """Unpruned oracle: verify every lam tuple in Sym(n)^n."""
     out = []
@@ -1234,6 +1257,11 @@ def ybe_ok_unpinned(ids, tables):
     return True
 
 
+def diagonal_of(ids, tables):
+    """q(w) = lam_w^-1(w) of the assigned rows, derived from ``ids``."""
+    return [tables[2][a][w] for w, a in enumerate(ids)]
+
+
 def quadruples_below_hold(ids, a, t, tables):
     """YBE1 at the quadruples over rows 0..j-1 (j = len(ids)) and row t,
     holding id a, that reach row t as y or as u and whose x and w lie below
@@ -1256,9 +1284,9 @@ def quadruples_below_hold(ids, a, t, tables):
 @lru_cache(maxsize=None)
 def search_slice_unpinned(n, first):
     """The row search with no pin: every compatible candidate for row j is
-    tested on every YBE1 quadruple peaking at j.  Returns what
-    ``_search_slice`` returns, ([(form, solution, |Aut|), ...], complete), and
-    the number of nodes below a leaf that tried candidates."""
+    tested on every YBE1 quadruple peaking at j, and every leaf is
+    verified.  Returns ([(form, solution, |Aut|), ...], complete) and the
+    number of nodes below a leaf that tried candidates."""
     tables = _sym_index(n)
     perms, compat = tables[0], tables[4]
     ids = [perms.index(first)]
@@ -1328,10 +1356,11 @@ def test_search_slice_matches_unpinned_walk(monkeypatch, n):
     entered = Counter()
     pins = 0
 
-    def counted(ids, tables, t):
+    def counted(ids, q, tables, t):
         nonlocal pins
         pins += 1
-        mask = _pin(ids, tables, t)
+        assert q == diagonal_of(ids, tables)
+        mask = _pin(ids, q, tables, t)
         left = mask & last[perms[ids[0]]]
         for a in ids:
             left &= compat[a]
@@ -1342,7 +1371,8 @@ def test_search_slice_matches_unpinned_walk(monkeypatch, n):
     monkeypatch.setattr(search, "_pin", counted)
     for first in perms:
         (found, complete), inner = search_slice_unpinned(n, first)
-        want = [f for f in found if relabeling_bound_holds(f[1].lam)]
+        want = [(form, aut, s.lam) for form, s, aut in found
+                if relabeling_bound_holds(s.lam)]
         assert _search_slice(n, first) == (want, complete)
         assert entered[perms.index(first)] <= inner
     assert (sum(entered.values()), pins) == LOOK_AHEAD_TOTALS[n]
@@ -1377,7 +1407,8 @@ def test_pin_keeps_every_candidate_the_unpinned_check_accepts():
                 if not kept:
                     break
                 ids.append(rng.choice(kept))
-            mask = _pin(ids, tables, len(ids))
+            q = diagonal_of(ids, tables)
+            mask = _pin(ids, q, tables, len(ids))
             accepted = {a for a in range(size)
                         if ybe_ok_unpinned(ids + [a], tables)}
             assert mask == -1 or len(_bits(mask, size)) <= 1
@@ -1388,7 +1419,7 @@ def test_pin_keeps_every_candidate_the_unpinned_check_accepts():
             # row and for every later one, so a look-ahead cut on a later
             # row's pin never loses a completion
             for t in range(len(ids), n):
-                later = _pin(ids, tables, t)
+                later = _pin(ids, q, tables, t)
                 assert _bits(later, size) == {
                     a for a in range(size)
                     if quadruples_below_hold(ids, a, t, tables)}

@@ -18,9 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ybx import cli
-from ybx.core import (canonical_form, relabel_lambda, rmap_to_dict,
-                      solution_from_lambda)
+from ybx.core import canonical_form, rmap_to_dict, solution_from_lambda
 from ybx.search import EnumOptions, enumerate_solutions
+from test_kernel_oracles import relabel_lambda
 
 
 @lru_cache(maxsize=None)

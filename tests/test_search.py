@@ -3,8 +3,8 @@ import hashlib
 import pytest
 
 from ybx import cli, core
-from ybx.core import (InvalidSolutionError, canonical_form, diagonal_image,
-                      iso_check)
+from ybx.core import (InvalidSolutionError, canonical_form, canonical_table,
+                      diagonal_image, iso_check, rmap_from_lambda)
 from ybx.fixtures import SOL_SWAP2, SOL_Z2, SOL_Z3INV, SOL_PROJ3
 from ybx.invariants import descriptor, reconstruct
 from ybx.monoid import is_cancellative
@@ -124,8 +124,8 @@ def test_enumerate_jobs_capped_by_slices(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
-            return map(fn, args)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     wide = enumerate_solutions(EnumOptions(3, jobs=10**6))
@@ -154,13 +154,13 @@ N6_SLICES = {
     {(0, 1, 2, 3, 4, 5): "identity", (1, 2, 3, 4, 5, 0): "6-cycle"}.get(
         first, "".join(map(str, first))) for first in N6_SLICES])
 def test_n6_slice_counts(first, count):
-    from ybx.core import RMap, check
     assert tuple(N6_SLICES) == _orbit_minima(6)
     found, complete = _search_slice(6, first)
     assert complete and len(found) == count
-    for _, s, _ in found:
-        assert s.lam[0] == first
-        assert check(RMap(s.n, s.lam, s.rho)).ok
+    for form, aut, lam in found:
+        assert lam[0] == first
+        assert core.check(rmap_from_lambda(lam)).ok
+        assert canonical_table(lam)[::2] == (form, aut)
 
 
 def test_n7_seven_cycle_slice():
@@ -172,14 +172,30 @@ def test_n7_seven_cycle_slice():
     first = (1, 2, 3, 4, 5, 6, 0)
     found, complete = _search_slice(7, first)
     assert complete and len(found) == 1
-    assert found[0][1].lam == (first,) * 7
-    assert core.check(found[0][1]).ok
+    assert found[0][2] == (first,) * 7
+    assert core.check(rmap_from_lambda(found[0][2])).ok
+
+
+def counted_relabelings(monkeypatch, calls, bend=None):
+    """Count each member image taken through ``_relabelings``' index maps;
+    ``bend(index)`` may corrupt a map first."""
+    relabelings = search._relabelings
+
+    class Counted(tuple):
+        def __iter__(self):
+            calls["relabelings"] += 1
+            return super().__iter__()
+
+    monkeypatch.setattr(search, "_relabelings", lambda n: tuple(
+        (Counted(bend(index) if bend else index), g)
+        for index, g in relabelings(n)))
 
 
 def test_enumerate_checks_each_table_once(monkeypatch, capsys):
-    # one exhaustive check per emitted table (240) and per walk leaf (17);
-    # only the leaves derive d, the relabelings carry it over; each member
-    # is relabeled once by each of the two generators of Sym(5)
+    # one exhaustive check per emitted table (240) and per class (11): the
+    # first walk leaf of each form is the only one promoted, and only it
+    # derives d, which the relabelings carry over; each member is relabeled
+    # once by each of the two generators of Sym(5)
     calls = Counter()
 
     def counting(name, fn):
@@ -192,30 +208,76 @@ def test_enumerate_checks_each_table_once(monkeypatch, capsys):
     monkeypatch.setattr(core, "check", check)
     monkeypatch.setattr(search, "check", check)
     monkeypatch.setattr(core, "exponent", counting("exponent", core.exponent))
-    monkeypatch.setattr(search, "relabel_lambda",
-                        counting("relabel_lambda", core.relabel_lambda))
+    counted_relabelings(monkeypatch, calls)
     assert cli.main(["enumerate", "-n", "5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 240 + 1
-    assert calls == {"check": 257, "exponent": 17, "relabel_lambda": 480}
+    assert calls == {"check": 240 + 11, "exponent": 11, "relabelings": 480}
 
 
 @pytest.mark.parametrize("bend", ["lam-entry", "q"])
 def test_class_members_reject_a_corrupted_relabeling(monkeypatch, bend):
     # constant rows of a 3-cycle: two members, and q = p^-1 is a bijection,
-    # so a q' transported with the wrong inverse is wrong
+    # so a q' transported without the inverse of g is wrong
     rep = from_permutation((1, 2, 0))
-    relabel, target = core.relabel_lambda, ((2, 0, 1),) * 3
+    target = ((2, 0, 1),) * 3
     assert [s.lam for s in search._class_members(rep, 3)] == [rep.lam, target]
     if bend == "lam-entry":
         # only the member is corrupted, not the representative, so the
-        # representative passes its check and the member fails its own
-        monkeypatch.setattr(search, "relabel_lambda", lambda lam, psi: (
-            ((0, 0, 1),) + target[1:] if relabel(lam, psi) == target
-            else relabel(lam, psi)))
+        # representative passes its check and the member fails its own:
+        # its lam_0(0) repeats lam_0(1)
+        def bend(index):
+            return index[1:2] + index[1:]
     else:
-        monkeypatch.setattr(search, "inverse", lambda p: tuple(range(len(p))))
+        # the q part of the map reads q(x) where it should read q(g^-1(x))
+        def bend(index):
+            return index[:9] + tuple(range(9, 12))
+    counted_relabelings(monkeypatch, Counter(), bend)
     with pytest.raises(InvalidSolutionError):
         search._class_members(rep, 3)
+
+
+def test_enumerate_promotes_the_first_leaf_of_each_form(monkeypatch):
+    # a larger tuple of an existing form is never promoted, and a form
+    # whose first tuple fails the check leaves no trace in the result
+    want = {up_to_iso: enumerate_solutions(EnumOptions(3, up_to_iso))
+            for up_to_iso in (True, False)}
+    walk, promote = search._search_slice, core.promote
+    leader = ((0, 2, 1),) * 3   # constant rows of a transposition
+    larger = ((1, 0, 2),) * 3   # a relabeling of them
+    bad = ((1, 0, 2), (0, 1, 2), (0, 1, 2))
+    assert not core.check(rmap_from_lambda(bad)).ok
+    promoted = []
+
+    def extra(n, first, deadline):
+        found, complete = walk(n, first, deadline)
+        if first == (0, 1, 2):
+            found.append(((-1,), 1, bad))
+        for form, aut, lam in list(found):
+            if lam == leader:
+                found.append((form, aut, larger))
+        return found, complete
+
+    def recording(m):
+        promoted.append(m.lam)
+        return promote(m)
+
+    monkeypatch.setattr(search, "_search_slice", extra)
+    monkeypatch.setattr(core, "promote", recording)
+    for up_to_iso, result in want.items():
+        promoted.clear()
+        assert enumerate_solutions(EnumOptions(3, up_to_iso)) == result
+        assert leader in promoted and bad in promoted
+        assert larger not in promoted
+        assert len(promoted) == len(set(result.canonical)) + 1 == 6
+
+
+def test_kept_leaf_flattens_to_its_form():
+    # the lexicographic leader: the lam-smallest member of a class is the
+    # one whose row-major flattening is the canonical form
+    for n in range(1, 6):
+        result = enumerate_solutions(EnumOptions(n, up_to_iso=True))
+        for form, s in zip(result.canonical, result.solutions):
+            assert tuple(v for row in s.lam for v in row) == form
 
 
 def test_classify_counts():
@@ -318,9 +380,15 @@ def test_enumerate_n6_pinned(request, up_to_iso, digest):
 
 @pytest.mark.slow
 def test_census_n7(monkeypatch):
-    # the full n = 7 census, about 14 s on one core: run with pytest -m slow
+    # the full n = 7 census, about 13 s on one core: run with pytest -m slow.
+    # The walk promotes one leaf per class, so d is derived 21 times
     iso7 = EnumOptions(7, up_to_iso=True)
-    census7 = enumerate_solutions(iso7)
+    exponent, calls = core.exponent, Counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "exponent",
+                      lambda lam: calls.update(["exponent"]) or exponent(lam))
+        census7 = enumerate_solutions(iso7)
+    assert calls["exponent"] == len(census7.solutions) == 21
     run = search.enumerate_solutions
     monkeypatch.setattr(search, "enumerate_solutions",
                         lambda opts: census7 if opts == iso7 else run(opts))
