@@ -598,9 +598,9 @@ def rmap_from_dict(data):
         rho = None if rho is None else tuple(tuple(row) for row in rho)
     except TypeError as exc:
         raise SolutionFormatError("lambda and rho must be lists of rows") from exc
-    _check_table(lam, n, "lambda")
     if rho is not None:
         return RMap(n, lam, rho)
+    _check_table(lam, n, "lambda")
     try:
         return rmap_from_lambda(lam)
     except SolutionFormatError as exc:

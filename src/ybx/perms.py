@@ -25,19 +25,21 @@ def inverse(p):
     return tuple(inv)
 
 
-def order(p):
-    result = 1
-    seen = [False] * len(p)
+def cycles(p):
+    """The cycles of p, each from its smallest point, in order of those."""
+    result, seen = [], set()
     for i in range(len(p)):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            result = math.lcm(result, length)
+        if i not in seen:
+            cycle = [i]
+            while p[cycle[-1]] != i:
+                cycle.append(p[cycle[-1]])
+            seen.update(cycle)
+            result.append(tuple(cycle))
     return result
+
+
+def order(p):
+    return math.lcm(*map(len, cycles(p)))
 
 
 def closure(perms):

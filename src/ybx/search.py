@@ -46,7 +46,8 @@ finds every class:
 
 The labelled census is the union of the Sym(n)-orbits of the
 representatives, grown by two generators of Sym(n) (:func:`_class_members`);
-each member is verified again by the exhaustive :func:`~ybx.core.check`.
+each relabeling is verified by the exhaustive :func:`~ybx.core.check`, so
+every emitted table is checked once.
 """
 
 import time
@@ -60,7 +61,7 @@ from .core import (InvalidSolutionError, Solution, _check_table,
                    diagonal_image, failures, forced_rho, homomorphism,
                    solution_from_lambda, word_level)
 from .invariants import Descriptor, descriptor_report
-from .perms import inverse, is_perm
+from .perms import cycles, inverse, is_perm
 
 MAX_POINTS = 7
 
@@ -148,13 +149,9 @@ def _row_bounds(n):
     first, keys = {}, []
     for a, p in enumerate(permutations(range(n))):
         through = [0] * n   # the length of the cycle through each point
-        for i in range(n):
-            if not through[i]:
-                cycle = [i]
-                while p[cycle[-1]] != i:
-                    cycle.append(p[cycle[-1]])
-                for v in cycle:
-                    through[v] = len(cycle)
+        for cycle in cycles(p):
+            for v in cycle:
+                through[v] = len(cycle)
         kind = tuple(sorted(through))
         first.setdefault((kind, through[0]), (a, p))
         keys.append((kind, through))
@@ -295,28 +292,30 @@ def _relabelings(n):
 
 
 def _class_members(rep, aut):
-    """The n!/aut relabelings of a class representative: its Sym(n)-orbit,
-    grown by the generators of :func:`_relabelings`.
+    """The n!/aut relabelings of a promoted class representative: its
+    Sym(n)-orbit, ``rep`` first, grown by the generators of
+    :func:`_relabelings`.
 
     A relabeling carries q' = g q g^-1 along, with rho' = q'(lam') and the
-    same d.  Each member gets one ``check`` before its images are taken,
-    which certifies q' too: each lam'_w is a bijection and lam'_w(q'(w)) = w.
+    same d.  ``promote`` has checked ``rep``; each other member gets one
+    ``check`` when it is reached, before its images are taken, which
+    certifies q' too: each lam'_w is a bijection and lam'_w(q'(w)) = w.
     """
     n = rep.n
     flats = [tuple(chain.from_iterable(rep.lam)) + rep.q]
     seen = set(flats)
-    members = []
+    members = [rep]
     for flat in flats:   # grows while it is read
-        lam = tuple(flat[i:i + n] for i in range(0, n * n, n))
-        q = flat[n * n:]
-        s = Solution(n, lam, forced_rho(lam, q), q, rep.d)
-        report = check(s)
-        if not report.ok:
-            raise InvalidSolutionError(report)
-        members.append(s)
         for index, g in _relabelings(n):
             image = tuple(map(g.__getitem__, map(flat.__getitem__, index)))
             if image not in seen:
+                lam = tuple(image[i:i + n] for i in range(0, n * n, n))
+                q = image[n * n:]
+                s = Solution(n, lam, forced_rho(lam, q), q, rep.d)
+                report = check(s)
+                if not report.ok:
+                    raise InvalidSolutionError(report)
+                members.append(s)
                 seen.add(image)
                 flats.append(image)
     assert len(members) * aut == factorial(n)
@@ -385,9 +384,10 @@ class ClassificationRecord:
 
 
 def diagonal_strata(result):
-    """{diagonal size: set of canonical forms} over an enumeration result."""
+    """{diagonal size: set of canonical forms} over an enumeration result,
+    read from one member per form: relabeling keeps the diagonal size."""
     strata = {}
-    for canon, s in zip(result.canonical, result.solutions):
+    for canon, s in dict(zip(result.canonical, result.solutions)).items():
         strata.setdefault(len(diagonal_image(s)), set()).add(canon)
     return strata
 
@@ -498,30 +498,20 @@ def is_latin(s):
     return all(len({s.lam[x][y] for x in range(n)}) == n for y in range(n))
 
 
-def _cycle_types(n, largest):
-    """One permutation of n points per cycle type with cycles of at most
-    ``largest`` points, each cycle on consecutive points."""
-    if n == 0:
-        yield ()
-    for k in range(min(n, largest), 0, -1):
-        yield from ((*range(1, k), 0, *(v + k for v in rest))
-                    for rest in _cycle_types(n - k, k))
-
-
 def check_closed_forms(n):
     """The census on n points against the paper's two closed forms.
 
     The full-diagonal classes must be exactly the constant-row solutions
-    ``from_permutation(p)`` for one p per cycle type, p(n) pairwise
-    distinct classes.
+    ``from_permutation(p)``, one class per cycle type of p: built from the
+    orbit minima of the walk, which hold every cycle type, they must give
+    p(n) distinct classes, so a cycle type missing from the minima fails.
     At prime n the only other classes must be the n - 1 latin solutions
     over Z_n with phi(y) = a y.  At composite n the singleton diagonal
     also holds groups other than Z_n, and it is not checked.
     """
     strata = diagonal_strata(enumerate_solutions(EnumOptions(n, up_to_iso=True)))
-    full = [canonical_form(from_permutation(p)) for p in _cycle_types(n, n)]
-    if strata.get(n) != set(full) or \
-            not len(set(full)) == len(full) == partition_number(n):
+    full = {canonical_form(from_permutation(p)) for p in _orbit_minima(n)}
+    if strata.get(n) != full or len(full) != partition_number(n):
         return False
     if n == 1 or any(n % k == 0 for k in range(2, n)):
         return True

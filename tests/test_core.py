@@ -289,6 +289,23 @@ def test_json_malformed():
         rmap_from_dict([1, 2])
 
 
+@pytest.mark.parametrize("lam, message", [
+    ([[0, 1]], "lambda must have 2 rows"),
+    ([[0, 1], [1]], "lambda rows must have length 2"),
+    ([[0, 2], [1, 0]], "lambda entries must lie in [0, 2)"),
+    ([[0, True], [1, 0]], "lambda entries must lie in [0, 2)"),
+], ids=["short", "ragged", "out-of-range", "boolean"])
+@pytest.mark.parametrize("rho", [None, [[0, 0], [1, 1]]],
+                         ids=["derived-rho", "given-rho"])
+def test_json_malformed_lambda_error_text(lam, message, rho):
+    data = {"n": 2, "lambda": lam}
+    if rho is not None:
+        data["rho"] = rho
+    with pytest.raises(SolutionFormatError) as err:
+        rmap_from_dict(data)
+    assert str(err.value) == message
+
+
 def test_rho_always_recomputed():
     # a wrong rho next to valid lam must be caught, not silently trusted
     bad = RMap(2, SOL_Z2.lam, ((1, 1), (1, 1)))

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ybx.core import diagonal_image, lambda_word, solution_from_lambda
+from ybx.core import (Solution, diagonal_image, forced_rho, lambda_word,
+                      solution_from_lambda)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.invariants import semigroup, torsion
@@ -266,6 +267,33 @@ def test_conjugation_action_examples():
 def test_arithmetic_discrepancies_empty_on_fixtures():
     for s in ALL_FIXTURES.values():
         assert arithmetic_discrepancies(s) == ()
+
+
+@pytest.mark.parametrize("claim, lam, q, d, found", [
+    ("central-element-commutes",
+     ((0, 2, 3, 1), (1, 0, 2, 3), (2, 3, 1, 0), (3, 2, 0, 1)), (0,) * 4, 4,
+     {"central-element-commutes", "diagonal-word-identity",
+      "fixed-point-alternative"}),
+    ("power-collapse", ((0, 1, 2), (1, 0, 2), (2, 0, 1)), (0, 0, 0), 3,
+     {"power-collapse", "fixed-point-alternative"}),
+    ("diagonal-word-identity", ((0, 2, 1), (0, 1, 2), (0, 1, 2)), (0, 1, 2), 1,
+     {"diagonal-word-identity", "fixed-point-alternative", "product-grading"}),
+    ("fixed-point-alternative", ((0, 1, 2), (1, 0, 2), (2, 1, 0)), (0, 0, 0),
+     6, {"fixed-point-alternative"}),
+    ("q-power-identity", ((0, 1), (0, 1)), (1, 1), 1,
+     {"q-power-identity", "central-element-commutes", "power-collapse",
+      "derived-map-constant"}),
+    ("q-period", ((0, 2, 1),) * 3, (0, 0, 1), 2,
+     {"q-period", "q-power-identity", "central-element-commutes",
+      "power-collapse", "product-grading", "derived-map-constant"}),
+], ids=["C", "P", "D", "F", "Q", "T"])
+def test_each_arithmetic_claim_fires(claim, lam, q, d, found):
+    # census records (n <= 4) with one q entry or one lam row changed, rho
+    # rebuilt as q . lam and d kept: each is caught by this claim, with the
+    # others pinned beside it
+    bent = Solution(len(lam), lam, forced_rho(lam, q), q, d)
+    assert {b.claim for b in arithmetic_discrepancies(bent)} == found
+    assert claim in found
 
 
 @pytest.mark.parametrize("family", ["zn-neg", "cycle", "identity"])

@@ -3,7 +3,8 @@ from itertools import permutations
 
 import pytest
 
-from ybx.perms import closure, compose, exponent, identity, inverse, is_perm, order
+from ybx.perms import (closure, compose, cycles, exponent, identity, inverse,
+                       is_perm, order)
 
 
 def conjugate(p, psi):
@@ -34,6 +35,20 @@ def test_conjugate():
     p = (1, 0, 2)
     psi = (2, 0, 1)
     assert conjugate(p, psi) == compose(psi, compose(p, inverse(psi)))
+
+
+def test_cycles():
+    assert cycles(identity(3)) == [(0,), (1,), (2,)]
+    assert cycles((1, 0, 3, 4, 2)) == [(0, 1), (2, 3, 4)]
+    assert cycles((2, 0, 1)) == [(0, 2, 1)]
+    # each cycle starts at its smallest point, p steps along it, and the
+    # cycles split the points in order of their first points
+    for p in permutations(range(5)):
+        cs = cycles(p)
+        assert sorted(v for c in cs for v in c) == list(range(5))
+        assert [c[0] for c in cs] == sorted(min(c) for c in cs)
+        assert all(p[c[i]] == c[(i + 1) % len(c)]
+                   for c in cs for i in range(len(c)))
 
 
 def test_order():

@@ -16,7 +16,8 @@ from ybx.search import (EnumOptions, EnumResult, _orbit_minima,
                         from_rees_example, is_latin, partition_number)
 
 from collections import Counter
-from itertools import permutations
+from itertools import count, permutations
+import json
 import time
 
 from test_kernel_oracles import brute_force_solutions
@@ -108,6 +109,32 @@ def test_enumerate_budget_stops_relabeling(monkeypatch):
     assert not labelled.complete and labelled.solutions == ()
 
 
+def test_enumerate_budget_expires_mid_walk(monkeypatch, capsys):
+    # a clock that moves one second per read passes the deadline on its
+    # read 201, inside a slice, after 6 of the 11 classes
+    events, clock = [], count()
+    monkeypatch.setattr(search.time, "monotonic",
+                        lambda: events.append(next(clock)) or events[-1])
+    walk = search._search_slice
+    monkeypatch.setattr(search, "_search_slice",
+                        lambda *args: events.append("slice") or walk(*args))
+    cut = enumerate_solutions(EnumOptions(5, up_to_iso=True, budget_secs=200))
+    assert not cut.complete and 0 < len(cut.solutions) < 11
+    at = events.index(201)
+    assert events[at - 1] != "slice"
+    # the walk unwinds from there at once: each later slice reads the
+    # clock only at its root
+    later = events[at + 1:]
+    assert later and later == [
+        e for t in range(202, 202 + len(later) // 2) for e in ("slice", t)]
+    full = set(lam_tuples(enumerate_solutions(EnumOptions(5))))
+    for s in cut.solutions:
+        assert core.check(s).ok and s.lam in full
+    assert cli.main(["enumerate", "-n", "5", "--budget", "1"]) == 4
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["incomplete"] is True and "classes" not in summary
+
+
 def test_enumerate_jobs_capped_by_slices(monkeypatch):
     # a fork pool starts all of its workers at the first submit; this
     # stand-in records the size asked for and never starts a process
@@ -192,10 +219,11 @@ def counted_relabelings(monkeypatch, calls, bend=None):
 
 
 def test_enumerate_checks_each_table_once(monkeypatch, capsys):
-    # one exhaustive check per emitted table (240) and per class (11): the
-    # first walk leaf of each form is the only one promoted, and only it
-    # derives d, which the relabelings carry over; each member is relabeled
-    # once by each of the two generators of Sym(5)
+    # exactly one exhaustive check per emitted table: the first walk leaf
+    # of each form is the only one promoted (11 checks, one per class), and
+    # only it derives d; its relabelings carry d over and get one check
+    # each (229 more), the promoted representative none again.  Each member
+    # is relabeled once by each of the two generators of Sym(5)
     calls = Counter()
 
     def counting(name, fn):
@@ -211,7 +239,11 @@ def test_enumerate_checks_each_table_once(monkeypatch, capsys):
     counted_relabelings(monkeypatch, calls)
     assert cli.main(["enumerate", "-n", "5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 240 + 1
-    assert calls == {"check": 240 + 11, "exponent": 11, "relabelings": 480}
+    assert calls == {"check": 240, "exponent": 11, "relabelings": 480}
+    calls.clear()
+    assert cli.main(["enumerate", "-n", "5", "--up-to-iso"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 11 + 1
+    assert calls == {"check": 11, "exponent": 11}
 
 
 @pytest.mark.parametrize("bend", ["lam-entry", "q"])
@@ -222,9 +254,8 @@ def test_class_members_reject_a_corrupted_relabeling(monkeypatch, bend):
     target = ((2, 0, 1),) * 3
     assert [s.lam for s in search._class_members(rep, 3)] == [rep.lam, target]
     if bend == "lam-entry":
-        # only the member is corrupted, not the representative, so the
-        # representative passes its check and the member fails its own:
-        # its lam_0(0) repeats lam_0(1)
+        # only the relabeling is corrupted, not the promoted representative,
+        # and it fails its own check: its lam_0(0) repeats lam_0(1)
         def bend(index):
             return index[1:2] + index[1:]
     else:
@@ -344,6 +375,17 @@ def test_check_closed_forms_tampered(monkeypatch, n, size, extra):
     monkeypatch.setattr(search, "enumerate_solutions",
                         lambda opts: _tampered(run(opts), size, extra))
     assert not check_closed_forms(n)
+
+
+def test_check_closed_forms_needs_every_cycle_type(monkeypatch):
+    # without the orbit minimum of the 4-cycles, the walk and the full
+    # stratum both lose the constant rows of a 4-cycle, so they still
+    # agree: only the count p(4) = 5 sees the class missing
+    minima = search._orbit_minima
+    monkeypatch.setattr(search, "_orbit_minima", lambda n: tuple(
+        p for p in minima(n) if p != (1, 2, 3, 0)))
+    assert by_diag_size(4)[4] == partition_number(4) - 1
+    assert not check_closed_forms(4)
 
 
 # The n = 6 figures come from the walk over all 720 choices of lam_0, which
