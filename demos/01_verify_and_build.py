@@ -7,6 +7,8 @@ checker evaluates the three Yang-Baxter identities, bijectivity of every
 row, and idempotency, all exhaustively.
 """
 
+from dataclasses import asdict
+
 from ybx import (RMap, SOL_SWAP2, SOL_Z2, apply_r, check, promote,
                  rmap_from_lambda, solution_from_lambda)
 
@@ -15,7 +17,7 @@ m = rmap_from_lambda([[0, 1], [1, 0]])
 print("lambda:", m.lam)
 print("rho:   ", m.rho, "(derived as q applied to lambda)")
 report = check(m)
-print("report:", report.to_json())
+print("report:", asdict(report))
 
 s = promote(m)
 print("promoted: q =", s.q, " d =", s.d)

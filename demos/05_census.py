@@ -39,7 +39,7 @@ for rec in classify(4):
 print()
 print("== a descriptor whose identities hold but whose map is not idempotent ==")
 res = from_rees_example([[0]], 4, [0, 1], {2: 0, 3: 1}, [0], [0, 1, 2, 3])
-print("identities:", res.fineq.to_json()["ok"],
+print("identities:", res.fineq.ok,
       " direct check:", res.verification.ok,
       " first failure:", res.verification.first_counterexample)
 print("(im(q) is contained in, but not onto, the idempotents; the two")

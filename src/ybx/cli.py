@@ -6,6 +6,7 @@ discrepancy, 4 budget exceeded.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -54,10 +55,9 @@ def _positive_int(text):
 
 
 def _emit(obj, pretty):
-    if pretty:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    """Print obj as JSON; a report dataclass is written as its fields."""
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    print(json.dumps(obj, sort_keys=True, default=dataclasses.asdict, **layout))
 
 
 def cmd_verify(args):
@@ -66,7 +66,7 @@ def cmd_verify(args):
     except (OSError, SolutionFormatError) as exc:
         return _fail(str(exc))
     report = check(m)
-    _emit(report.to_json(), args.pretty)
+    _emit(report, args.pretty)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -99,7 +99,7 @@ def _analyze_report(s, max_len, center_deg):
 
     report = {
         # a Solution exists only once promote's full check has passed
-        "verification": ALL_VALID.to_json(),
+        "verification": ALL_VALID,
         "n": s.n,
         "q": list(s.q),
         "diagonal": list(image),
@@ -125,14 +125,14 @@ def _analyze_report(s, max_len, center_deg):
             } for t in st.torsion
         },
         "phi": [list(p) for p in st.descriptor.phi],
-        "fineq": st.fineq.to_json(),
+        "fineq": st.fineq,
         "cancellative": {
             "value": cancellative,
             "max_len": cancel_len,
             "witness": _witness_json(witness),
         },
         "latin": latin,
-        "growth": {"model": list(gr.model), "oracle": list(gr.oracle)},
+        "growth": gr,
         "center": {
             "degree": deg,
             "dimension": len(basis),
@@ -155,7 +155,7 @@ def _analyze_report(s, max_len, center_deg):
                 "value": singleton,
             },
         },
-        "discrepancies": [d.to_json() for d in discrepancies],
+        "discrepancies": discrepancies,
     }
     return report
 
@@ -173,7 +173,7 @@ def cmd_analyze(args):
     except (OSError, SolutionFormatError) as exc:
         return _fail(str(exc))
     except InvalidSolutionError as exc:
-        _emit({"verification": exc.report.to_json()}, args.pretty)
+        _emit({"verification": exc.report}, args.pretty)
         return EXIT_INVALID
     report = _analyze_report(s, args.max_len, args.center)
     _emit(report, args.pretty)
@@ -240,13 +240,12 @@ def _emit_descriptor_reports(rep, pretty):
     """Identity report and direct verification, computed independently."""
     dsc = rep.descriptor
     out = {
-        "descriptor": dsc.to_json(),
-        "fineq": rep.fineq.to_json(),
+        "descriptor": dsc,
+        "fineq": rep.fineq,
         "candidate": rmap_to_dict(rep.candidate),
-        "verification": rep.verification.to_json(),
+        "verification": rep.verification,
         "q_idempotents": q_image_in_idempotents(dsc),
-        "table_discrepancies": [d.to_json()
-                                for d in descriptor_diagnostics(dsc)],
+        "table_discrepancies": descriptor_diagnostics(dsc),
     }
     _emit(out, pretty)
     if rep.fineq.ok != rep.verification.ok:
@@ -271,12 +270,12 @@ def cmd_groebner(args):
     except (OSError, SolutionFormatError) as exc:
         return _fail(str(exc))
     except InvalidSolutionError as exc:
-        _emit({"verification": exc.report.to_json()}, args.pretty)
+        _emit({"verification": exc.report}, args.pretty)
         return EXIT_INVALID
     rs, report = solution_rules(s)
     out = {
         "system": rs.to_json(),
-        "completion": report.to_json(),
+        "completion": report,
     }
     counts = normal_word_count(rs, args.max_deg)
     gr = growth(s, args.max_deg)

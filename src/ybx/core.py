@@ -21,7 +21,7 @@ import json
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 from math import factorial
 
 from .perms import compose, exponent, inverse, is_perm
@@ -68,7 +68,8 @@ class VerificationReport:
     ``first_counterexample`` is ``(identity name, points)`` for the first
     failing check in the order of :data:`IDENTITY_NAMES`, or None when all
     five booleans are true.  Re-evaluating the named identity at the cited
-    points reproduces the failure.
+    points reproduces the failure.  ``ok`` (all five hold) is set on
+    construction as a field, so the report's JSON carries it.
     """
 
     ybe1: bool
@@ -77,16 +78,11 @@ class VerificationReport:
     left_nondegenerate: bool
     idempotent: bool
     first_counterexample: tuple = None
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self):
-        return all(getattr(self, name) for name in IDENTITY_NAMES)
-
-    def to_json(self):
-        first = self.first_counterexample
-        return {**{name: getattr(self, name) for name in IDENTITY_NAMES},
-                "first_counterexample": list(first) if first else None,
-                "ok": self.ok}
+    def __post_init__(self):
+        object.__setattr__(self, "ok", all(getattr(self, name)
+                                           for name in IDENTITY_NAMES))
 
 
 ALL_VALID = VerificationReport(True, True, True, True, True)
@@ -133,24 +129,6 @@ def failures(kernel, arity, n):
             yield i, prefix + (last,)
 
 
-def _first_mismatches(left, right, pending):
-    """(i, z) for the first z where a pending identity i fails in one row,
-    in order of z; a reported identity leaves ``pending``.
-
-    Each side holds the values of identity 0 over z, and the pairs of
-    values of identities 1 and 2, which are compared as one.
-    """
-    if left == right:
-        return ()
-    (l0, l12), (r0, r12) = left, right
-    sides = (l0, r0), *zip(zip(*l12), zip(*r12))
-    found = sorted((next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b), i)
-                   for i, (lhs, rhs) in enumerate(sides)
-                   if lhs != rhs and i in pending)
-    pending.difference_update(i for _, i in found)
-    return [(i, z) for z, i in found]
-
-
 def associativity(op):
     """Row kernel of (x . y) . z = x . (y . z): the failing z of (x, y)."""
     def row(x, y):
@@ -182,7 +160,8 @@ def check(m):
     r is R[x n + y] = lam_x(y) n + rho_y(x); the Yang-Baxter identities at
     (x, y, z) are the digits of r12 r23 r12 = r23 r12 r23 at (x n + y) n + z.
     Each identity is one equality of whole maps, in O(n^3) memory; only a
-    failure is located, and valid tables share the frozen :data:`ALL_VALID`.
+    failure is located, ybe(i+1) at the first code where digit i of the
+    two sides differs, and valid tables share the frozen :data:`ALL_VALID`.
     """
     lam, rho, n, nn = m.lam, m.rho, m.n, m.n * m.n
     R = [w * n + v for lx, rx in zip(lam, rho) for w, v in zip(lx, rx)]
@@ -198,15 +177,11 @@ def check(m):
     if left == right and min(map(len, map(set, lam))) == n and \
             list(map(R.__getitem__, R)) == R:
         return ALL_VALID
-    pending = {0, 1, 2}
-
-    def braid_row(x, y):
-        i = (x * n + y) * n
-        return _first_mismatches(*(
-            ([v // nn for v in side], [divmod(v % nn, n) for v in side])
-            for side in (left[i:i + n], right[i:i + n])), pending)
-
-    firsts = dict(islice(failures(braid_row, 3, n), 3) if left != right else ())
+    firsts = {}   # identity i is digit i; codes run in order of the points
+    for c in compress(cube, map(int.__ne__, left, right)):
+        for i, unit in enumerate((nn, n, 1)):
+            if left[c] // unit % n != right[c] // unit % n:
+                firsts.setdefault(i, (c // nn, c // n % n, c % n))
     firsts.update(islice(failures(lambda: [
         (3, x) for x in range(n) if not is_perm(lam[x])], 1, n), 1))
     firsts.update(islice(failures(lambda x: [

@@ -141,13 +141,6 @@ class CompletionReport:
     nontrivial_relations: int
     status: str
 
-    def to_json(self):
-        return {"confluent": self.confluent,
-                "unresolved": [[list(w), list(l), list(r)]
-                               for w, l, r in self.unresolved],
-                "nontrivial_relations": self.nontrivial_relations,
-                "status": self.status}
-
 
 def solution_rules(s):
     """Orient the defining relations of a solution and test confluence.

@@ -18,12 +18,12 @@ as a :class:`Discrepancy` value attached to the result; it is never
 raised, so the library doubles as an empirical checker.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .core import (RMap, SolutionFormatError, VerificationReport, _check_table,
-                   _first_mismatches, associativity, check, diagonal_image,
-                   failures, homomorphism, word_level)
+                   associativity, check, diagonal_image, failures, homomorphism,
+                   word_level)
 from .perms import is_perm
 
 
@@ -34,11 +34,6 @@ class Discrepancy:
     claim: str
     counterexample: tuple
     context: tuple = ()
-
-    def to_json(self):
-        return {"claim": self.claim,
-                "counterexample": list(self.counterexample),
-                "context": list(self.context)}
 
 
 @dataclass(frozen=True)
@@ -207,12 +202,6 @@ class Descriptor:
     q: tuple
     phi: tuple
 
-    def to_json(self):
-        return {"n": self.n,
-                "op": [list(r) for r in self.op],
-                "q": list(self.q),
-                "phi": [list(p) for p in self.phi]}
-
 
 def descriptor_from_dict(data):
     try:
@@ -247,13 +236,6 @@ class AllPhiReport:
     absorbs_q2: bool  # q(x . q^2(x)) = q(x)
     counterexamples: tuple
 
-    def to_json(self):
-        return {"automorphism": self.automorphism,
-                "phi_q_is_q2": self.phi_q_is_q2,
-                "q_is_q4": self.q_is_q4,
-                "absorbs_q2": self.absorbs_q2,
-                "counterexamples": [list(c) for c in self.counterexamples]}
-
 
 @dataclass(frozen=True)
 class FineqReport:
@@ -265,20 +247,32 @@ class FineqReport:
     fineq4: bool
     counterexamples: tuple  # ((name, points), ...)
     allphi: AllPhiReport = None
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self):
-        return self.fineq1 and self.fineq2 and self.fineq3 and self.fineq4
-
-    def to_json(self):
-        return {"fineq1": self.fineq1, "fineq2": self.fineq2,
-                "fineq3": self.fineq3, "fineq4": self.fineq4,
-                "counterexamples": [[n, list(p)] for n, p in self.counterexamples],
-                "allphi": self.allphi.to_json() if self.allphi else None,
-                "ok": self.ok}
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.fineq1 and self.fineq2 and
+                           self.fineq3 and self.fineq4)
 
 
 FINEQ_NAMES = ("fineq1", "fineq2", "fineq3", "fineq4")
+
+
+def _first_mismatches(left, right, pending):
+    """(i, z) for the first z where a pending identity i fails in one row,
+    in order of z; a reported identity leaves ``pending``.
+
+    Each side holds the values of identity 0 over z, and the pairs of
+    values of identities 1 and 2, which are compared as one.
+    """
+    if left == right:
+        return ()
+    (l0, l12), (r0, r12) = left, right
+    sides = (l0, r0), *zip(zip(*l12), zip(*r12))
+    found = sorted((next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b), i)
+                   for i, (lhs, rhs) in enumerate(sides)
+                   if lhs != rhs and i in pending)
+    pending.difference_update(i for _, i in found)
+    return [(i, z) for z, i in found]
 
 
 def check_fineq(dsc):

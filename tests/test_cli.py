@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -247,6 +247,11 @@ def test_construct_bad_params(tmp_path):
 REES_PARAMS = {"group": [[0]], "ncols": 4, "A": [0, 1],
                "t": {"2": 0, "3": 1}, "f": [0], "psi": [0, 1, 2, 3]}
 
+# phi = (0, 0, 2) for every x: one map, not a bijection, so fineq1 fails
+# at (0, 2, 2) and the all-phi automorphism condition at (2, 2)
+FINEQ_FAILING = {"n": 3, "op": [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+                 "q": [0, 0, 0], "phi": [[0, 0, 2]] * 3}
+
 
 def test_construct_rees_example_discrepancy(tmp_path):
     params = tmp_path / "p.json"
@@ -265,15 +270,20 @@ def test_construct_rees_example_discrepancy(tmp_path):
     ("descriptor",
      {"n": 2, "op": [[0, 1], [0, 1]], "q": [1, 0], "phi": [[1, 0], [1, 0]]},
      0, "347e560a339a38a2e85282a67b8031f2092b5d92c2cc1303eb03b0fe0f11a887"),
+    ("descriptor", FINEQ_FAILING,
+     1, "09f1b8bf56ead30742bc8c048ac3455364ba76bf4d8e371f0d0182e2735adeb4"),
     ("rees-example", REES_PARAMS,
      3, "b471bae58d5ed15b15f02c24a1b36c5ad35932999a938d90c76acebffcabd913"),
     ("group-aut",
      {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "phi": [0, 2, 1]},
      0, "cc1f3894232241d649c35e90cc5cc96acb7a8b683e6ec14987e50c6c90b07e90"),
-], ids=["descriptor-z2", "descriptor-swap2", "rees-example", "group-aut-z3"])
+], ids=["descriptor-z2", "descriptor-swap2", "descriptor-fineq-fails",
+        "rees-example", "group-aut-z3"])
 def test_construct_stdout_pinned(tmp_path, kind, params, code, digest):
-    # the two descriptors are those of SOL_Z2 and SOL_SWAP2; digests of
-    # the stdout of the code that rebuilt the semigroup rows per section
+    # the first two descriptors are those of SOL_Z2 and SOL_SWAP2; digests
+    # of the stdout of the code that rebuilt the semigroup rows per
+    # section, and for descriptor-fineq-fails of hand-written JSON methods
+    # on each report type
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))
     r = run_cli("construct", "--type", kind, "--params", str(path))
@@ -284,7 +294,7 @@ def test_construct_stdout_pinned(tmp_path, kind, params, code, digest):
 def test_construct_descriptor(tmp_path):
     from ybx.invariants import descriptor
     params = tmp_path / "p.json"
-    params.write_text(json.dumps(descriptor(SOL_Z2).to_json()))
+    params.write_text(json.dumps(asdict(descriptor(SOL_Z2))))
     r = run_cli("construct", "--type", "descriptor", "--params", str(params))
     assert r.returncode == 0
     out = json.loads(r.stdout)
@@ -312,6 +322,23 @@ def test_groebner_solution(tmp_path):
     assert out["completion"]["confluent"]
     assert out["counts_match_growth"] is True
     assert out["normal_word_counts"] == [2, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("pretty, digest", [
+    (False, "1775be8b6652ac49aefbf6ec391a169dca1925d347a932106e438540ef831057"),
+    (True, "b3d1c15820988da49b846584733718980fb41303e4bb974f42f2ccdb7d977846"),
+], ids=["compact", "pretty"])
+def test_emit_non_confluent_completion_pinned(capsys, pretty, digest):
+    # no census solution with n <= 5 is non-confluent, so the report is
+    # built by hand; digests of hand-written per-report JSON methods
+    from ybx.groebner import CompletionReport, RewriteSystem, Rule, check_overlaps
+    rs = RewriteSystem(3, (Rule((1, 1), (0, 0)), Rule((2, 1), (1, 0))))
+    unresolved = tuple(check_overlaps(rs))
+    assert len(unresolved) == 2
+    report = CompletionReport(False, unresolved, 2, "not quadratically confluent")
+    cli._emit({"system": rs.to_json(), "completion": report}, pretty)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_determinism(tmp_path):
@@ -415,6 +442,31 @@ def test_verify_failing_stdout_pinned(tmp_path, name):
     r = run_cli("verify", str(path))
     assert r.returncode == 1
     assert json.loads(r.stdout)["first_counterexample"][0] == name
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (("analyze", "SOL"), 0,
+     "4bcb15905e5b4d41d7fc198e7957d8ce4dfb4fc64b0188e5f42c32e4145c04ec"),
+    (("groebner", "SOL", "--max-deg", "3"), 0,
+     "740295ede1c6c604bcbf1350b8f6916fd6f02b817eb106938315466e79a90eab"),
+    (("verify", "BAD"), 1,
+     "a4e2fcb7471cfd5aae0e12c533b446031746f71f8bb35815a9a949ea0240a57f"),
+    (("construct", "--type", "descriptor", "--params", "DSC"), 1,
+     "22cc9df050c63f88e003307e23aac6a7809dd93d84ced3a29543ae500b11963d"),
+], ids=["analyze", "groebner", "verify-ybe2", "descriptor-fineq-fails"])
+def test_pretty_stdout_pinned(tmp_path, argv, code, digest):
+    # SOL is Z_8 with x -> -x, BAD the ybe2 table of FAILING_TABLES and
+    # DSC the descriptor FINEQ_FAILING; digests of hand-written JSON
+    # methods on each report type
+    from ybx.core import dump_solution, solution_from_lambda
+    files = {name: str(tmp_path / f"{name}.json") for name in ("SOL", "BAD", "DSC")}
+    dump_solution(solution_from_lambda(_family_rows("zn-neg", 8)), files["SOL"])
+    lam, rho, _ = FAILING_TABLES["ybe2"]
+    Path(files["BAD"]).write_text(json.dumps({"n": 3, "lambda": lam, "rho": rho}))
+    Path(files["DSC"]).write_text(json.dumps(FINEQ_FAILING))
+    r = run_cli(*(files.get(a, a) for a in argv), "--pretty")
+    assert r.returncode == code
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
