@@ -96,6 +96,11 @@ def _analyze_report(s, max_len, center_deg):
     if bool(basis) != singleton:
         discrepancies.append(
             Discrepancy("center-iff-singleton-diagonal", (deg,)))
+    # one direction only: one automorphism phi does not force a singleton
+    allphi = st.fineq.allphi
+    if singleton and not (allphi and allphi.automorphism):
+        discrepancies.append(
+            Discrepancy("singleton-diagonal-phi-automorphism", ()))
 
     report = {
         # a Solution exists only once promote's full check has passed

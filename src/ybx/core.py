@@ -102,8 +102,8 @@ class Solution:
 
     Immutable; built by :func:`promote`.  ``q`` is the diagonal map table
     and ``d`` the exponent of the group generated by the lam_x.  The word
-    tables of :func:`word_level` are kept in ``_levels``, which takes no
-    part in equality or hashing.
+    tables of :func:`word_level`, one period of them, are kept in
+    ``_levels``, which takes no part in equality or hashing.
     """
 
     n: int
@@ -238,10 +238,14 @@ def word_level(s, k):
     """(rows, ends) with rows[x] = lam_{kx} and ends[x] = q^k(x) for every x.
 
     Level 0 is the identity rows with ends = range(n); level k+1 is built
-    from level k by lam_{(k+1)x} = lam_{kx} . lam_{q^k(x)} (right factor
-    applied first).  Each level is built once per solution and kept on it,
-    derived only from the one before it and stored by its length with
-    ``setdefault``, so concurrent readers all see the same tables.
+    from level k alone by lam_{(k+1)x} = lam_{kx} . lam_{q^k(x)} (right
+    factor applied first).  Each level is built once per solution, kept on
+    it and stored by its length with ``setdefault``, so concurrent readers
+    all see the same tables.  Once a new level equals the stored level
+    ``start``, the levels repeat with the period p this closes, for any
+    Solution (p divides d on a valid one): ``(start, p)`` is stored under
+    the length -1, and every longer length k reads the stored level
+    start + (k - start) % p.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -249,12 +253,19 @@ def word_level(s, k):
     if not levels:
         ident = tuple(range(s.n))
         levels.setdefault(0, ((ident,) * s.n, ident))
-    # the stored lengths are always 0..len(levels)-1
-    for j in range(len(levels) - 1, k):
+    while k not in levels:
+        if -1 in levels:
+            start, period = levels[-1]
+            return levels[start + (k - start) % period]
+        j = max(levels)   # the stored lengths are 0..j
         rows, ends = levels[j]
-        levels.setdefault(j + 1, (
-            tuple(compose(row, s.lam[e]) for row, e in zip(rows, ends)),
-            tuple(s.q[e] for e in ends)))
+        level = (tuple(compose(row, s.lam[e]) for row, e in zip(rows, ends)),
+                 tuple(s.q[e] for e in ends))
+        start = next((i for i in range(j + 1) if levels[i] == level), None)
+        if start is None:
+            levels.setdefault(j + 1, level)
+        else:
+            levels.setdefault(-1, (start, j + 1 - start))
     return levels[k]
 
 

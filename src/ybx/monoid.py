@@ -175,10 +175,21 @@ def is_cancellative(s, max_len):
     a.m = b.m and a != b.  Products of unequal-length factors cannot
     collide, so pairs share a length.  Left cancellation always holds:
     m.a = (|m| + 1, lam_m(a)) and lam_m is a permutation.
+
+    The scan stops at the first length k whose table of lam_{kx} repeats
+    that of an earlier length j, at the latest where :func:`core.word_level`
+    reaches its period.  As lam_{(t+k)x} = lam_{tx} lam_{k q^t(x)}, every
+    later table then repeats one from j on, so neither the verdict nor the
+    first witness changes.
     """
     n = s.n
+    seen = set()
     for k in range(1, max_len + 1):
-        cols = list(zip(*word_level(s, k)[0]))   # cols[z][x] = lam_{kx}(z)
+        rows = word_level(s, k)[0]
+        if rows in seen:
+            break
+        seen.add(rows)
+        cols = list(zip(*rows))   # cols[z][x] = lam_{kx}(z)
         if any(len(set(col)) < n for col in cols):
             # the first failure of the nested loop over x < y and z
             x, y, z = min((x, col.index(v, x + 1), z)

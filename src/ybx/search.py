@@ -333,7 +333,8 @@ def enumerate_solutions(opts):
     the slices run in a process pool, one worker per slice at most, and
     are merged in a fixed order, so the output does not depend on the
     worker count.  An expired budget stops every slice, or the relabeling
-    between two classes, and yields a partial, incomplete result.
+    between two classes, and yields a partial, incomplete result: each
+    class found but not relabeled keeps its promoted representative.
     """
     # workers compare against the same deadline: the monotonic clock is
     # system-wide (CLOCK_MONOTONIC on Linux)
@@ -360,10 +361,10 @@ def enumerate_solutions(opts):
     if not opts.up_to_iso:
         reps, keyed = keyed, []
         for canon, rep, aut in reps:
-            if deadline is not None and time.monotonic() > deadline:
+            if complete and deadline is not None and time.monotonic() > deadline:
                 complete = False
-                break
-            keyed.extend((canon, s, aut) for s in _class_members(rep, aut))
+            members = _class_members(rep, aut) if complete else [rep]
+            keyed.extend((canon, s, aut) for s in members)
         keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
     return EnumResult(tuple(cs[1] for cs in keyed), complete,
                       tuple(cs[0] for cs in keyed),

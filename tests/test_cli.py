@@ -12,7 +12,7 @@ import pytest
 from ybx import cli, invariants
 from ybx.core import RMap, rmap_to_dict
 from ybx.fixtures import SOL_SWAP2, SOL_Z2
-from ybx.invariants import Discrepancy, FineqReport
+from ybx.invariants import Discrepancy
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -410,6 +410,26 @@ def test_structure_stdout_pinned_n8(tmp_path, family, command, digest):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("flag", ["--center", "--max-len"])
+def test_analyze_large_bounds_read_one_period(tmp_path, monkeypatch, capsys,
+                                              flag):
+    # the word levels of Z_8 with x -> -x repeat with period 2 from length
+    # 1, so a bound of 20000 reads the levels stored for lengths 0..2, and
+    # the center at degree 20000, or at d = 8, is that of degree 2
+    from ybx.core import dump_solution, solution_from_lambda
+    path = str(tmp_path / "zn-neg.json")
+    dump_solution(solution_from_lambda(_family_rows("zn-neg", 8)), path)
+    assert cli.main(["analyze", path, "--center", "2"]) == 0
+    basis = json.loads(capsys.readouterr().out)["center"]["basis"]
+    promoted, promote = [], cli.promote
+    monkeypatch.setattr(cli, "promote",
+                        lambda m: promoted.append(promote(m)) or promoted[-1])
+    assert cli.main(["analyze", path, flag, "20000"]) == 0
+    assert json.loads(capsys.readouterr().out)["center"]["basis"] == basis
+    (s,) = promoted
+    assert len([k for k in s._levels if k >= 0]) <= 3
+
+
 # One table per identity, named by the first counterexample verify
 # reports: ybe1 at the last point (2, 2, 2) with every check failing,
 # ybe2 at (2, 0, 1) before ybe3 fails, ybe3 at (2, 0, 0), a
@@ -595,8 +615,21 @@ def test_unreadable_json_is_a_format_error(tmp_path, argv, content):
     assert list(error) == ["error"] and error["error"].startswith("invalid JSON")
 
 
+_check_fineq = invariants.check_fineq
+
+
 def _failing_fineq(dsc):
-    return FineqReport(False, True, True, True, (("fineq1", (0, 1, 0)),))
+    return replace(_check_fineq(dsc), fineq1=False,
+                   counterexamples=(("fineq1", (0, 1, 0)),))
+
+
+def _fineq_without_allphi(dsc):
+    return replace(_check_fineq(dsc), allphi=None)
+
+
+def _fineq_phi_not_automorphism(dsc):
+    report = _check_fineq(dsc)
+    return replace(report, allphi=replace(report.allphi, automorphism=False))
 
 
 _phi_maps = invariants.phi_maps
@@ -630,7 +663,14 @@ def _failing_semigroup(s):
     ("ybx.cli.center_basis", lambda s, deg: [],
      {"claim": "center-iff-singleton-diagonal", "counterexample": [2],
       "context": []}),
-], ids=["latin", "fineq", "cancellative", "semigroup", "phi", "center"])
+    ("ybx.invariants.check_fineq", _fineq_without_allphi,
+     {"claim": "singleton-diagonal-phi-automorphism", "counterexample": [],
+      "context": []}),
+    ("ybx.invariants.check_fineq", _fineq_phi_not_automorphism,
+     {"claim": "singleton-diagonal-phi-automorphism", "counterexample": [],
+      "context": []}),
+], ids=["latin", "fineq", "cancellative", "semigroup", "phi", "center",
+        "allphi-missing", "allphi-not-automorphism"])
 def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, target,
                                   replacement, entry):
     # SOL_Z2 satisfies every claim of analyze; a patched check reports

@@ -296,15 +296,20 @@ def test_each_arithmetic_claim_fires(claim, lam, q, d, found):
     assert claim in found
 
 
-@pytest.mark.parametrize("family", ["zn-neg", "cycle", "identity"])
-def test_arithmetic_discrepancies_keep_few_word_levels(family):
-    # power multiplies on the left, so a^d reads only the level |a|; the
-    # grading scan reads up to 2L = 4d (the right-multiplied power kept
-    # 1,129 levels on Z_24 with x -> -x)
+@pytest.mark.parametrize("family, stored", [
+    ("zn-neg", 3), ("cycle", 16), ("identity", 1),
+], ids=["zn-neg", "cycle", "identity"])
+def test_arithmetic_discrepancies_keep_few_word_levels(family, stored):
+    # the grading scan reads lengths up to 2L = 4d, but the word levels
+    # repeat from length 1 on, so one period of them is stored (building
+    # every length kept 4d + 1; the right-multiplied power kept 1,129
+    # levels on Z_24 with x -> -x)
     n = 16
     rows = {"zn-neg": [tuple((x - y) % n for y in range(n)) for x in range(n)],
             "cycle": [tuple((y + 1) % n for y in range(n))] * n,
             "identity": [tuple(range(n))] * n}[family]
     s = solution_from_lambda(rows)
     assert arithmetic_discrepancies(s) == ()
-    assert max(s._levels) <= 4 * s.d
+    start, period = s._levels[-1]
+    assert sorted(s._levels) == list(range(-1, start + period))
+    assert start + period == stored

@@ -99,14 +99,15 @@ def test_enumerate_jobs_and_budget_compose():
 
 def test_enumerate_budget_stops_relabeling(monkeypatch):
     # the walk ignores the deadline here, so only the relabeling of the
-    # class representatives can see it expire
+    # class representatives can see it expire; each class then keeps its
+    # representative alone
     walk = search._search_slice
     monkeypatch.setattr(search, "_search_slice",
                         lambda n, first, deadline: walk(n, first))
     iso = enumerate_solutions(EnumOptions(4, up_to_iso=True, budget_secs=0))
     assert iso.complete and len(iso.solutions) == 14
     labelled = enumerate_solutions(EnumOptions(4, budget_secs=0))
-    assert not labelled.complete and labelled.solutions == ()
+    assert not labelled.complete and labelled.solutions == iso.solutions
 
 
 def test_enumerate_budget_expires_mid_walk(monkeypatch, capsys):
@@ -133,6 +134,19 @@ def test_enumerate_budget_expires_mid_walk(monkeypatch, capsys):
     assert cli.main(["enumerate", "-n", "5", "--budget", "1"]) == 4
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary["incomplete"] is True and "classes" not in summary
+    # under the same clock, the labelled run relabels no class and keeps
+    # the promoted representative of each class the walk found
+    clock = count()
+    labelled = enumerate_solutions(EnumOptions(5, budget_secs=200))
+    assert not labelled.complete and labelled.solutions == cut.solutions
+    assert len(cut.solutions) == 6
+    clock = count()
+    assert cli.main(["enumerate", "-n", "5", "--budget", "200"]) == 4
+    *tables, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert summary["incomplete"] is True and "classes" not in summary
+    assert summary["count"] == 6
+    assert [t["lambda"] for t in tables] == [
+        [list(row) for row in s.lam] for s in cut.solutions]
 
 
 def test_enumerate_jobs_capped_by_slices(monkeypatch):
