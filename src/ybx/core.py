@@ -13,8 +13,10 @@ Yang-Baxter identities, left non-degeneracy and idempotency exhaustively,
 and :func:`promote` upgrades a fully valid candidate to a :class:`Solution`
 carrying the derived data (q, d).
 
-Counterexamples are located by one scanner, :func:`failures`, which
-calls a row kernel once per prefix of the points, not once per point.
+:func:`check` locates its braid failures from its own maps on X^3, as
+``groebner.check_overlaps`` does its overlaps; every other check locates
+its counterexamples by :func:`failures`, which calls a row kernel once per
+prefix of the points, not once per point.
 """
 
 import json

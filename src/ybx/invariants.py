@@ -257,24 +257,6 @@ class FineqReport:
 FINEQ_NAMES = ("fineq1", "fineq2", "fineq3", "fineq4")
 
 
-def _first_mismatches(left, right, pending):
-    """(i, z) for the first z where a pending identity i fails in one row,
-    in order of z; a reported identity leaves ``pending``.
-
-    Each side holds the values of identity 0 over z, and the pairs of
-    values of identities 1 and 2, which are compared as one.
-    """
-    if left == right:
-        return ()
-    (l0, l12), (r0, r12) = left, right
-    sides = (l0, r0), *zip(zip(*l12), zip(*r12))
-    found = sorted((next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b), i)
-                   for i, (lhs, rhs) in enumerate(sides)
-                   if lhs != rhs and i in pending)
-    pending.difference_update(i for _, i in found)
-    return [(i, z) for z, i in found]
-
-
 def check_fineq(dsc):
     """Evaluate the four compatibility identities of a descriptor.
 
@@ -285,10 +267,11 @@ def check_fineq(dsc):
       fineq3  q(phi_{q(a)}(z)) = q(phi_c(q(b)))
       fineq4  q(x . phi_x(q(x))) = q(x)
 
-    A row kernel evaluates fineq1-3 at every z of (x, y), each until it
-    fails; what reads only y or only a is built once.  When all phi_x
-    coincide, the reduced conditions are evaluated as well and reported
-    side by side.
+    A row kernel compares both sides of fineq1-3 over every z of (x, y)
+    as lists and returns the z where they differ; what reads only y or
+    only a is built once.  The scan keeps the first point of each identity
+    and stops once all three have failed.  When all phi_x coincide, the
+    reduced conditions are evaluated as well and reported side by side.
     """
     n = dsc.n
     rng = range(n)
@@ -303,18 +286,24 @@ def check_fineq(dsc):
         s = phi[q[a]]
         t = [phi[a][v] for v in s]
         by_a.append((t, [(q[op[a][v]], q[w]) for v, w in zip(t, s)]))
-    pending = {0, 1, 2}
 
     def fineq_row(x, y):
         px, opx = phi[x], op[x]
-        t, right = by_a[opx[px[y]]]
+        t, r12 = by_a[opx[px[y]]]
         pxb = [px[b] for b in b_rows[y]]    # phi_x(b)
         oppy = op[px[y]]
-        return _first_mismatches(
-            (pxb, [at_c[opx[v]][w] for v, w in zip(pxb, qb_rows[y])]),
-            ([oppy[v] for v in t], right), pending)
+        left = pxb, [at_c[opx[v]][w] for v, w in zip(pxb, qb_rows[y])]
+        right = [oppy[v] for v in t], r12
+        if left == right:
+            return ()
+        return [(i, z) for z, (a, l, b, r) in enumerate(zip(*left, *right))
+                for i, (u, v) in enumerate(zip((a, *l), (b, *r))) if u != v]
 
-    firsts = dict(islice(failures(fineq_row, 3, n), 3))
+    firsts = {}   # the first point of each of fineq1-3
+    for i, p in failures(fineq_row, 3, n):
+        firsts.setdefault(i, p)
+        if len(firsts) == 3:
+            break
     firsts.update(islice(failures(
         lambda: [(3, x) for x in rng if q[op[x][phi[x][q[x]]]] != q[x]],
         1, n), 1))

@@ -202,6 +202,10 @@ def _pin(ids, q, tables, t):
     return mask
 
 
+def _expired(deadline):
+    return deadline is not None and time.monotonic() > deadline
+
+
 def _search_slice(n, first, deadline=None):
     """The walk's lam tuples with lam_0 = ``first`` that pass the bound of
     the module docstring on every row: none unless ``first`` is an orbit
@@ -209,8 +213,11 @@ def _search_slice(n, first, deadline=None):
     their class, and the smallest passes it in the slice of its own lam_0.
 
     Returns ([(canonical form, |Aut|, lam), ...], complete), unverified;
-    an expired deadline stops the walk.
+    an expired deadline stops the walk, and one that expired before the
+    slice starts leaves Sym(n) unbuilt.
     """
+    if _expired(deadline):
+        return [], False
     tables = _sym_index(n)
     perms, comp, inv, _, compat = tables
     ids = [perms.index(tuple(first))]
@@ -247,9 +254,6 @@ def _search_slice(n, first, deadline=None):
 
     def walk(domain):
         nonlocal complete
-        if deadline is not None and time.monotonic() > deadline:
-            complete = False
-            return
         j = len(ids)
         if j == n:
             lam = tuple(perms[a] for a in ids)
@@ -268,7 +272,10 @@ def _search_slice(n, first, deadline=None):
             ids.append(a)
             q.append(inv[a][j])
             if ybe_ok(j):
-                walk(domain & compat[a])
+                if _expired(deadline):
+                    complete = False
+                else:
+                    walk(domain & compat[a])
             ids.pop()
             q.pop()
             if not complete:
@@ -361,8 +368,7 @@ def enumerate_solutions(opts):
     if not opts.up_to_iso:
         reps, keyed = keyed, []
         for canon, rep, aut in reps:
-            if complete and deadline is not None and time.monotonic() > deadline:
-                complete = False
+            complete = complete and not _expired(deadline)
             members = _class_members(rep, aut) if complete else [rep]
             keyed.extend((canon, s, aut) for s in members)
         keyed.sort(key=lambda cs: (cs[0], cs[1].lam))
@@ -540,10 +546,11 @@ def from_rees_example(group, ncols, A, t, f, psi):
         raise ValueError("A must be half of the columns")
     A = tuple(sorted(A))
     b_cols = tuple(sorted(set(range(ncols)) - set(A)))
-    if not isinstance(t, dict) or not all(str(k).isdecimal() for k in t):
+    numerals = {str(c): c for c in range(ncols)}   # "2" and 2, not "02"
+    if not isinstance(t, dict) or not all(str(k) in numerals for k in t):
         raise ValueError("t must be an object mapping columns to columns")
-    t = {int(k): v for k, v in t.items()}
-    if any(type(v) is not int for v in t.values()) \
+    size, t = len(t), {numerals[str(k)]: v for k, v in t.items()}
+    if len(t) < size or any(type(v) is not int for v in t.values()) \
             or sorted(t) != list(b_cols) or sorted(t.values()) != list(A):
         raise ValueError("t must map the complement bijectively onto A")
     f = _ints(f, "f")

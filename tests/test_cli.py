@@ -13,6 +13,7 @@ from ybx import cli, invariants
 from ybx.core import RMap, rmap_to_dict
 from ybx.fixtures import SOL_SWAP2, SOL_Z2
 from ybx.invariants import Discrepancy
+from ybx.monoid import GrowthReport
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -187,6 +188,21 @@ def test_enumerate_budget_env_not_a_number():
     r = run_cli("enumerate", "-n", "2", env={"YBX_BUDGET_SECS": "abc"})
     assert r.returncode == 2
     assert "error" in json.loads(r.stderr)
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("--budget", "-1"), None),
+    (("--budget", "nan"), None),
+    ((), "nan"),
+], ids=["negative", "nan", "env-nan"])
+def test_enumerate_budget_must_be_a_nonnegative_number(monkeypatch, capsys,
+                                                       argv, env):
+    monkeypatch.delenv("YBX_BUDGET_SECS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("YBX_BUDGET_SECS", env)
+    assert cli.main(["enumerate", "-n", "2", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "budget" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -558,6 +574,9 @@ def test_solution_rows_must_be_lists(tmp_path, data):
     ("perm", {"image": [0, 1]}, "images"),
     ("perm", {"images": ["a", 0]}, "images"),
     ("rees-example", dict(REES_PARAMS, A=[0, 1.0]), "A"),
+    ("rees-example", dict(REES_PARAMS, t={"02": 0, "3": 1}), "t"),
+    ("rees-example", dict(REES_PARAMS, t={"\u0662": 0, "3": 1}), "t"),
+    ("rees-example", dict(REES_PARAMS, t={"2": 0, "02": 0, "3": 1}), "t"),
 ], ids=["perm-list", "group-aut-list", "rees-list", "descriptor-list",
         "perm-int", "group-aut-int", "group-aut-ragged", "group-aut-range",
         "group-aut-bool", "rees-ragged", "rees-range", "rees-t-list",
@@ -565,7 +584,9 @@ def test_solution_rows_must_be_lists(tmp_path, data):
         "group-aut-phi-bool", "rees-a-bool", "rees-t-bool", "rees-f-bool",
         "rees-psi-bool", "perm-images-repeat", "rees-a-range",
         "rees-psi-moves-a", "rees-ncols-str", "rees-t-key-str",
-        "perm-missing-key", "perm-images-str", "rees-a-float"])
+        "perm-missing-key", "perm-images-str", "rees-a-float",
+        "rees-t-key-zero-padded", "rees-t-key-arabic-indic",
+        "rees-t-key-twice"])
 def test_construct_params_malformed(tmp_path, kind, params, key):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))
@@ -634,6 +655,7 @@ def _fineq_phi_not_automorphism(dsc):
 
 _phi_maps = invariants.phi_maps
 _semigroup = invariants.semigroup
+_torsion = invariants.torsion
 
 
 def _failing_phi_maps(s, sg):
@@ -643,6 +665,11 @@ def _failing_phi_maps(s, sg):
 def _failing_semigroup(s):
     return replace(_semigroup(s), discrepancies=(
         Discrepancy("component-membership", (1, 0)),))
+
+
+def _failing_torsion(s, sg, u):
+    return replace(_torsion(s, sg, u), discrepancies=(
+        Discrepancy("torsion-order-divides-exponent", (u, 1, 3)),))
 
 
 @pytest.mark.parametrize("target, replacement, entry", [
@@ -669,8 +696,19 @@ def _failing_semigroup(s):
     ("ybx.invariants.check_fineq", _fineq_phi_not_automorphism,
      {"claim": "singleton-diagonal-phi-automorphism", "counterexample": [],
       "context": []}),
+    ("ybx.cli.growth", lambda s, max_len: GrowthReport((2, 2), (2, 3)),
+     {"claim": "growth-counts-disagree",
+      "counterexample": [[2, 2], [2, 3]], "context": []}),
+    ("ybx.cli.sigma_discrepancies",
+     lambda s: (Discrepancy("derived-map-constant", (1, 0, 0)),),
+     {"claim": "derived-map-constant", "counterexample": [1, 0, 0],
+      "context": []}),
+    ("ybx.invariants.torsion", _failing_torsion,
+     {"claim": "torsion-order-divides-exponent", "counterexample": [0, 1, 3],
+      "context": []}),
 ], ids=["latin", "fineq", "cancellative", "semigroup", "phi", "center",
-        "allphi-missing", "allphi-not-automorphism"])
+        "allphi-missing", "allphi-not-automorphism", "growth", "sigma",
+        "torsion-order"])
 def test_analyze_discrepancy_exit(tmp_path, monkeypatch, capsys, target,
                                   replacement, entry):
     # SOL_Z2 satisfies every claim of analyze; a patched check reports

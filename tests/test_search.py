@@ -78,6 +78,21 @@ def test_enumerate_budget_zero_incomplete():
     assert not result.complete
 
 
+def test_enumerate_expired_budget_builds_no_sym_table(monkeypatch):
+    # a budget spent before the walk starts leaves Sym(7) unbuilt: its
+    # composition table takes seconds and hundreds of MB
+    clock = count()
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(clock))
+
+    def no_table(n):
+        raise AssertionError("_sym_index was built")
+
+    monkeypatch.setattr(search, "_sym_index", no_table)
+    for up_to_iso in (False, True):
+        result = enumerate_solutions(EnumOptions(7, up_to_iso, budget_secs=0))
+        assert not result.complete and result.solutions == ()
+
+
 def test_enumerate_jobs_deterministic():
     one = enumerate_solutions(EnumOptions(3, jobs=1))
     two = enumerate_solutions(EnumOptions(3, jobs=2))
@@ -552,3 +567,9 @@ def test_from_rees_example_preconditions():
         from_rees_example([[0]], 3, [0], {1: 0, 2: 0}, [0], [0, 1, 2])
     with pytest.raises(ValueError):
         from_rees_example([[0]], 4, [0, 1], {2: 0, 3: 0}, [0], [0, 1, 2, 3])
+    # a key names a column as the int or its plain numeral, once
+    assert from_rees_example([[0]], 4, [0, 1], {2: 0, "3": 1}, [0],
+                             [0, 1, 2, 3]).fineq.ok
+    with pytest.raises(ValueError, match="bijectively"):
+        from_rees_example([[0]], 4, [0, 1], {2: 0, "2": 0, 3: 1}, [0],
+                          [0, 1, 2, 3])
