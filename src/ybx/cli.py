@@ -196,8 +196,9 @@ def cmd_enumerate(args):
     except ValueError as exc:
         return _fail(str(exc))
     result = enumerate_solutions(opts)
-    for s in result.solutions:
-        _emit(rmap_to_dict(s), False)
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    for s in result.solutions:   # the bytes of _emit(rmap_to_dict(s))
+        sys.stdout.write(encode({"n": s.n, "lambda": s.lam, "rho": s.rho}) + "\n")
     summary = {
         "n": args.n,
         "count": len(result.solutions),

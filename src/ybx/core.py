@@ -14,9 +14,9 @@ and :func:`promote` upgrades a fully valid candidate to a :class:`Solution`
 carrying the derived data (q, d).
 
 :func:`check` locates its braid failures from its own maps on X^3, as
-``groebner.check_overlaps`` does its overlaps; every other check locates
-its counterexamples by :func:`failures`, which calls a row kernel once per
-prefix of the points, not once per point.
+``groebner.check_overlaps`` does its overlaps, each map a tuple gathered
+in C by :func:`_gather`; every other check locates its counterexamples by
+:func:`failures`, which calls a row kernel once per prefix of the points.
 """
 
 import json
@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, product
 from math import factorial
+from operator import itemgetter
 
 from .perms import compose, exponent, inverse, is_perm
 
@@ -131,6 +132,12 @@ def failures(kernel, arity, n):
             yield i, prefix + (last,)
 
 
+def _gather(seq, idx):
+    """The tuple of seq[i] for i in idx, by itemgetter in C (which returns
+    the bare item for one index)."""
+    return (seq[idx[0]],) if len(idx) == 1 else itemgetter(*idx)(seq)
+
+
 def associativity(op):
     """Row kernel of (x . y) . z = x . (y . z): the failing z of (x, y)."""
     def row(x, y):
@@ -170,14 +177,14 @@ def check(m):
     cube = list(range(nn * n))   # every code below is one of its ints
     r12, r23, h = [], [], []   # h = r23 r12
     for a in range(0, nn * n, nn):
-        r23 += map(cube[a:a + nn].__getitem__, R)
+        r23 += _gather(cube[a:a + nn], R)
     for k in R:   # t r12 has row r(a, b) of t as its row (a, b)
         r12 += cube[k * n:k * n + n]
         h += r23[k * n:k * n + n]
-    left = list(map(r12.__getitem__, h))
-    right = list(map(h.__getitem__, r23))
+    left = _gather(r12, h)
+    right = _gather(h, r23)
     if left == right and min(map(len, map(set, lam))) == n and \
-            list(map(R.__getitem__, R)) == R:
+            _gather(R, R) == tuple(R):
         return ALL_VALID
     firsts = {}   # identity i is digit i; codes run in order of the points
     for c in compress(cube, map(int.__ne__, left, right)):
@@ -223,7 +230,7 @@ def promote(m):
 
 def forced_rho(lam, q):
     """The rho table q(lam[x][y]) that idempotency forces."""
-    return tuple(tuple(map(q.__getitem__, row)) for row in lam)
+    return tuple(_gather(q, row) for row in lam)
 
 
 def rmap_from_lambda(lam_rows):
@@ -618,6 +625,5 @@ def load_rmap(path):
 
 
 def dump_solution(m, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rmap_to_dict(m), fh, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:   # json.dump is not in C
+        fh.write(json.dumps(rmap_to_dict(m), sort_keys=True) + "\n")

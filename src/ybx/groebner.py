@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
 
+from .core import _gather
+
 
 @dataclass(frozen=True, order=True)
 class Rule:
@@ -106,13 +108,13 @@ def check_overlaps(rs):
     for i in image:
         first += cube[i * n:i * n + n]
     for a in range(0, nn * n, nn):
-        second += map(cube[a:a + nn].__getitem__, image)
+        second += _gather(cube[a:a + nn], image)
     for p, i in enumerate(image):   # one step, squared below
         normal += (second if i == p else first)[p * n:p * n + n]
-    while (twice := list(map(normal.__getitem__, normal))) != normal:
+    normal = _gather(normal, normal)   # a tuple from here on
+    while (twice := _gather(normal, normal)) != normal:
         normal = twice
-    left = list(map(normal.__getitem__, first))
-    right = list(map(normal.__getitem__, second))
+    left, right = _gather(normal, first), _gather(normal, second)
     return [] if left == right else [
         tuple((v // nn, v // n % n, v % n) for v in words)
         for words in zip(cube, left, right) if words[1] != words[2]]

@@ -184,6 +184,14 @@ def test_enumerate_stdout_pinned(argv, digest):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+def test_enumerate_n6_stdout_pinned(capsys):
+    # digest of the stdout of the code that printed each table through
+    # _emit(rmap_to_dict(s)); in-process, as the run takes about a second
+    assert cli.main(["enumerate", "-n", "6"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "4f5c71aa37bfd83cad6af1b61c63bf985551af646002000d861a007e83ffa605"
+
+
 def test_enumerate_budget_env_not_a_number():
     r = run_cli("enumerate", "-n", "2", env={"YBX_BUDGET_SECS": "abc"})
     assert r.returncode == 2

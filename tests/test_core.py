@@ -4,18 +4,18 @@ from math import factorial
 
 import pytest
 
-from ybx.core import (InvalidSolutionError, RMap, Solution,
+from ybx.core import (ALL_VALID, InvalidSolutionError, RMap, Solution,
                       SolutionFormatError, apply_r, canonical_form,
                       canonical_table, check, diagonal_image, dump_solution,
                       failures, forced_rho, iso_check, lambda_word, load_rmap,
                       promote, q_power, rmap_from_dict, rmap_from_lambda,
-                      solution_from_lambda, word_level)
+                      rmap_to_dict, solution_from_lambda, word_level)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.perms import compose, identity, inverse
 from ybx.search import EnumOptions, enumerate_solutions
 from pointwise import identity_holds
-from test_kernel_oracles import relabel_lambda
+from test_kernel_oracles import families, relabel_lambda
 
 
 def as_rmap(s):
@@ -73,6 +73,11 @@ def test_check_valid_fixtures():
         report = check(as_rmap(s))
         assert report.ok
         assert report.first_counterexample is None
+
+
+def test_check_one_point():
+    # every whole map has one entry, which itemgetter returns bare
+    assert check(RMap(1, ((0,),), ((0,),))) is ALL_VALID
 
 
 def test_check_perturbed_rho_breaks_idempotency():
@@ -323,6 +328,18 @@ def test_json_round_trip(tmp_path):
     dump_solution(as_rmap(SOL_Z2), path)
     m = load_rmap(path)
     assert m.lam == SOL_Z2.lam and m.rho == SOL_Z2.rho
+
+
+@pytest.mark.parametrize("table", [
+    lambda: enumerate_solutions(EnumOptions(4)).solutions[-1],
+    lambda: solution_from_lambda(families(24)[0]),
+], ids=["census", "zn-neg-24"])
+def test_dump_solution_writes_the_sorted_dumps(tmp_path, table):
+    s = table()
+    path = tmp_path / "s.json"
+    dump_solution(s, path)
+    assert path.read_bytes() == (
+        json.dumps(rmap_to_dict(s), sort_keys=True) + "\n").encode()
 
 
 def test_json_missing_rho_is_derived():

@@ -65,6 +65,12 @@ def test_check_overlaps_examples():
     assert check_overlaps(toy) == []
 
 
+def test_check_overlaps_one_letter():
+    # every whole map has one entry, which itemgetter returns bare
+    assert check_overlaps(constant_rules(1)) == []
+    assert check_overlaps(solution_rules(SOL_TRIV)[0]) == []
+
+
 def test_normal_word_count_examples():
     assert normal_word_count(constant_rules(2), 4) == [2, 2, 2, 2]
     assert normal_word_count(constant_rules(1), 3) == [1, 1, 1]

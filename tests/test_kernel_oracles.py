@@ -17,7 +17,7 @@ replaced and on every row tuple that the relabeling bound cut, the
 minimum of each row's orbit under the relabelings moving its point to 0,
 taken over Stab(0), that the cycle-type keys replaced, the composition
 table of Sym(n)
-hashed entry by entry that the build by columns replaced, q and d derived
+hashed entry by entry that the build by rows replaced, q and d derived
 again for each relabeling that transporting them replaced, all n!
 relabelings of a class representative that growing its Sym(n)-orbit
 from two generators replaced, the row-by-row conjugation of a table
@@ -1465,8 +1465,21 @@ def composition_by_hashes(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sym_index_composition_matches_hash_per_entry(n):
-    # n = 1 has no transposition: the identity column is the whole table
+    # n = 1 has no transposition: the identity row is the whole table
     assert _sym_index(n)[1] == composition_by_hashes(n)
+
+
+def test_sym_index_peak_stays_near_its_tables():
+    # rows gathered one at a time: no transposed copy of comp is ever
+    # held, so the peak is the returned tables and little more
+    tracemalloc.start()
+    try:
+        tables = _sym_index.__wrapped__(6)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tables[1] == _sym_index(6)[1]
+    assert peak <= 1.25 * retained
 
 
 def test_orbit_minima():

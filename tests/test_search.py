@@ -5,7 +5,7 @@ import pytest
 from ybx import cli, core
 from ybx.core import (InvalidSolutionError, canonical_form, canonical_table,
                       diagonal_image, iso_check, rmap_from_lambda)
-from ybx.fixtures import SOL_SWAP2, SOL_Z2, SOL_Z3INV, SOL_PROJ3
+from ybx.fixtures import SOL_SWAP2, SOL_TRIV, SOL_Z2, SOL_Z3INV, SOL_PROJ3
 from ybx.invariants import descriptor, reconstruct
 from ybx.monoid import is_cancellative
 from ybx import search
@@ -273,6 +273,11 @@ def test_enumerate_checks_each_table_once(monkeypatch, capsys):
     assert cli.main(["enumerate", "-n", "5", "--up-to-iso"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 11 + 1
     assert calls == {"check": 11, "exponent": 11}
+
+
+def test_class_members_of_one_point():
+    # Sym(1) has no generator: the orbit is the representative alone
+    assert search._class_members(SOL_TRIV, 1) == [SOL_TRIV]
 
 
 @pytest.mark.parametrize("bend", ["lam-entry", "q"])
