@@ -102,7 +102,7 @@ def _analyze_report(s, max_len, center_deg):
         discrepancies.append(
             Discrepancy("singleton-diagonal-phi-automorphism", ()))
 
-    report = {
+    return {
         # a Solution exists only once promote's full check has passed
         "verification": ALL_VALID,
         "n": s.n,
@@ -162,7 +162,6 @@ def _analyze_report(s, max_len, center_deg):
         },
         "discrepancies": discrepancies,
     }
-    return report
 
 
 def _witness_json(witness):
@@ -279,16 +278,12 @@ def cmd_groebner(args):
         _emit({"verification": exc.report}, args.pretty)
         return EXIT_INVALID
     rs, report = solution_rules(s)
-    out = {
-        "system": rs.to_json(),
-        "completion": report,
-    }
     counts = normal_word_count(rs, args.max_deg)
-    gr = growth(s, args.max_deg)
-    out["growth"] = list(gr.oracle)
+    oracle = list(growth(s, args.max_deg).oracle)
+    out = {"system": rs.to_json(), "completion": report, "growth": oracle}
     if report.confluent:
         out["normal_word_counts"] = counts
-        out["counts_match_growth"] = counts == list(gr.oracle)
+        out["counts_match_growth"] = counts == oracle
     else:
         out["normal_word_count_upper_bounds"] = counts
     _emit(out, args.pretty)

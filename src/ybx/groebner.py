@@ -127,9 +127,7 @@ def normal_word_count(rs, max_deg):
     n = rs.n
     rules = rs.rule_map()
     allowed = [[(a, b) not in rules for b in range(n)] for a in range(n)]
-    counts = []
-    vec = [1] * n
-    counts.append(sum(vec))
+    vec, counts = [1] * n, [n]
     for _ in range(max_deg - 1):
         vec = [sum(vec[a] for a in range(n) if allowed[a][b]) for b in range(n)]
         counts.append(sum(vec))

@@ -10,15 +10,17 @@ fractions.
 The pair model has n elements in each degree.  The growth oracle is
 deliberately independent of it: it uses only r and a union-find, and
 builds the word classes of degree L+1 from the classes of degree L times
-one appended letter, not from all n^(L+1) words.
+one appended letter, not from all n^(L+1) words.  It stops at the first
+class table equal to an earlier one: each table depends on the one before
+alone, so the counts repeat from there.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
-from .core import (diagonal_image, failures, lambda_word, q_power,
+from .core import (_gather, diagonal_image, failures, lambda_word, q_power,
                    word_level)
 from .invariants import Discrepancy
 from .perms import inverse
@@ -116,37 +118,41 @@ class GrowthReport:
         return (Discrepancy("growth-counts-disagree", (self.model, self.oracle)),)
 
 
-def _word_classes(s, max_len):
-    """Number of congruence classes of free words of each length 1..max_len."""
-    n = s.n
-
+def _next_classes(n, moved, entries):
+    """The class table of one length more (see :func:`growth`)."""
     def find(w):
         while parent[w] != w:
             parent[w] = parent[parent[w]]
             w = parent[w]
         return w
 
+    size = (max(entries) + 1) * n
+    parent = list(range(size))   # node (C, a) is C * n + a
+    rows = {entries[i:i + n] for i in range(0, len(entries), n)}
+    joins = {(row[b] * n + a, row[b2] * n + a2)
+             for row in rows for b, a, b2, a2 in moved}
+    for u, v in joins:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+    ids = {}
+    return tuple(ids.setdefault(find(node), len(ids)) for node in range(size))
+
+
+def _word_classes(s, max_len):
+    """Number of congruence classes of free words of each length 1..max_len."""
+    n = s.n
     moved = [(b, a, s.lam[b][a], s.rho[b][a]) for b in range(n)
              for a in range(n) if (s.lam[b][a], s.rho[b][a]) != (b, a)]
     # entries[c * n + b] is the class of w.b for w in class c; the empty
     # prefix is class 0 and single letters are their own classes
-    entries = list(range(n))
-    counts = [n]
-    for _ in range(max_len - 1):
-        size = counts[-1] * n
-        parent = list(range(size))   # node (C, a) is C * n + a
-        # a prefix class's joins read only its row of classes, so equal
-        # rows make the same joins, and different rows share most of them
-        rows = {tuple(entries[i:i + n]) for i in range(0, len(entries), n)}
-        joins = {(row[b] * n + a, row[b2] * n + a2)
-                 for row in rows for b, a, b2, a2 in moved}
-        for u, v in joins:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-        ids = {}
-        entries = [ids.setdefault(find(node), len(ids)) for node in range(size)]
-        counts.append(len(ids))
+    entries = tuple(range(n))
+    seen, counts, period = {entries: 0}, [n], 0
+    while len(counts) < max_len:
+        if not period:
+            entries = _next_classes(n, moved, entries)
+            period = len(counts) - seen.setdefault(entries, len(counts))
+        counts.append(counts[-period] if period else max(entries) + 1)
     return tuple(counts)
 
 
@@ -159,7 +165,12 @@ def growth(s, max_len):
     and r(b, a) = (b', a') joins the node of w.b.a to that of w.b'.a'.
     The joins of a prefix class read only its row of classes, one per last
     letter, so they run once per distinct row: a degree costs the distinct
-    rows times the pairs that r moves, not L * n^L.
+    rows times the pairs that r moves, not L * n^L.  The class table of a
+    length is a function of the one before alone, so once a table equals
+    that of an earlier length, the counts repeat with the period this
+    closes, and no further table is built.  On a solution the tables of
+    lengths 2 and 3 both send node (b, a) to lam_0^-1 lam_b(a), so two
+    tables serve any bound.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -360,9 +371,7 @@ def conjugation_action(s, u):
     ginv = gq_inverse(s, g)
     op, ends = word_level(s, s.d)
     xs = tuple(x for x in range(s.n) if ends[x] == u)
-    bad = []
-
-    act = {}
+    bad, act = [], {}
     for y in xs:
         res = gq_mul(s, gq_mul(s, g, torsion_elem(s, u, y)), ginv)
         if gq_degree(s, res) != 0 or res.u != u:
@@ -378,36 +387,25 @@ def conjugation_action(s, u):
                    for a, b in product(xs, repeat=2)
                    if act.get(op[a][b]) != op[act[a]][act[b]])
         cur = dict(act)
-        while any(cur[y] != y for y in xs):
+        while order <= s.d + 1 and any(cur[y] != y for y in xs):
             cur = {y: act[cur[y]] for y in xs}
             order += 1
-            if order > s.d + 1:
-                break
         if s.d % order != 0:
             bad.append(Discrepancy("conjugation-order-divides-exponent", (u, order)))
 
     # semidirect factorisation: every fraction over u is torsion times a
-    # power of the base element, uniquely through its degree
-    gpow_cache = {0: gq_identity(s, u)}
-
-    def gpow(e):
-        if e not in gpow_cache:
-            if e > 0:
-                gpow_cache[e] = gq_mul(s, gpow(e - 1), g)
-            else:
-                gpow_cache[e] = gq_mul(s, gpow(e + 1), ginv)
-        return gpow_cache[e]
-
+    # power of the base element, uniquely through its degree (1 - d..2d)
+    gpow = {0: gq_identity(s, u)}
+    for e in range(1, 2 * s.d + 1):
+        gpow[e], gpow[-e] = gq_mul(s, gpow[e - 1], g), gq_mul(s, gpow[1 - e], ginv)
     for k in range(1, s.d + 1):
         ends = word_level(s, k)[1]
-        for x in range(s.n):
-            if ends[x] != u:
-                continue
+        for x in (x for x in range(s.n) if ends[x] == u):
             for m in (-1, 0, 1):
                 elem = gq_from(s, k, x, m)
                 deg = gq_degree(s, elem)
-                t = gq_mul(s, elem, gpow(-deg))
-                if gq_degree(s, t) != 0 or gq_mul(s, t, gpow(deg)) != elem:
+                t = gq_mul(s, elem, gpow[-deg])
+                if gq_degree(s, t) != 0 or gq_mul(s, t, gpow[deg]) != elem:
                     bad.append(Discrepancy("semidirect-factorisation", (u, k, x, m)))
 
     return ConjugationAction(u, base, tuple(sorted(act.items())), order, tuple(bad))
@@ -421,55 +419,64 @@ def arithmetic_discrepancies(s, max_len=None):
     point, the fixed-point alternative for equal lengths, and the q-power
     identities q^k(x) = lam_{kx}^-1(x), which also place lam_{kx}^-1(x) in
     the diagonal, and the period q^(d+1) = q, which places c_u over u.
+
+    A claim at some lengths reads only their word levels, and
+    :func:`core.word_level` returns one object for all the lengths in one
+    residue of its period, so each claim is evaluated once per distinct
+    level, or triple of levels for the grading; only the letters of c_u^k
+    are built for every k, step by step.  The failures are then expanded
+    to every length, in lexicographic order of the reported tuples.
     """
-    d = s.d
+    d, n = s.d, s.n
     L = max_len if max_len is not None else 2 * d
-    n = s.n
-    bad = []
     image = diagonal_image(s)
+    levels = [word_level(s, k) for k in range(2 * max(L, d + 1) + 1)]
+    lam_d, memo = levels[d][0], {}   # lam_d[u] = lam_{du}
 
-    # (ka, x) . (kb, y) = (ka + kb, lam_{ka x}(y)), read from whole levels
-    for ka in range(1, L + 1):
-        rows = word_level(s, ka)[0]
-        for x, kb in product(range(n), range(1, L + 1)):
-            ends_ab, ends_b = word_level(s, ka + kb)[1], word_level(s, kb)[1]
-            bad.extend(Discrepancy("product-grading", (ka, x, kb, y))
-                       for y in range(n) if ends_ab[rows[x][y]] != ends_b[y])
+    def at(claim, *args):   # claim(*args) once per distinct args, kept on s
+        key = (claim, *map(id, args))
+        if key not in memo:
+            memo[key] = claim(*args)
+        return memo[key]
 
-    elems = [MElem(k, x) for k in range(1, L + 1) for x in range(n)]
+    def grading(level_a, level_b, level_ab):
+        # (ka, x) . (kb, y) = (ka + kb, lam_{ka x}(y)) must lie over q^kb(y)
+        (rows, _), ends_b, ends_ab = level_a, level_b[1], level_ab[1]
+        bent = {row for row in at(set, rows) if _gather(ends_ab, row) != ends_b}
+        return [(x, y) for x, row in enumerate(rows) if bent and row in bent
+                for y in range(n) if ends_ab[row[y]] != ends_b[y]]
 
-    for u in image:
-        cu = MElem(d, u)
-        for a in elems:
-            if component(s, a) != u:
-                continue
-            if lambda_word(s, u, d)[a.x] != lambda_word(s, a.x, a.k)[u]:
-                bad.append(Discrepancy("central-element-commutes", (u, a.k, a.x)))
-            if power(s, a, d) != power(s, cu, a.k):
-                bad.append(Discrepancy("power-collapse", (u, a.k, a.x)))
+    def per_level(rows, ends):
+        # the letters of (k, x)^d = (dk, lam_{kx}^(d-1)(x)), the x failing
+        # q^k(x) = lam_{kx}^-1(x), the x < y failing the fixed-point claim
+        letters = range(n)
+        for _ in range(d - 1):
+            letters = [row[c] for row, c in zip(rows, letters)]
+        inv = [inverse(row) for row in rows]
+        return (letters, [x for x in range(n) if ends[x] != inv[x][x]],
+                [(x, y) for x, y in combinations(range(n), 2) if rows[x] != rows[y]
+                 and any(rows[x][inv[y][i]] == i for i in range(n))])
 
-    for u in image:
-        if lambda_word(s, u, d) != tuple(range(n)):
-            bad.append(Discrepancy("diagonal-word-identity", (u,)))
-
-    for k in range(1, d + 1):
-        rows = word_level(s, k)[0]
-        for x in range(n):
-            for y in range(x + 1, n):
-                if rows[x] != rows[y]:
-                    inv = inverse(rows[y])
-                    if any(rows[x][inv[i]] == i for i in range(n)):
-                        bad.append(Discrepancy("fixed-point-alternative", (k, x, y)))
-
-    for k in range(1, 2 * d + 3):
-        rows, ends = word_level(s, k)
-        for x in range(n):
-            if ends[x] != inverse(rows[x])[x]:
-                bad.append(Discrepancy("q-power-identity", (k, x)))
-    ends = word_level(s, d + 1)[1]
-    for x in range(n):
-        if ends[x] != s.q[x]:
-            bad.append(Discrepancy("q-period", (x,)))
-
-    bad.extend(sigma_discrepancies(s))
-    return tuple(bad)
+    bad = [Discrepancy("product-grading", key) for key in sorted(
+        (ka, x, kb, y) for ka, kb in product(range(1, L + 1), repeat=2)
+        for x, y in at(grading, levels[ka], levels[kb], levels[ka + kb]))]
+    found = []
+    cpow = dict(zip(image, image))   # the letter of c_u^k = (dk, lam_{du}^(k-1)(u))
+    for k in range(1, L + 1):
+        rows, ends = levels[k]
+        for x, (u, letter) in enumerate(zip(ends, at(per_level, *levels[k])[0])):
+            if lam_d[u][x] != rows[x][u]:
+                found.append((u, k, x, "central-element-commutes"))
+            if letter != cpow[u]:
+                found.append((u, k, x, "power-collapse"))
+        cpow = {u: lam_d[u][c] for u, c in cpow.items()}
+    bad += [Discrepancy(claim, (u, k, x)) for u, k, x, claim in sorted(found)]
+    bad += [Discrepancy("diagonal-word-identity", (u,))
+            for u in image if lam_d[u] != tuple(range(n))]
+    bad += [Discrepancy("fixed-point-alternative", (k, x, y))
+            for k in range(1, d + 1) for x, y in at(per_level, *levels[k])[2]]
+    bad += [Discrepancy("q-power-identity", (k, x))
+            for k in range(1, 2 * d + 3) for x in at(per_level, *levels[k])[1]]
+    bad += [Discrepancy("q-period", (x,))
+            for x in range(n) if levels[d + 1][1][x] != s.q[x]]
+    return tuple(bad) + sigma_discrepancies(s)

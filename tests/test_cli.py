@@ -409,6 +409,35 @@ def test_structure_stdout_pinned(tmp_path, family, command, digest):
 
 
 @pytest.mark.parametrize("family, command, digest", [
+    ("zn-neg", "groebner",
+     "5935a24c38075bd88ad034a4e1e35fc0fe066242f123129f5c2f0ed6bab6460d"),
+    ("zn-neg", "analyze",
+     "c27f39427642950c394267b3c73152344e643f2df8fd22d122de01ef4aea0919"),
+    ("cycle", "groebner",
+     "8cdf59c50391bfa0a1b9a2aed99b541d9fedd66a2701aa7db9606ecc9da5e07f"),
+    ("cycle", "analyze",
+     "0359bb201c5e774d5976b40d9aecaec59330ee849fe24c301136c9c7b8705a47"),
+    ("identity", "groebner",
+     "8cdf59c50391bfa0a1b9a2aed99b541d9fedd66a2701aa7db9606ecc9da5e07f"),
+    ("identity", "analyze",
+     "0f58e102d8e9a6d3a5c26cdf7becbfe16551f66d309a432ae833215663d3117b"),
+], ids=["zn-neg-groebner", "zn-neg-analyze", "cycle-groebner",
+        "cycle-analyze", "identity-groebner", "identity-analyze"])
+def test_structure_stdout_pinned_at_longer_words(tmp_path, family, command,
+                                                 digest):
+    # digests at n = 16 of groebner at its default --max-deg 8 and of
+    # analyze --max-len 8, from the growth oracle that built a class table
+    # for every length
+    from ybx.core import dump_solution, solution_from_lambda
+    path = str(tmp_path / f"{family}.json")
+    dump_solution(solution_from_lambda(_family_rows(family, 16)), path)
+    extra = ("--max-len", "8") if command == "analyze" else ()
+    r = run_cli(command, path, *extra)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family, command, digest", [
     ("zn-neg", "analyze",
      "3cbf301c595a27e22542e5b42119fb11399a90ec8359b3fc11c3484080e5b077"),
     ("zn-neg", "groebner",

@@ -25,8 +25,11 @@ that the members' flat index maps replaced, the
 semigroup claims that follow from the four ``semigroup`` checks, the
 torsion, round-trip and all-pairs isomorphism scans whose claims
 ``structure`` now checks once or derives, the union-find over two-letter
-words that the fibers of r replaced, and the pair-model products that
-the n elements of each degree replaced.  Perturbed census records also check
+words that the fibers of r replaced, the pair-model products that
+the n elements of each degree replaced, the class table built for every
+length that the stop at the first repeated table replaced, and the
+arithmetic checks at every length that their evaluation once per word
+level replaced.  Perturbed census records also check
 that ``structure`` and ``conjugation_action`` report, never raise.
 """
 
@@ -101,6 +104,91 @@ def word_classes_all_words(s, length):
                 if ra != rb:
                     parent[rb] = ra
     return sum(1 for w in range(size) if find(w) == w)
+
+
+def word_classes_per_length(s, max_len):
+    """Class counts of each length 1..max_len and the class table of each
+    length 0..max_len - 1, one union-find built for every length."""
+    n = s.n
+
+    def find(w):
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    moved = [(b, a, s.lam[b][a], s.rho[b][a]) for b in range(n)
+             for a in range(n) if (s.lam[b][a], s.rho[b][a]) != (b, a)]
+    entries = list(range(n))
+    tables, counts = [tuple(entries)], [n]
+    for _ in range(max_len - 1):
+        size = counts[-1] * n
+        parent = list(range(size))
+        rows = {tuple(entries[i:i + n]) for i in range(0, len(entries), n)}
+        joins = {(row[b] * n + a, row[b2] * n + a2)
+                 for row in rows for b, a, b2, a2 in moved}
+        for u, v in joins:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[rv] = ru
+        ids = {}
+        entries = [ids.setdefault(find(node), len(ids)) for node in range(size)]
+        tables.append(tuple(entries))
+        counts.append(len(ids))
+    return tuple(counts), tables
+
+
+def arithmetic_discrepancies_per_length(s, max_len=None):
+    """The bounded arithmetic checks, evaluated at every length and element."""
+    d = s.d
+    L = max_len if max_len is not None else 2 * d
+    n = s.n
+    bad = []
+    image = diagonal_image(s)
+
+    for ka in range(1, L + 1):
+        rows = word_level(s, ka)[0]
+        for x, kb in product(range(n), range(1, L + 1)):
+            ends_ab, ends_b = word_level(s, ka + kb)[1], word_level(s, kb)[1]
+            bad.extend(Discrepancy("product-grading", (ka, x, kb, y))
+                       for y in range(n) if ends_ab[rows[x][y]] != ends_b[y])
+
+    elems = [MElem(k, x) for k in range(1, L + 1) for x in range(n)]
+    for u in image:
+        cu = MElem(d, u)
+        for a in elems:
+            if monoid.component(s, a) != u:
+                continue
+            if lambda_word(s, u, d)[a.x] != lambda_word(s, a.x, a.k)[u]:
+                bad.append(Discrepancy("central-element-commutes", (u, a.k, a.x)))
+            if power(s, a, d) != power(s, cu, a.k):
+                bad.append(Discrepancy("power-collapse", (u, a.k, a.x)))
+
+    for u in image:
+        if lambda_word(s, u, d) != tuple(range(n)):
+            bad.append(Discrepancy("diagonal-word-identity", (u,)))
+
+    for k in range(1, d + 1):
+        rows = word_level(s, k)[0]
+        for x in range(n):
+            for y in range(x + 1, n):
+                if rows[x] != rows[y]:
+                    inv = inverse(rows[y])
+                    if any(rows[x][inv[i]] == i for i in range(n)):
+                        bad.append(Discrepancy("fixed-point-alternative", (k, x, y)))
+
+    for k in range(1, 2 * d + 3):
+        rows, ends = word_level(s, k)
+        for x in range(n):
+            if ends[x] != inverse(rows[x])[x]:
+                bad.append(Discrepancy("q-power-identity", (k, x)))
+    ends = word_level(s, d + 1)[1]
+    for x in range(n):
+        if ends[x] != s.q[x]:
+            bad.append(Discrepancy("q-period", (x,)))
+
+    bad.extend(sigma_discrepancies(s))
+    return tuple(bad)
 
 
 def overlap_words(rs):
@@ -329,22 +417,39 @@ def test_pair_model_has_n_elements_per_degree(census_to4):
         assert pair_model_counts(s, 5) == growth(s, 5).model == (s.n,) * 5
 
 
-def test_word_classes_match_all_words_on_random_maps():
+def test_word_classes_match_all_words_on_random_maps(monkeypatch):
     # on maps that are not solutions the class counts vary with the
-    # length, so the level-by-level count is checked beyond "n per degree"
+    # length, so the level-by-level count is checked beyond "n per degree";
+    # to length 10 the counts equal those of a table built for every
+    # length, and the tables built are those up to the first one equal to
+    # an earlier one: some maps repeat only from length 2 on, or with a
+    # period above 1, so the counts are extended
+    built = []
+    next_classes = monoid._next_classes
+    monkeypatch.setattr(monoid, "_next_classes",
+                        lambda *a: built.append(next_classes(*a)) or built[-1])
     rng = random.Random(7)
 
     def table(n):
         return tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
 
-    seen = set()
+    seen, stops = set(), set()
     for _ in range(60):
         n = rng.randint(1, 4)
         m = SimpleNamespace(n=n, lam=table(n), rho=table(n))
         want = tuple(word_classes_all_words(m, k) for k in range(1, 6))
         assert _word_classes(m, 5) == want
         seen.add(want)
+        built.clear()
+        counts, tables = word_classes_per_length(m, 10)
+        assert _word_classes(m, 10) == counts
+        assert built == tables[1:len(built) + 1]
+        assert len(set(tables[:len(built)])) == len(built)
+        if len(built) < 9:
+            start = tables.index(built[-1])
+            stops.add((start, len(built) - start))
     assert any(len(set(counts)) > 1 for counts in seen)
+    assert any(start > 1 or period > 1 for start, period in stops)
 
 
 def _random_system(rng, n, density=0.6):
@@ -579,6 +684,34 @@ def test_power_matches_right_multiplied_loop_on_census4(census4):
                   for x in range(s.n)]:
             for e in range(s.d + 2):
                 assert power(s, a, e) == power_right_multiplied(s, a, e)
+
+
+def test_arithmetic_discrepancies_match_per_length_scan(census_to4):
+    sols = census_to4 + [solution_from_lambda(rows) for rows in families(8)]
+    for s in sols:
+        for max_len in (None, 1, 3 * s.d):
+            want = arithmetic_discrepancies_per_length(s, max_len)
+            assert monoid.arithmetic_discrepancies(s, max_len) == want
+
+
+def test_arithmetic_discrepancies_match_per_length_scan_on_bent_records():
+    # random permutation rows with a random q and d: the tuples are equal,
+    # order included, and every claim fires on some record
+    rng = random.Random(5)
+    fired = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        lam = tuple(tuple(rng.sample(range(n), n)) for _ in range(n))
+        q = tuple(rng.randrange(n) for _ in range(n))
+        bent = Solution(n, lam, forced_rho(lam, q), q, rng.randint(1, 4))
+        max_len = rng.choice((None, 1, 5))
+        got = monoid.arithmetic_discrepancies(bent, max_len)
+        assert got == arithmetic_discrepancies_per_length(bent, max_len)
+        fired.update(b.claim for b in got)
+    assert set(fired) == {
+        "product-grading", "central-element-commutes", "power-collapse",
+        "diagonal-word-identity", "fixed-point-alternative",
+        "q-power-identity", "q-period", "derived-map-constant"}
 
 
 SYM3 = sorted(permutations(range(3)))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ybx import monoid
 from ybx.core import (Solution, diagonal_image, forced_rho, lambda_word,
                       solution_from_lambda)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
@@ -12,6 +13,7 @@ from ybx.monoid import (GQElem, MElem, ONE, arithmetic_discrepancies,
                         gq_from, gq_identity, gq_inverse, gq_mul, growth,
                         is_cancellative, mul, normal_form, power, sigma,
                         sigma_discrepancies, torsion_elem)
+from test_kernel_oracles import arithmetic_discrepancies_per_length
 
 
 def test_mul_examples():
@@ -111,6 +113,30 @@ def test_growth_oracle_counts_to_eight_on_small_fixtures():
     for s in (SOL_SWAP2, SOL_Z2):
         rep = growth(s, 8)
         assert rep.model == rep.oracle == (2,) * 8
+
+
+def test_growth_builds_two_class_tables_at_any_bound(monkeypatch):
+    # the class table of length 3 equals that of length 2 on a solution,
+    # and each table is a function of the one before, so the counts repeat
+    # from there
+    built = []
+    next_classes = monoid._next_classes
+    monkeypatch.setattr(monoid, "_next_classes",
+                        lambda *a: built.append(next_classes(*a)) or built[-1])
+    n = 16
+    s = solution_from_lambda([tuple((x - y) % n for y in range(n))
+                              for x in range(n)])
+    rep = growth(s, 20000)
+    assert rep.model == rep.oracle == (16,) * 20000
+    assert len(built) == 2
+
+
+def test_word_classes_extend_the_counts_by_their_period(monkeypatch):
+    # a stand-in step whose tables of 2 and 3 classes alternate from
+    # length 2 on: the counts repeat the pair, and no fourth table is built
+    tables = iter([(0, 1, 1, 0), (0, 1, 2, 0), (0, 1, 1, 0)])
+    monkeypatch.setattr(monoid, "_next_classes", lambda *a: next(tables))
+    assert monoid._word_classes(SOL_Z2, 7) == (2, 2, 3, 2, 3, 2, 3)
 
 
 def test_is_cancellative_examples():
@@ -292,8 +318,10 @@ def test_each_arithmetic_claim_fires(claim, lam, q, d, found):
     # rebuilt as q . lam and d kept: each is caught by this claim, with the
     # others pinned beside it
     bent = Solution(len(lam), lam, forced_rho(lam, q), q, d)
-    assert {b.claim for b in arithmetic_discrepancies(bent)} == found
+    got = arithmetic_discrepancies(bent)
+    assert {b.claim for b in got} == found
     assert claim in found
+    assert got == arithmetic_discrepancies_per_length(bent)
 
 
 @pytest.mark.parametrize("family, stored", [
