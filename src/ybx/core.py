@@ -104,9 +104,9 @@ class Solution:
     """A verified idempotent left non-degenerate solution.
 
     Immutable; built by :func:`promote`.  ``q`` is the diagonal map table
-    and ``d`` the exponent of the group generated by the lam_x.  The word
-    tables of :func:`word_level`, one period of them, are kept in
-    ``_levels``, which takes no part in equality or hashing.
+    and ``d`` the exponent of the group generated by the lam_x.  One period
+    of the word tables, :func:`word_levels`, is kept in ``_cache``, which
+    takes no part in equality or hashing.
     """
 
     n: int
@@ -114,8 +114,8 @@ class Solution:
     rho: tuple
     q: tuple
     d: int
-    _levels: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
 
 def failures(kernel, arity, n):
@@ -243,39 +243,49 @@ def solution_from_lambda(lam_rows):
     return promote(rmap_from_lambda(lam_rows))
 
 
-def word_level(s, k):
-    """(rows, ends) with rows[x] = lam_{kx} and ends[x] = q^k(x) for every x.
+def periodic(step, first, bound=None):
+    """(terms, start): first, step(first), ... until a new term equals the
+    stored ``terms[start]``, or until ``bound`` terms exist (start None);
+    as each term depends on the one before alone, term k of the whole
+    sequence is then :func:`nth` (terms, start, k)."""
+    terms, index = [first], {first: 0}
+    while bound is None or len(terms) < bound:
+        term = step(terms[-1])
+        start = index.setdefault(term, len(terms))
+        if start < len(terms):
+            return terms, start
+        terms.append(term)
+    return terms, None
 
-    Level 0 is the identity rows with ends = range(n); level k+1 is built
-    from level k alone by lam_{(k+1)x} = lam_{kx} . lam_{q^k(x)} (right
-    factor applied first).  Each level is built once per solution, kept on
-    it and stored by its length with ``setdefault``, so concurrent readers
-    all see the same tables.  Once a new level equals the stored level
-    ``start``, the levels repeat with the period p this closes, for any
-    Solution (p divides d on a valid one): ``(start, p)`` is stored under
-    the length -1, and every longer length k reads the stored level
-    start + (k - start) % p.
+
+def nth(terms, start, k):
+    """Term k of the sequence that :func:`periodic` returned."""
+    if k < len(terms):
+        return terms[k]
+    return terms[start + (k - start) % (len(terms) - start)]
+
+
+def word_levels(s):
+    """(levels, start) of :func:`periodic`: level k is (rows, ends) with
+    rows[x] = lam_{kx} and ends[x] = q^k(x), from the identity rows and
+    ends = range(n) by lam_{(k+1)x} = lam_{kx} . lam_{q^k(x)}.  Built on
+    first use and kept on s by one ``setdefault``, so concurrent readers
+    share one set of tables; on a valid solution start <= 1 and the period
+    divides d.
     """
+    if not s._cache:
+        ident = tuple(range(s.n))
+        s._cache.setdefault("levels", periodic(lambda level: (
+            tuple(compose(row, s.lam[e]) for row, e in zip(*level)),
+            tuple(s.q[e] for e in level[1])), ((ident,) * s.n, ident)))
+    return s._cache["levels"]
+
+
+def word_level(s, k):
+    """Level k of :func:`word_levels`, k >= 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    levels = s._levels
-    if not levels:
-        ident = tuple(range(s.n))
-        levels.setdefault(0, ((ident,) * s.n, ident))
-    while k not in levels:
-        if -1 in levels:
-            start, period = levels[-1]
-            return levels[start + (k - start) % period]
-        j = max(levels)   # the stored lengths are 0..j
-        rows, ends = levels[j]
-        level = (tuple(compose(row, s.lam[e]) for row, e in zip(rows, ends)),
-                 tuple(s.q[e] for e in ends))
-        start = next((i for i in range(j + 1) if levels[i] == level), None)
-        if start is None:
-            levels.setdefault(j + 1, level)
-        else:
-            levels.setdefault(-1, (start, j + 1 - start))
-    return levels[k]
+    return nth(*word_levels(s), k)
 
 
 def lambda_word(s, x, k):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
 
-from .core import _gather
+from .core import _gather, nth, periodic
 
 
 @dataclass(frozen=True, order=True)
@@ -126,12 +126,11 @@ def normal_word_count(rs, max_deg):
         raise ValueError("max_deg must be >= 1")
     n = rs.n
     rules = rs.rule_map()
-    allowed = [[(a, b) not in rules for b in range(n)] for a in range(n)]
-    vec, counts = [1] * n, [n]
-    for _ in range(max_deg - 1):
-        vec = [sum(vec[a] for a in range(n) if allowed[a][b]) for b in range(n)]
-        counts.append(sum(vec))
-    return counts
+    sources = [[a for a in range(n) if (a, b) not in rules] for b in range(n)]
+    vecs, start = periodic(lambda vec: tuple(
+        sum(map(vec.__getitem__, col)) for col in sources), (1,) * n, max_deg)
+    counts = list(map(sum, vecs))
+    return [nth(counts, start, k) for k in range(max_deg)]
 
 
 @dataclass(frozen=True)

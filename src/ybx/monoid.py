@@ -10,9 +10,9 @@ fractions.
 The pair model has n elements in each degree.  The growth oracle is
 deliberately independent of it: it uses only r and a union-find, and
 builds the word classes of degree L+1 from the classes of degree L times
-one appended letter, not from all n^(L+1) words.  It stops at the first
-class table equal to an earlier one: each table depends on the one before
-alone, so the counts repeat from there.
+one appended letter, not from all n^(L+1) words.  Every table built here
+one length at a time depends on the one before alone, so each stops at
+its period by :func:`core.periodic`.
 """
 
 from dataclasses import dataclass
@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from .core import (_gather, diagonal_image, failures, lambda_word, q_power,
-                   word_level)
+from .core import (_gather, diagonal_image, failures, lambda_word, nth,
+                   periodic, q_power, word_level, word_levels)
 from .invariants import Discrepancy
 from .perms import inverse
 
@@ -146,14 +146,10 @@ def _word_classes(s, max_len):
              for a in range(n) if (s.lam[b][a], s.rho[b][a]) != (b, a)]
     # entries[c * n + b] is the class of w.b for w in class c; the empty
     # prefix is class 0 and single letters are their own classes
-    entries = tuple(range(n))
-    seen, counts, period = {entries: 0}, [n], 0
-    while len(counts) < max_len:
-        if not period:
-            entries = _next_classes(n, moved, entries)
-            period = len(counts) - seen.setdefault(entries, len(counts))
-        counts.append(counts[-period] if period else max(entries) + 1)
-    return tuple(counts)
+    tables, start = periodic(lambda entries: _next_classes(n, moved, entries),
+                             tuple(range(n)), max_len)
+    counts = [max(entries) + 1 for entries in tables]
+    return tuple(nth(counts, start, k) for k in range(max_len))
 
 
 def growth(s, max_len):
@@ -165,10 +161,8 @@ def growth(s, max_len):
     and r(b, a) = (b', a') joins the node of w.b.a to that of w.b'.a'.
     The joins of a prefix class read only its row of classes, one per last
     letter, so they run once per distinct row: a degree costs the distinct
-    rows times the pairs that r moves, not L * n^L.  The class table of a
-    length is a function of the one before alone, so once a table equals
-    that of an earlier length, the counts repeat with the period this
-    closes, and no further table is built.  On a solution the tables of
+    rows times the pairs that r moves, not L * n^L.  The class tables stop
+    at their period (:func:`core.periodic`): on a solution the tables of
     lengths 2 and 3 both send node (b, a) to lam_0^-1 lam_b(a), so two
     tables serve any bound.
     """
@@ -187,19 +181,13 @@ def is_cancellative(s, max_len):
     collide, so pairs share a length.  Left cancellation always holds:
     m.a = (|m| + 1, lam_m(a)) and lam_m is a permutation.
 
-    The scan stops at the first length k whose table of lam_{kx} repeats
-    that of an earlier length j, at the latest where :func:`core.word_level`
-    reaches its period.  As lam_{(t+k)x} = lam_{tx} lam_{k q^t(x)}, every
-    later table then repeats one from j on, so neither the verdict nor the
-    first witness changes.
+    Only the lengths up to the number of stored word levels are scanned:
+    every longer length repeats one of them (:func:`core.word_levels`).
     """
     n = s.n
-    seen = set()
-    for k in range(1, max_len + 1):
-        rows = word_level(s, k)[0]
-        if rows in seen:
-            break
-        seen.add(rows)
+    levels, start = word_levels(s)
+    for k in range(1, min(max_len, len(levels)) + 1):
+        rows = nth(levels, start, k)[0]
         cols = list(zip(*rows))   # cols[z][x] = lam_{kx}(z)
         if any(len(set(col)) < n for col in cols):
             # the first failure of the nested loop over x < y and z
@@ -420,35 +408,37 @@ def arithmetic_discrepancies(s, max_len=None):
     identities q^k(x) = lam_{kx}^-1(x), which also place lam_{kx}^-1(x) in
     the diagonal, and the period q^(d+1) = q, which places c_u over u.
 
-    A claim at some lengths reads only their word levels, and
-    :func:`core.word_level` returns one object for all the lengths in one
-    residue of its period, so each claim is evaluated once per distinct
-    level, or triple of levels for the grading; only the letters of c_u^k
-    are built for every k, step by step.  The failures are then expanded
-    to every length, in lexicographic order of the reported tuples.
+    Each claim is evaluated once per distinct stored word level
+    (:func:`core.word_levels`), or triple of them for the grading, and its
+    failures are expanded to every length in lexicographic order; only the
+    letters of c_u^k are built for every k, step by step.
     """
     d, n = s.d, s.n
     L = max_len if max_len is not None else 2 * d
     image = diagonal_image(s)
-    levels = [word_level(s, k) for k in range(2 * max(L, d + 1) + 1)]
+    stored, start = word_levels(s)
+    index = [nth(range(len(stored)), start, k)
+             for k in range(2 * max(L, d + 1) + 1)]
+    levels, row_sets = [stored[i] for i in index], [set(r) for r, _ in stored]
     lam_d, memo = levels[d][0], {}   # lam_d[u] = lam_{du}
 
-    def at(claim, *args):   # claim(*args) once per distinct args, kept on s
-        key = (claim, *map(id, args))
+    def at(claim, *ks):   # claim(*ks) once per distinct stored levels of ks
+        key = (claim, *map(index.__getitem__, ks))
         if key not in memo:
-            memo[key] = claim(*args)
+            memo[key] = claim(*ks)
         return memo[key]
 
-    def grading(level_a, level_b, level_ab):
+    def grading(ka, kb, kab):
         # (ka, x) . (kb, y) = (ka + kb, lam_{ka x}(y)) must lie over q^kb(y)
-        (rows, _), ends_b, ends_ab = level_a, level_b[1], level_ab[1]
-        bent = {row for row in at(set, rows) if _gather(ends_ab, row) != ends_b}
+        rows, ends_b, ends_ab = levels[ka][0], levels[kb][1], levels[kab][1]
+        bent = {r for r in row_sets[index[ka]] if _gather(ends_ab, r) != ends_b}
         return [(x, y) for x, row in enumerate(rows) if bent and row in bent
                 for y in range(n) if ends_ab[row[y]] != ends_b[y]]
 
-    def per_level(rows, ends):
+    def per_level(k):
         # the letters of (k, x)^d = (dk, lam_{kx}^(d-1)(x)), the x failing
         # q^k(x) = lam_{kx}^-1(x), the x < y failing the fixed-point claim
+        rows, ends = levels[k]
         letters = range(n)
         for _ in range(d - 1):
             letters = [row[c] for row, c in zip(rows, letters)]
@@ -459,12 +449,12 @@ def arithmetic_discrepancies(s, max_len=None):
 
     bad = [Discrepancy("product-grading", key) for key in sorted(
         (ka, x, kb, y) for ka, kb in product(range(1, L + 1), repeat=2)
-        for x, y in at(grading, levels[ka], levels[kb], levels[ka + kb]))]
+        for x, y in at(grading, ka, kb, ka + kb))]
     found = []
     cpow = dict(zip(image, image))   # the letter of c_u^k = (dk, lam_{du}^(k-1)(u))
     for k in range(1, L + 1):
         rows, ends = levels[k]
-        for x, (u, letter) in enumerate(zip(ends, at(per_level, *levels[k])[0])):
+        for x, (u, letter) in enumerate(zip(ends, at(per_level, k)[0])):
             if lam_d[u][x] != rows[x][u]:
                 found.append((u, k, x, "central-element-commutes"))
             if letter != cpow[u]:
@@ -474,9 +464,9 @@ def arithmetic_discrepancies(s, max_len=None):
     bad += [Discrepancy("diagonal-word-identity", (u,))
             for u in image if lam_d[u] != tuple(range(n))]
     bad += [Discrepancy("fixed-point-alternative", (k, x, y))
-            for k in range(1, d + 1) for x, y in at(per_level, *levels[k])[2]]
+            for k in range(1, d + 1) for x, y in at(per_level, k)[2]]
     bad += [Discrepancy("q-power-identity", (k, x))
-            for k in range(1, 2 * d + 3) for x in at(per_level, *levels[k])[1]]
+            for k in range(1, 2 * d + 3) for x in at(per_level, k)[1]]
     bad += [Discrepancy("q-period", (x,))
             for x in range(n) if levels[d + 1][1][x] != s.q[x]]
     return tuple(bad) + sigma_discrepancies(s)

@@ -469,7 +469,7 @@ def test_analyze_large_bounds_read_one_period(tmp_path, monkeypatch, capsys,
     # the word levels of Z_8 with x -> -x repeat with period 2 from length
     # 1, so a bound of 20000 reads the levels stored for lengths 0..2, and
     # the center at degree 20000, or at d = 8, is that of degree 2
-    from ybx.core import dump_solution, solution_from_lambda
+    from ybx.core import dump_solution, solution_from_lambda, word_levels
     path = str(tmp_path / "zn-neg.json")
     dump_solution(solution_from_lambda(_family_rows("zn-neg", 8)), path)
     assert cli.main(["analyze", path, "--center", "2"]) == 0
@@ -480,7 +480,7 @@ def test_analyze_large_bounds_read_one_period(tmp_path, monkeypatch, capsys,
     assert cli.main(["analyze", path, flag, "20000"]) == 0
     assert json.loads(capsys.readouterr().out)["center"]["basis"] == basis
     (s,) = promoted
-    assert len([k for k in s._levels if k >= 0]) <= 3
+    assert len(word_levels(s)[0]) <= 3
 
 
 # One table per identity, named by the first counterexample verify

@@ -7,15 +7,16 @@ import pytest
 from ybx.core import (ALL_VALID, InvalidSolutionError, RMap, Solution,
                       SolutionFormatError, apply_r, canonical_form,
                       canonical_table, check, diagonal_image, dump_solution,
-                      failures, forced_rho, iso_check, lambda_word, load_rmap,
+                      failures, iso_check, lambda_word, load_rmap,
                       promote, q_power, rmap_from_dict, rmap_from_lambda,
-                      rmap_to_dict, solution_from_lambda, word_level)
+                      rmap_to_dict, solution_from_lambda, word_level,
+                      word_levels)
 from ybx.fixtures import (ALL_FIXTURES, SOL_PROJ3, SOL_SWAP2, SOL_TRIV,
                           SOL_Z2, SOL_Z3INV)
 from ybx.perms import compose, identity, inverse
 from ybx.search import EnumOptions, enumerate_solutions
 from pointwise import identity_holds
-from test_kernel_oracles import families, relabel_lambda
+from test_kernel_oracles import bent_record, families, relabel_lambda
 
 
 def as_rmap(s):
@@ -142,17 +143,6 @@ def test_lambda_word_matches_plain_recurrence():
                 assert q_power(s, x, k) == plain_q_power(s, x, k)
 
 
-def _bent(rng, s):
-    """s with one q entry or one lam row replaced, rho = q . lam, d kept."""
-    n, lam, q = s.n, list(s.lam), list(s.q)
-    if rng.random() < 0.5:
-        q[rng.randrange(n)] = rng.randrange(n)
-    else:
-        lam[rng.randrange(n)] = tuple(rng.sample(range(n), n))
-    lam, q = tuple(lam), tuple(q)
-    return Solution(n, lam, forced_rho(lam, q), q, s.d)
-
-
 def test_word_level_stores_one_period_of_the_recurrence():
     # the fixtures, the labelled census with n <= 4, and bent census
     # records with n <= 5 built as in test_each_arithmetic_claim_fires
@@ -160,36 +150,37 @@ def test_word_level_stores_one_period_of_the_recurrence():
               for s in enumerate_solutions(EnumOptions(n)).solutions]
     rng = random.Random(29)
     valid = list(ALL_FIXTURES.values()) + [s for s in census if s.n <= 4]
-    bent = [_bent(rng, rng.choice(census)) for _ in range(300)]
+    bent = [bent_record(rng, rng.choice(census)) for _ in range(300)]
     for s in valid + bent:
         n, top = s.n, 4 * s.d + 4
         fresh = Solution(n, s.lam, s.rho, s.q, s.d)
-        word_level(fresh, top)   # the longest first, then each length
+        levels, start = word_levels(fresh)
         rows, ends = (identity(n),) * n, identity(n)
         for k in range(top + 1):
             assert word_level(fresh, k) == (rows, ends)
             rows = tuple(compose(row, s.lam[e]) for row, e in zip(rows, ends))
             ends = tuple(s.q[e] for e in ends)
-        levels = fresh._levels
-        stored = sorted(k for k in levels if k >= 0)
-        assert stored == list(range(len(stored)))
-        assert len(set(map(levels.get, stored))) == len(stored)
-        if -1 not in levels:
-            assert len(stored) == top + 1 and s in bent
-            continue
-        start, period = levels[-1]
-        assert len(stored) == start + period
-        for k in range(start, top + 1):
-            assert word_level(fresh, k) is levels[start + (k - start) % period]
+        # the stored levels are distinct, and the one after them repeats
+        assert len(set(levels)) == len(levels)
+        period = len(levels) - start
+        assert 0 <= start < len(levels)
+        rows, ends = levels[-1]
+        assert levels[start] == (
+            tuple(compose(row, s.lam[e]) for row, e in zip(rows, ends)),
+            tuple(s.q[e] for e in ends))
+        for k in range(top + 1):
+            want = levels[k] if k < len(levels) else \
+                levels[start + (k - start) % period]
+            assert word_level(fresh, k) is want
         if s in valid:   # lam_{du} = id on the diagonal and q^(d+1) = q
             assert start <= 1 and s.d % period == 0
 
 
 def test_word_level_shared_by_concurrent_readers():
-    # threads released together on fresh solutions all see the one table
-    # stored per length, which a level stored twice would break, and the
-    # same table at k and k + 8, one period of the constant 8-cycle, which
-    # they record once; the cache takes no part in equality
+    # threads released together on fresh solutions all see the one period
+    # of tables stored, which a period built twice and both kept would
+    # break, and the same table at k and k + 8, one period of the constant
+    # 8-cycle; the cache takes no part in equality
     import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
@@ -218,8 +209,9 @@ def test_word_level_shared_by_concurrent_readers():
             for levels in seen:
                 assert all(a is b for a, b in zip(levels, seen[0]))
                 assert all(a is b for a, b in zip(levels, levels[8:]))
-            assert s._levels[-1] == (0, 8)
-            assert sorted(s._levels) == list(range(-1, 8))
+            levels, begin = word_levels(s)
+            assert begin == 0 and len(levels) == 8
+            assert all(a is b for a, b in zip(levels, seen[0]))
     finally:
         sys.setswitchinterval(interval)
     assert seen[0][0] == ((identity(8),) * 8, identity(8))

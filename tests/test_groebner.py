@@ -77,6 +77,9 @@ def test_normal_word_count_examples():
     assert normal_word_count(constant_rules(3), 3) == [3, 3, 3]
     for n in range(1, 9):
         assert normal_word_count(constant_rules(n), 8) == [n] * 8
+    # the counts by last letter repeat from degree 1, so a long bound
+    # builds one vector
+    assert normal_word_count(constant_rules(32), 10**5) == [32] * 10**5
 
 
 def test_solution_rules_fixtures():

@@ -27,9 +27,11 @@ torsion, round-trip and all-pairs isomorphism scans whose claims
 ``structure`` now checks once or derives, the union-find over two-letter
 words that the fibers of r replaced, the pair-model products that
 the n elements of each degree replaced, the class table built for every
-length that the stop at the first repeated table replaced, and the
+length that the stop at the first repeated table replaced, the
 arithmetic checks at every length that their evaluation once per word
-level replaced.  Perturbed census records also check
+level replaced, and the right-cancellation scan that stopped at the first
+repeated rows and the normal-word count of every degree that the scans
+over one period of ``core.periodic`` replaced.  Perturbed census records also check
 that ``structure`` and ``conjugation_action`` report, never raise.
 """
 
@@ -53,11 +55,11 @@ from ybx.core import (ALL_VALID, IDENTITY_NAMES, InvalidSolutionError, RMap,
                       Solution, VerificationReport, associativity,
                       canonical_form, canonical_table, check, diagonal_image,
                       diagonal_map, failures, forced_rho, homomorphism,
-                      iso_check, lambda_word, promote, rmap_from_lambda,
-                      solution_from_lambda, word_level)
+                      iso_check, lambda_word, nth, periodic, promote,
+                      rmap_from_lambda, solution_from_lambda, word_level)
 from ybx.groebner import (CompletionReport, RewriteSystem, Rule,
-                          check_overlaps, constant_rules, reduce,
-                          solution_rules)
+                          check_overlaps, constant_rules, normal_word_count,
+                          reduce, solution_rules)
 from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
                             check_fineq, descriptor, descriptor_diagnostics,
                             phi_maps, q_image_in_idempotents, semigroup,
@@ -668,6 +670,110 @@ def test_is_cancellative_matches_all_lengths_scan_on_random_tables():
         deep = deep or (witness is not None and witness[1].k > 1
                         and witness[3].x > 0)
     assert deep
+
+
+def is_cancellative_seen_rows(s, max_len):
+    """Right cancellation scanned up to the first length whose rows repeat
+    those of an earlier length."""
+    n = s.n
+    seen = set()
+    for k in range(1, max_len + 1):
+        rows = word_level(s, k)[0]
+        if rows in seen:
+            break
+        seen.add(rows)
+        cols = list(zip(*rows))
+        if any(len(set(col)) < n for col in cols):
+            x, y, z = min((x, col.index(v, x + 1), z)
+                          for z, col in enumerate(cols)
+                          for x, v in enumerate(col) if v in col[x + 1:])
+            return False, ("right", MElem(k, x), MElem(k, y), MElem(1, z))
+    return True, None
+
+
+def normal_word_count_per_degree(rs, max_deg):
+    """Irreducible words per degree, one adjacency product for every degree."""
+    n = rs.n
+    rules = rs.rule_map()
+    allowed = [[(a, b) not in rules for b in range(n)] for a in range(n)]
+    vec, counts = [1] * n, [n]
+    for _ in range(max_deg - 1):
+        vec = [sum(vec[a] for a in range(n) if allowed[a][b]) for b in range(n)]
+        counts.append(sum(vec))
+    return counts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(0, m - 1), min_size=m, max_size=m),
+    st.integers(0, m - 1), st.integers(0, 3 * m - 1),
+    st.none() | st.integers(1, 3 * m))))
+def test_nth_of_periodic_iterates_the_step(case):
+    # a random map f on range(m): term k is f applied k times to x, the
+    # stored terms are distinct, and a bound cuts a sequence that has not
+    # repeated yet
+    f, x, k, bound = case
+    terms, start = periodic(f.__getitem__, x, bound)
+    assert terms[0] == x and len(set(terms)) == len(terms) <= len(f)
+    assert all(f[a] == b for a, b in zip(terms, terms[1:]))
+    if start is None:
+        assert bound == len(terms)
+    else:
+        assert f[terms[-1]] == terms[start]
+        assert bound is None or len(terms) < bound
+    want = x
+    for _ in range(k):
+        want = f[want]
+    if start is not None or k < len(terms):
+        assert nth(terms, start, k) == want
+
+
+def bent_record(rng, s):
+    """s with one q entry or one lam row replaced, rho = q . lam, d kept."""
+    n, lam, q = s.n, list(s.lam), list(s.q)
+    if rng.random() < 0.5:
+        q[rng.randrange(n)] = rng.randrange(n)
+    else:
+        lam[rng.randrange(n)] = tuple(rng.sample(range(n), n))
+    lam, q = tuple(lam), tuple(q)
+    return Solution(n, lam, forced_rho(lam, q), q, s.d)
+
+
+def test_period_scans_match_their_per_length_forms(census5):
+    # the cancellation scan over the stored word levels against the stop
+    # at the first repeated rows, and the periodic normal-word counts
+    # against one product per degree, on the labelled census with n <= 5
+    # and 1,200 records with one q entry or lam row bent
+    rng = random.Random(33)
+    bent = [bent_record(rng, rng.choice(census5)) for _ in range(1200)]
+    verdicts, confluent = Counter(), 0
+    for s in census5 + bent:
+        for max_len in (1, 2, s.d + 1, 2 * s.d + 1, 4 * s.d + 4):
+            got = is_cancellative(s, max_len)
+            assert got == is_cancellative_seen_rows(s, max_len)
+            verdicts[got[0]] += 1
+        rs, report = solution_rules(s)
+        confluent += report.confluent
+        assert normal_word_count(rs, 12) == normal_word_count_per_degree(rs, 12)
+    assert set(verdicts) == {True, False} and 0 < confluent < len(bent)
+
+
+def test_normal_word_count_matches_per_degree_on_random_systems():
+    # random quadratic systems: each rule sends a pair to a smaller one, so
+    # the counts by last letter may grow, shrink to zero or cycle
+    rng = random.Random(33)
+    steady = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        words = list(product(range(n), repeat=2))
+        rules = tuple(Rule(w, words[rng.randrange(i)])
+                      for i, w in enumerate(words) if i and rng.random() < 0.6)
+        rs = RewriteSystem(n, rules)
+        for max_deg in (1, 2, 3, 7, 40):
+            want = normal_word_count_per_degree(rs, max_deg)
+            assert normal_word_count(rs, max_deg) == want
+        steady.add(want[-1] == want[-2])
+    assert steady == {True, False}
 
 
 def power_right_multiplied(s, a, e):
