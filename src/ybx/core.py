@@ -118,7 +118,7 @@ class Solution:
                          compare=False)
 
 
-def failures(kernel, arity, n):
+def failures(kernel, arity, n, keys=None):
     """(index, point) for every failure of a row kernel on {0..n-1}^arity.
 
     ``kernel(*prefix)`` runs once per prefix of arity - 1 points, in
@@ -126,8 +126,15 @@ def failures(kernel, arity, n):
     coordinate) pairs of that prefix in order of the last coordinate.  The
     points come lazily in lexicographic order: the first is the first
     counterexample of the nested loop, and the scan stops with its reader.
+
+    With ``keys``, a prefix whose first point repeats the key (all the
+    kernel reads of it) of a smaller one is skipped: it fails where that
+    one fails, later, so the first failure of each index is still found.
     """
-    for prefix in product(range(n), repeat=arity - 1):
+    firsts = {}   # the smallest point of each key
+    heads = range(n) if keys is None else [
+        x for x, key in enumerate(keys) if firsts.setdefault(key, x) == x]
+    for prefix in product(*[heads][:arity - 1], *[range(n)] * (arity - 2)):
         for i, last in kernel(*prefix):
             yield i, prefix + (last,)
 

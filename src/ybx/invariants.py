@@ -61,10 +61,11 @@ class SimpleSemigroupTable:
 
 
 def _operation_discrepancies(op, prefix):
-    """The first associativity failure and the first non-injective row."""
+    """The first associativity failure and the first non-injective row;
+    the associativity scan runs once per distinct row op[x]."""
     n = len(op)
     bad = [Discrepancy(f"{prefix}-associativity", p)
-           for _, p in islice(failures(associativity(op), 3, n), 1)]
+           for _, p in islice(failures(associativity(op), 3, n, op), 1)]
     bad.extend(Discrepancy(f"{prefix}-left-cancellative", p)
                for _, p in islice(failures(
                    lambda: [(0, x) for x in range(n) if len(set(op[x])) != n],
@@ -270,7 +271,8 @@ def check_fineq(dsc):
     A row kernel compares both sides of fineq1-3 over every z of (x, y)
     as lists and returns the z where they differ; what reads only y or
     only a is built once.  The scan keeps the first point of each identity
-    and stops once all three have failed.  When all phi_x coincide, the
+    and stops once all three have failed; it runs once per distinct pair
+    (phi_x, op[x]), all the kernel reads of x.  When all phi_x coincide, the
     reduced conditions are evaluated as well and reported side by side.
     """
     n = dsc.n
@@ -300,7 +302,7 @@ def check_fineq(dsc):
                 for i, (u, v) in enumerate(zip((a, *l), (b, *r))) if u != v]
 
     firsts = {}   # the first point of each of fineq1-3
-    for i, p in failures(fineq_row, 3, n):
+    for i, p in failures(fineq_row, 3, n, zip(phi, op)):
         firsts.setdefault(i, p)
         if len(firsts) == 3:
             break

@@ -9,16 +9,17 @@ fractions.
 
 The pair model has n elements in each degree.  The growth oracle is
 deliberately independent of it: it uses only r and a union-find, and
-builds the word classes of degree L+1 from the classes of degree L times
-one appended letter, not from all n^(L+1) words.  Every table built here
-one length at a time depends on the one before alone, so each stops at
-its period by :func:`core.periodic`.
+builds the word classes of degree L+1 from the distinct rows of classes
+of degree L times one appended letter, not from all n^(L+1) words.
+Every table built here one length at a time depends on the one before
+alone, so each stops at its period by :func:`core.periodic`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd
+from operator import itemgetter
 
 from .core import (_gather, diagonal_image, failures, lambda_word, nth,
                    periodic, q_power, word_level, word_levels)
@@ -118,38 +119,28 @@ class GrowthReport:
         return (Discrepancy("growth-counts-disagree", (self.model, self.oracle)),)
 
 
-def _next_classes(n, moved, entries):
-    """The class table of one length more (see :func:`growth`)."""
+def _next_classes(n, left, right, state):
+    """The state of one length more (see :func:`growth`)."""
     def find(w):
         while parent[w] != w:
             parent[w] = parent[parent[w]]
             w = parent[w]
         return w
 
-    size = (max(entries) + 1) * n
-    parent = list(range(size))   # node (C, a) is C * n + a
-    rows = {entries[i:i + n] for i in range(0, len(entries), n)}
-    joins = {(row[b] * n + a, row[b2] * n + a2)
-             for row in rows for b, a, b2, a2 in moved}
-    for u, v in joins:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
+    parent = list(range(state[0] * n))   # node (C, a) is C * n + a
+    nodes = roots = [range(c, c + n) for c in range(0, len(parent), n)]
+    for row in state[1]:   # spread: blocks[row[b]][a] at position b * n + a
+        held = list(chain.from_iterable(map(roots.__getitem__, row)))
+        if left(held) != right(held):   # a join of the row is new
+            ends = list(chain.from_iterable(map(nodes.__getitem__, row)))
+            for u, v in zip(left(ends), right(ends)):
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[rv] = ru
+            roots = [list(map(find, block)) for block in nodes]
     ids = {}
-    return tuple(ids.setdefault(find(node), len(ids)) for node in range(size))
-
-
-def _word_classes(s, max_len):
-    """Number of congruence classes of free words of each length 1..max_len."""
-    n = s.n
-    moved = [(b, a, s.lam[b][a], s.rho[b][a]) for b in range(n)
-             for a in range(n) if (s.lam[b][a], s.rho[b][a]) != (b, a)]
-    # entries[c * n + b] is the class of w.b for w in class c; the empty
-    # prefix is class 0 and single letters are their own classes
-    tables, start = periodic(lambda entries: _next_classes(n, moved, entries),
-                             tuple(range(n)), max_len)
-    counts = [max(entries) + 1 for entries in tables]
-    return tuple(nth(counts, start, k) for k in range(max_len))
+    entries = [ids.setdefault(r, len(ids)) for r in chain.from_iterable(roots)]
+    return len(ids), frozenset(zip(*[iter(entries)] * n))   # its rows
 
 
 def growth(s, max_len):
@@ -160,17 +151,27 @@ def growth(s, max_len):
     nodes of level L+1 are the pairs (class of the prefix, last letter),
     and r(b, a) = (b', a') joins the node of w.b.a to that of w.b'.a'.
     The joins of a prefix class read only its row of classes, one per last
-    letter, so they run once per distinct row: a degree costs the distinct
-    rows times the pairs that r moves, not L * n^L.  The class tables stop
-    at their period (:func:`core.periodic`): on a solution the tables of
-    lengths 2 and 3 both send node (b, a) to lam_0^-1 lam_b(a), so two
-    tables serve any bound.
+    letter, so a level's state is its class count and its distinct rows;
+    a row's joins are unioned only if the roots at their ends differ, so a
+    degree costs the rows with a new join times the pairs r moves, not
+    L * n^L.  The states stop at their period (:func:`core.periodic`): on
+    a solution the tables of lengths 2 and 3 both send node (b, a) to
+    lam_0^-1 lam_b(a), so two steps serve any bound; one if all lam_x agree.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    n = s.n
+    moved = [(b * n + a, s.lam[b][a] * n + s.rho[b][a]) for b in range(n)
+             for a in range(n) if (s.lam[b][a], s.rho[b][a]) != (b, a)]
+    # r(b, a) = (b', a') joins positions b * n + a and b' * n + a' of a
+    # spread row; position 0 joins itself, so both gathers give tuples
+    left, right = (itemgetter(*ends) for ends in zip((0, 0), *moved))
+    states, start = periodic(lambda state: _next_classes(n, left, right, state),
+                             (n, frozenset([tuple(range(n))])), max_len)
     # every lam_{kx} is a permutation, so the pairs (k, x) of one degree
     # are n distinct elements
-    return GrowthReport((s.n,) * max_len, _word_classes(s, max_len))
+    return GrowthReport((n,) * max_len, tuple(nth(states, start, k)[0]
+                                              for k in range(max_len)))
 
 
 def is_cancellative(s, max_len):
@@ -411,7 +412,8 @@ def arithmetic_discrepancies(s, max_len=None):
     Each claim is evaluated once per distinct stored word level
     (:func:`core.word_levels`), or triple of them for the grading, and its
     failures are expanded to every length in lexicographic order; only the
-    letters of c_u^k are built for every k, step by step.
+    letters of c_u^k are built for every k, step by step.  The grading reads
+    all pairs of lengths only if one below max(start, 1) + period fails.
     """
     d, n = s.d, s.n
     L = max_len if max_len is not None else 2 * d
@@ -447,8 +449,12 @@ def arithmetic_discrepancies(s, max_len=None):
                 [(x, y) for x, y in combinations(range(n), 2) if rows[x] != rows[y]
                  and any(rows[x][inv[y][i]] == i for i in range(n))])
 
+    short = range(1, min(L, max(start, 1) + len(stored) - start - 1) + 1)
+    pairs = list(product(short, repeat=2))
+    if any(at(grading, ka, kb, ka + kb) for ka, kb in pairs):
+        pairs = product(range(1, L + 1), repeat=2)
     bad = [Discrepancy("product-grading", key) for key in sorted(
-        (ka, x, kb, y) for ka, kb in product(range(1, L + 1), repeat=2)
+        (ka, x, kb, y) for ka, kb in pairs
         for x, y in at(grading, ka, kb, ka + kb))]
     found = []
     cpow = dict(zip(image, image))   # the letter of c_u^k = (dk, lam_{du}^(k-1)(u))

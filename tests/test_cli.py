@@ -296,18 +296,24 @@ def test_construct_rees_example_discrepancy(tmp_path):
      0, "347e560a339a38a2e85282a67b8031f2092b5d92c2cc1303eb03b0fe0f11a887"),
     ("descriptor", FINEQ_FAILING,
      1, "09f1b8bf56ead30742bc8c048ac3455364ba76bf4d8e371f0d0182e2735adeb4"),
+    ("descriptor",
+     {"n": 3, "op": [[2, 0, 1]] * 3, "q": [1, 0, 2],
+      "phi": [[0, 1, 2], [0, 2, 1], [0, 2, 1]]},
+     1, "c0eb874a37b22d1108e59870873ae2313b74f2a25bdd5292fb2614da4d2d83f6"),
     ("rees-example", REES_PARAMS,
      3, "b471bae58d5ed15b15f02c24a1b36c5ad35932999a938d90c76acebffcabd913"),
     ("group-aut",
      {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "phi": [0, 2, 1]},
      0, "cc1f3894232241d649c35e90cc5cc96acb7a8b683e6ec14987e50c6c90b07e90"),
 ], ids=["descriptor-z2", "descriptor-swap2", "descriptor-fineq-fails",
-        "rees-example", "group-aut-z3"])
+        "descriptor-repeated-rows", "rees-example", "group-aut-z3"])
 def test_construct_stdout_pinned(tmp_path, kind, params, code, digest):
     # the first two descriptors are those of SOL_Z2 and SOL_SWAP2; digests
     # of the stdout of the code that rebuilt the semigroup rows per
-    # section, and for descriptor-fineq-fails of hand-written JSON methods
-    # on each report type
+    # section, for descriptor-fineq-fails of hand-written JSON methods on
+    # each report type, and for descriptor-repeated-rows (three equal op
+    # rows, fineq1 failing first at x = 1, whose phi differs from x = 0's)
+    # of the scans that ran every row
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))
     r = run_cli("construct", "--type", kind, "--params", str(path))
@@ -457,6 +463,39 @@ def test_structure_stdout_pinned_n8(tmp_path, family, command, digest):
     from ybx.core import dump_solution, solution_from_lambda
     path = str(tmp_path / f"{family}.json")
     dump_solution(solution_from_lambda(_family_rows(family, 8)), path)
+    extra = ("--max-deg", "3") if command == "groebner" else ()
+    r = run_cli(command, path, *extra)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family, command, digest", [
+    ("zn-neg", "analyze",
+     "7bd6dd0c3e6e676d06dab39ed3235c5bdf633b42a4cfab33d8c3a9153b9a26d2"),
+    ("zn-neg", "groebner",
+     "2387270954f8d75a9e1137e8a598f7c0fcc301e0003c64c38c3a54ccc2a6be4a"),
+    ("cycle", "analyze",
+     "84f86a77f024c57cb17e6cdfd6277f923060347163b78dbaea9f5727313ade34"),
+    ("cycle", "groebner",
+     "c32f79beaa68bc60f1d5b95a9a303fd6c64a16b0f5524160dc4a67847b21d571"),
+    ("identity", "analyze",
+     "bebeb131a1c850604abf990e211b16d4dee03d70cba1eaaeba3330b7d8e5175e"),
+    ("identity", "groebner",
+     "c32f79beaa68bc60f1d5b95a9a303fd6c64a16b0f5524160dc4a67847b21d571"),
+    ("census4-diagonal-2", "analyze",
+     "0e64e3ed6cf53bdb4ee2b191cf428570c425b74cf2653be7b6f1dde18b1ac6e4"),
+], ids=["zn-neg-analyze", "zn-neg-groebner", "cycle-analyze",
+        "cycle-groebner", "identity-analyze", "identity-groebner",
+        "census4-diagonal-2-analyze"])
+def test_structure_stdout_pinned_n24(tmp_path, family, command, digest):
+    # digests of the stdout at n = 24, and of a class of the n = 4 census
+    # with two diagonal points, whose semigroup table repeats each row on
+    # points with different phi, from the scans that ran every row
+    from ybx.core import dump_solution, solution_from_lambda
+    rows = ([(1, 2, 3, 0), (1, 2, 3, 0), (3, 0, 1, 2), (3, 0, 1, 2)]
+            if family == "census4-diagonal-2" else _family_rows(family, 24))
+    path = str(tmp_path / f"{family}.json")
+    dump_solution(solution_from_lambda(rows), path)
     extra = ("--max-deg", "3") if command == "groebner" else ()
     r = run_cli(command, path, *extra)
     assert r.returncode == 0

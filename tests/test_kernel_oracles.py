@@ -50,13 +50,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx import groebner, monoid, search
+from ybx import groebner, invariants, monoid, search
 from ybx.core import (ALL_VALID, IDENTITY_NAMES, InvalidSolutionError, RMap,
                       Solution, VerificationReport, associativity,
                       canonical_form, canonical_table, check, diagonal_image,
                       diagonal_map, failures, forced_rho, homomorphism,
                       iso_check, lambda_word, nth, periodic, promote,
-                      rmap_from_lambda, solution_from_lambda, word_level)
+                      rmap_from_lambda, solution_from_lambda, word_level,
+                      word_levels)
 from ybx.groebner import (CompletionReport, RewriteSystem, Rule,
                           check_overlaps, constant_rules, normal_word_count,
                           reduce, solution_rules)
@@ -64,7 +65,7 @@ from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
                             check_fineq, descriptor, descriptor_diagnostics,
                             phi_maps, q_image_in_idempotents, semigroup,
                             structure, torsion_iso)
-from ybx.monoid import (ONE, MElem, _nullspace, _word_classes, center_basis,
+from ybx.monoid import (ONE, MElem, _nullspace, center_basis,
                         conjugation_action, growth, is_cancellative, mul,
                         power, sigma, sigma_discrepancies)
 from ybx.perms import compose, exponent, inverse, is_perm
@@ -419,13 +420,19 @@ def test_pair_model_has_n_elements_per_degree(census_to4):
         assert pair_model_counts(s, 5) == growth(s, 5).model == (s.n,) * 5
 
 
+def class_state(table, n):
+    """The growth state of a class table: its class count and its rows."""
+    return max(table) + 1, frozenset(table[i:i + n]
+                                     for i in range(0, len(table), n))
+
+
 def test_word_classes_match_all_words_on_random_maps(monkeypatch):
     # on maps that are not solutions the class counts vary with the
     # length, so the level-by-level count is checked beyond "n per degree";
     # to length 10 the counts equal those of a table built for every
-    # length, and the tables built are those up to the first one equal to
-    # an earlier one: some maps repeat only from length 2 on, or with a
-    # period above 1, so the counts are extended
+    # length, and the states built are those of its tables up to the first
+    # state equal to an earlier one: some maps repeat only from length 2
+    # on, or with a period above 1, so the counts are extended
     built = []
     next_classes = monoid._next_classes
     monkeypatch.setattr(monoid, "_next_classes",
@@ -440,15 +447,16 @@ def test_word_classes_match_all_words_on_random_maps(monkeypatch):
         n = rng.randint(1, 4)
         m = SimpleNamespace(n=n, lam=table(n), rho=table(n))
         want = tuple(word_classes_all_words(m, k) for k in range(1, 6))
-        assert _word_classes(m, 5) == want
+        assert growth(m, 5).oracle == want
         seen.add(want)
         built.clear()
         counts, tables = word_classes_per_length(m, 10)
-        assert _word_classes(m, 10) == counts
-        assert built == tables[1:len(built) + 1]
-        assert len(set(tables[:len(built)])) == len(built)
+        assert growth(m, 10).oracle == counts
+        states = [class_state(t, n) for t in tables]
+        assert built == states[1:len(built) + 1]
+        assert len(set(states[:len(built)])) == len(built)
         if len(built) < 9:
-            start = tables.index(built[-1])
+            start = states.index(built[-1])
             stops.add((start, len(built) - start))
     assert any(len(set(counts)) > 1 for counts in seen)
     assert any(start > 1 or period > 1 for start, period in stops)
@@ -820,6 +828,19 @@ def test_arithmetic_discrepancies_match_per_length_scan_on_bent_records():
         "q-power-identity", "q-period", "derived-map-constant"}
 
 
+def test_product_grading_scans_the_lengths_of_one_period():
+    # the word levels repeat from length 1 with period 1, so every grading
+    # key up to the bound occurs at (1, 1), where this record fails
+    lam, q = ((0, 1, 2), (0, 2, 1), (0, 1, 2)), (0, 0, 2)
+    bent = Solution(3, lam, forced_rho(lam, q), q, 3)
+    levels, start = word_levels(bent)
+    assert (start, len(levels)) == (1, 2)
+    for max_len in (1, 5, 40):
+        got = monoid.arithmetic_discrepancies(bent, max_len)
+        assert got == arithmetic_discrepancies_per_length(bent, max_len)
+        assert sum(b.claim == "product-grading" for b in got) >= max_len ** 2
+
+
 SYM3 = sorted(permutations(range(3)))
 
 
@@ -1065,6 +1086,74 @@ def test_center_basis_matches_all_rows_on_families(family):
 
 def _row(n):
     return st.tuples(*[st.integers(0, n - 1)] * n)
+
+
+def repeated_row_descriptor(rng):
+    """A descriptor on n <= 5 points whose op rows come from a pool of at
+    most three rows, mostly permutations, and whose phi_x are one of at
+    most two permutations."""
+    n = rng.randint(1, 5)
+    pool = [tuple(rng.sample(range(n), n)) if rng.random() < 0.7 else
+            tuple(rng.randrange(n) for _ in range(n))
+            for _ in range(rng.randint(1, 3))]
+    perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 2))]
+    return Descriptor(n, tuple(rng.choice(pool) for _ in range(n)),
+                      tuple(rng.randrange(n) for _ in range(n)),
+                      tuple(rng.choice(perms) for _ in range(n)))
+
+
+def test_repeated_row_scans_match_nested_loops(monkeypatch):
+    # the scans skip each x whose kernel inputs repeat a smaller x's; the
+    # first failure of each identity must still be the nested loop's, also
+    # where op rows repeat but phi does not; semigroup() reads the table
+    # of a stand-in record
+    monkeypatch.setattr(invariants, "word_level", lambda s, k: (s.op, s.q))
+    rng = random.Random(34)
+    seen = Counter()
+    for _ in range(2000):
+        dsc = repeated_row_descriptor(rng)
+        report = check_fineq(dsc)
+        assert report == check_fineq_nested_loops(dsc)
+        assert descriptor_diagnostics(dsc) == \
+            descriptor_diagnostics_nested_loops(dsc)
+        first = [p for p in product(range(dsc.n), repeat=3)
+                 if not associative_at(dsc.op, p)][:1]
+        record = SimpleNamespace(n=dsc.n, d=1, q=dsc.q, op=dsc.op)
+        assert [b.counterexample for b in semigroup(record).discrepancies
+                if b.claim == "semigroup-associativity"] == first
+        seen["fineq"] += not report.ok
+        seen["later x"] += any(p[0] > 0 for _, p in report.counterexamples)
+        seen["associativity"] += bool(first)
+    assert seen["fineq"] > 1000 and seen["associativity"] > 1000
+    assert seen["later x"] > 20
+
+
+@pytest.mark.parametrize("rows, prefixes", [
+    ([tuple((y + 1) % 24 for y in range(24))] * 24, 24),
+    ([tuple((x - y) % 24 for y in range(24)) for x in range(24)], 576),
+], ids=["24-cycle", "z24-neg"])
+def test_ternary_scans_run_one_row_per_distinct_input(monkeypatch, rows,
+                                                      prefixes):
+    # the 24-cycle's semigroup table has one distinct row and one phi, so
+    # each scan runs its kernel for x = 0 alone; Z_24 with x -> -x has 24
+    # distinct rows
+    calls = []
+    scan = invariants.failures
+
+    def counted(kernel, arity, n, keys=None):
+        calls.append(0)
+
+        def row(*prefix):
+            calls[-1] += 1
+            return kernel(*prefix)
+        return scan(row, arity, n, keys)
+    monkeypatch.setattr(invariants, "failures", counted)
+    s = solution_from_lambda(rows)
+    sg = semigroup(s)
+    assert calls[0] == prefixes
+    dsc = Descriptor(s.n, sg.op, s.q, phi_maps(s, sg)[0])
+    calls.clear()
+    assert check_fineq(dsc).ok and calls[0] == prefixes
 
 
 def _table(n):

@@ -131,12 +131,58 @@ def test_growth_builds_two_class_tables_at_any_bound(monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("bound", [3, 4, 20000])
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_growth_of_constant_rows_takes_one_step(monkeypatch, n, bound):
+    # lam_x = f for every x: r(b, a) = (f(a), q(f(a))) depends on a alone,
+    # so each class of length 2 is a last letter and the rows of length 2
+    # equal the row of the empty prefix: the first state repeats
+    built = []
+    next_classes = monoid._next_classes
+    monkeypatch.setattr(monoid, "_next_classes",
+                        lambda *a: built.append(next_classes(*a)) or built[-1])
+    for f in (tuple((y + 1) % n for y in range(n)), tuple(range(n))):
+        built.clear()
+        assert growth(solution_from_lambda([f] * n), bound).oracle == \
+            (n,) * bound
+        assert built == [(n, frozenset([tuple(range(n))]))]
+
+
+def test_growth_unions_one_prefix_row_per_step(monkeypatch):
+    # on Z_24 with x -> -x the joins of the first prefix row join the ends
+    # of every other row's: each step gathers the roots at the joins of
+    # every row and the joins of one row, each through both getters
+    steps = []
+    next_classes, getter = monoid._next_classes, monoid.itemgetter
+
+    def step(n, left, right, state):
+        steps.append([len(state[1]), 0])
+        return next_classes(n, left, right, state)
+
+    def counted(*ends):
+        gather = getter(*ends)
+
+        def run(seq):
+            steps[-1][1] += 1
+            return gather(seq)
+        return run
+    monkeypatch.setattr(monoid, "_next_classes", step)
+    monkeypatch.setattr(monoid, "itemgetter", counted)
+    n = 24
+    s = solution_from_lambda([tuple((x - y) % n for y in range(n))
+                              for x in range(n)])
+    assert growth(s, 5).oracle == (n,) * 5
+    assert steps == [[1, 2 * (1 + 1)], [n, 2 * (n + 1)]]
+
+
 def test_word_classes_extend_the_counts_by_their_period(monkeypatch):
-    # a stand-in step whose tables of 2 and 3 classes alternate from
-    # length 2 on: the counts repeat the pair, and no fourth table is built
-    tables = iter([(0, 1, 1, 0), (0, 1, 2, 0), (0, 1, 1, 0)])
-    monkeypatch.setattr(monoid, "_next_classes", lambda *a: next(tables))
-    assert monoid._word_classes(SOL_Z2, 7) == (2, 2, 3, 2, 3, 2, 3)
+    # a stand-in step whose states of 2 and 3 classes alternate from
+    # length 2 on: the counts repeat the pair, and no fourth state is built
+    states = iter([(2, frozenset({(0, 1), (1, 0)})),
+                   (3, frozenset({(0, 1), (2, 0)})),
+                   (2, frozenset({(0, 1), (1, 0)}))])
+    monkeypatch.setattr(monoid, "_next_classes", lambda *a: next(states))
+    assert growth(SOL_Z2, 7).oracle == (2, 2, 3, 2, 3, 2, 3)
 
 
 def test_is_cancellative_examples():
