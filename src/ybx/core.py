@@ -15,8 +15,9 @@ carrying the derived data (q, d).
 
 :func:`check` locates its braid failures from its own maps on X^3, as
 ``groebner.check_overlaps`` does its overlaps, each map a tuple gathered
-in C by :func:`_gather`; every other check locates its counterexamples by
-:func:`failures`, which calls a row kernel once per prefix of the points.
+in C by :func:`perms.compose`, like every whole map here; every other
+check locates its counterexamples by :func:`failures`, which calls a row
+kernel once per prefix of the points.
 """
 
 import json
@@ -25,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, product
 from math import factorial
-from operator import itemgetter
 
 from .perms import compose, exponent, inverse, is_perm
 
@@ -139,12 +139,6 @@ def failures(kernel, arity, n, keys=None):
             yield i, prefix + (last,)
 
 
-def _gather(seq, idx):
-    """The tuple of seq[i] for i in idx, by itemgetter in C (which returns
-    the bare item for one index)."""
-    return (seq[idx[0]],) if len(idx) == 1 else itemgetter(*idx)(seq)
-
-
 def associativity(op):
     """Row kernel of (x . y) . z = x . (y . z): the failing z of (x, y)."""
     def row(x, y):
@@ -184,14 +178,14 @@ def check(m):
     cube = list(range(nn * n))   # every code below is one of its ints
     r12, r23, h = [], [], []   # h = r23 r12
     for a in range(0, nn * n, nn):
-        r23 += _gather(cube[a:a + nn], R)
+        r23 += compose(cube[a:a + nn], R)
     for k in R:   # t r12 has row r(a, b) of t as its row (a, b)
         r12 += cube[k * n:k * n + n]
         h += r23[k * n:k * n + n]
-    left = _gather(r12, h)
-    right = _gather(h, r23)
+    left = compose(r12, h)
+    right = compose(h, r23)
     if left == right and min(map(len, map(set, lam))) == n and \
-            _gather(R, R) == tuple(R):
+            compose(R, R) == tuple(R):
         return ALL_VALID
     firsts = {}   # identity i is digit i; codes run in order of the points
     for c in compress(cube, map(int.__ne__, left, right)):
@@ -237,7 +231,7 @@ def promote(m):
 
 def forced_rho(lam, q):
     """The rho table q(lam[x][y]) that idempotency forces."""
-    return tuple(_gather(q, row) for row in lam)
+    return tuple(compose(q, row) for row in lam)
 
 
 def rmap_from_lambda(lam_rows):
@@ -284,7 +278,7 @@ def word_levels(s):
         ident = tuple(range(s.n))
         s._cache.setdefault("levels", periodic(lambda level: (
             tuple(compose(row, s.lam[e]) for row, e in zip(*level)),
-            tuple(s.q[e] for e in level[1])), ((ident,) * s.n, ident)))
+            compose(s.q, level[1])), ((ident,) * s.n, ident)))
     return s._cache["levels"]
 
 
@@ -333,7 +327,7 @@ def iso_check(s1, s2):
 def _orbits(gens, fixed, n):
     """Smallest point of each orbit of the gens fixing fixed; None if none do."""
     key = tuple(fixed)
-    gens = [g for g in gens if tuple(map(g.__getitem__, key)) == key]
+    gens = [g for g in gens if compose(g, key) == key]
     if not gens:
         return None
     orbit = [-1] * n

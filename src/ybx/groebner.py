@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
 
-from .core import _gather, nth, periodic
+from .core import nth, periodic
+from .perms import compose
 
 
 @dataclass(frozen=True, order=True)
@@ -108,13 +109,13 @@ def check_overlaps(rs):
     for i in image:
         first += cube[i * n:i * n + n]
     for a in range(0, nn * n, nn):
-        second += _gather(cube[a:a + nn], image)
+        second += compose(cube[a:a + nn], image)
     for p, i in enumerate(image):   # one step, squared below
         normal += (second if i == p else first)[p * n:p * n + n]
-    normal = _gather(normal, normal)   # a tuple from here on
-    while (twice := _gather(normal, normal)) != normal:
+    normal = compose(normal, normal)   # a tuple from here on
+    while (twice := compose(normal, normal)) != normal:
         normal = twice
-    left, right = _gather(normal, first), _gather(normal, second)
+    left, right = compose(normal, first), compose(normal, second)
     return [] if left == right else [
         tuple((v // nn, v // n % n, v % n) for v in words)
         for words in zip(cube, left, right) if words[1] != words[2]]

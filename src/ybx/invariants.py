@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .core import (RMap, SolutionFormatError, VerificationReport, _check_table,
-                   associativity, check, diagonal_image, failures, homomorphism,
-                   word_level)
-from .perms import is_perm
+                   associativity, check, diagonal_image, failures, forced_rho,
+                   homomorphism, word_level)
+from .perms import compose, is_perm
 
 
 @dataclass(frozen=True)
@@ -369,10 +369,8 @@ def reconstruct(dsc):
     The result is always run through the full exhaustive check; validity
     is reported, never assumed from the identities alone.
     """
-    rng = range(dsc.n)
-    lam = tuple(tuple(dsc.op[x][dsc.phi[x][y]] for y in rng) for x in rng)
-    rho = tuple(tuple(dsc.q[v] for v in row) for row in lam)
-    m = RMap(dsc.n, lam, rho)
+    lam = tuple(map(compose, dsc.op, dsc.phi))
+    m = RMap(dsc.n, lam, forced_rho(lam, dsc.q))
     return m, check(m)
 
 

@@ -12,19 +12,20 @@ deliberately independent of it: it uses only r and a union-find, and
 builds the word classes of degree L+1 from the distinct rows of classes
 of degree L times one appended letter, not from all n^(L+1) words.
 Every table built here one length at a time depends on the one before
-alone, so each stops at its period by :func:`core.periodic`.
+alone, so each stops at its period by :func:`core.periodic`.  The center
+of a degree is read off the cycles of n point maps, joined by the same
+union-find (:func:`_root`) as the word classes.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import gcd
 from operator import itemgetter
 
-from .core import (_gather, diagonal_image, failures, lambda_word, nth,
-                   periodic, q_power, word_level, word_levels)
+from .core import (diagonal_image, failures, lambda_word, nth, periodic,
+                   q_power, word_level, word_levels)
 from .invariants import Discrepancy
-from .perms import inverse
+from .perms import compose, inverse
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,16 @@ class GrowthReport:
         return (Discrepancy("growth-counts-disagree", (self.model, self.oracle)),)
 
 
+def _root(parent, w):
+    """The root of w in the union-find forest parent, halving its path."""
+    while parent[w] != w:
+        parent[w] = parent[parent[w]]
+        w = parent[w]
+    return w
+
+
 def _next_classes(n, left, right, state):
     """The state of one length more (see :func:`growth`)."""
-    def find(w):
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
     parent = list(range(state[0] * n))   # node (C, a) is C * n + a
     nodes = roots = [range(c, c + n) for c in range(0, len(parent), n)]
     for row in state[1]:   # spread: blocks[row[b]][a] at position b * n + a
@@ -134,10 +137,10 @@ def _next_classes(n, left, right, state):
         if left(held) != right(held):   # a join of the row is new
             ends = list(chain.from_iterable(map(nodes.__getitem__, row)))
             for u, v in zip(left(ends), right(ends)):
-                ru, rv = find(u), find(v)
+                ru, rv = _root(parent, u), _root(parent, v)
                 if ru != rv:
                     parent[rv] = ru
-            roots = [list(map(find, block)) for block in nodes]
+            roots = [[_root(parent, w) for w in block] for block in nodes]
     ids = {}
     entries = [ids.setdefault(r, len(ids)) for r in chain.from_iterable(roots)]
     return len(ids), frozenset(zip(*[iter(entries)] * n))   # its rows
@@ -199,63 +202,37 @@ def is_cancellative(s, max_len):
     return True, None
 
 
-def _nullspace(rows, unknowns):
-    """Basis of the rational nullspace of a small dense integer matrix.
-
-    Gauss-Jordan elimination runs on integer rows: each update is the
-    fraction-free p . row_i - f . row_r, divided by its gcd.  Every row
-    stays a multiple of its reduced row echelon row, so the basis read off
-    as -row[c] / row[pivot] is exactly the rational one.
-    """
-    mat = [list(row) for row in rows]
-    pivots = []
-    r = 0
-    for c in range(unknowns):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][c]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                row = [p * a - f * b for a, b in zip(mat[i], mat[r])]
-                g = gcd(*row)
-                mat[i] = [v // g for v in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(unknowns) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = [Fraction(0)] * unknowns
-        vec[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = Fraction(-mat[i][c], mat[i][pc])
-        basis.append(tuple(vec))
-    return basis
-
-
 def center_basis(s, deg):
     """Rational basis of the homogeneous central elements of one degree.
 
-    Solves a . g = g . a over the degree-deg basis elements: equation
-    (g, w) is +1 where lam_{deg x}(g) = w and -1 where lam_g(x) = w, so the
-    system is row-reduced over the integers; only the basis is rational.
+    c = sum c_x (deg, x) commutes with the generator g iff c = t_* c for
+    the point map t(x) = lam_g^-1(lam_{deg x}(g)), that is iff c is 0 off
+    the cycles of t and constant along each.  So the center is spanned by
+    the indicators of the classes that the cycles of all n maps join and
+    that hold no point off a cycle; ordered by their largest points, they
+    are the reduced row echelon basis of the equations a . g = g . a, in
+    Fraction 0 and 1.
     """
     if deg < 1:
         raise ValueError("degree must be >= 1")
     n = s.n
     lam_deg = word_level(s, deg)[0]
-    # the basis depends only on the row space, so repeated rows are dropped
-    rows = set()
+    parent, on = list(range(n)), set(range(n))   # on: on every map's cycles
     for g, lam_g in enumerate(s.lam):
-        eqs = [[0] * n for _ in range(n)]
-        for x, w in enumerate(lam_g):
-            eqs[lam_deg[x][g]][x] += 1
-            eqs[w][x] -= 1
-        rows.update(map(tuple, eqs))
-    rows.discard((0,) * n)
-    return _nullspace(sorted(rows) or [[0] * n], n)
+        inv = inverse(lam_g)
+        t = [inv[row[g]] for row in lam_deg]
+        cycled = set(t)   # the image shrinks to the points on cycles
+        while (image := {t[x] for x in cycled}) != cycled:
+            cycled = image
+        on &= cycled
+        for x in cycled:
+            parent[_root(parent, x)] = _root(parent, t[x])
+    classes = {}
+    for x in range(n):
+        classes.setdefault(_root(parent, x), []).append(x)
+    return [tuple(Fraction(1 if x in members else 0) for x in range(n))
+            for members in sorted(classes.values(), key=max)
+            if on.issuperset(members)]
 
 
 @dataclass(frozen=True)
@@ -433,7 +410,7 @@ def arithmetic_discrepancies(s, max_len=None):
     def grading(ka, kb, kab):
         # (ka, x) . (kb, y) = (ka + kb, lam_{ka x}(y)) must lie over q^kb(y)
         rows, ends_b, ends_ab = levels[ka][0], levels[kb][1], levels[kab][1]
-        bent = {r for r in row_sets[index[ka]] if _gather(ends_ab, r) != ends_b}
+        bent = {r for r in row_sets[index[ka]] if compose(ends_ab, r) != ends_b}
         return [(x, y) for x, row in enumerate(rows) if bent and row in bent
                 for y in range(n) if ends_ab[row[y]] != ends_b[y]]
 

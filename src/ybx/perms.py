@@ -1,6 +1,7 @@
 """Permutations as tuples of images on {0, ..., n-1}."""
 
 import math
+from operator import itemgetter
 
 
 def identity(n):
@@ -14,8 +15,9 @@ def is_perm(images):
 
 
 def compose(p, q):
-    """p after q: (p.q)(i) = p[q[i]]."""
-    return tuple(map(p.__getitem__, q))
+    """p after q: (p.q)(i) = p[q[i]]; every whole map is gathered here, by
+    itemgetter in C, which returns a bare item for one index."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(map(p.__getitem__, q))
 
 
 def inverse(p):

@@ -56,12 +56,12 @@ from functools import lru_cache
 from itertools import chain, permutations
 from math import factorial
 
-from .core import (InvalidSolutionError, Solution, _check_table, _gather,
-                   associativity, canonical_form, canonical_table, check,
-                   diagonal_image, failures, forced_rho, homomorphism,
-                   solution_from_lambda, word_level)
+from .core import (InvalidSolutionError, Solution, _check_table, associativity,
+                   canonical_form, canonical_table, check, diagonal_image,
+                   failures, forced_rho, homomorphism, solution_from_lambda,
+                   word_level)
 from .invariants import Descriptor, descriptor_report
-from .perms import cycles, inverse, is_perm
+from .perms import compose, cycles, inverse, is_perm
 
 MAX_POINTS = 7
 
@@ -113,12 +113,12 @@ def _sym_index(n):
     inv = tuple(inverse(p) for p in perms)
     swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
              for i in range(n - 1)]
-    lefts = [[ids[_gather(t, p)] for p in perms] for t in swaps]
+    lefts = [[ids[compose(t, p)] for p in perms] for t in swaps]
     comp = [tuple(range(len(perms)))]   # id 0 is the identity
     for a in range(1, len(perms)):
         # value i + 1 before value i: r = t . p has a smaller id
         i = next(i for i in range(n - 1) if inv[a][i] > inv[a][i + 1])
-        comp.append(_gather(lefts[i], comp[lefts[i][a]]))
+        comp.append(compose(lefts[i], comp[lefts[i][a]]))
     comp = tuple(comp)
     # a . b^-1 fixes a point iff a and b agree somewhere
     agree = [[0] * n for _ in range(n)]   # agree[i][v]: ids mapping i to v
@@ -315,7 +315,7 @@ def _class_members(rep, aut):
     members = [rep]
     for flat in flats:   # grows while it is read
         for index, g in _relabelings(n):
-            image = _gather(g, _gather(flat, index))
+            image = compose(g, compose(flat, index))
             if image not in seen:
                 lam = tuple(image[i:i + n] for i in range(0, n * n, n))
                 q = image[n * n:]

@@ -522,6 +522,40 @@ def test_analyze_large_bounds_read_one_period(tmp_path, monkeypatch, capsys,
     assert len(word_levels(s)[0]) <= 3
 
 
+
+@pytest.mark.parametrize("family, k, digest", [
+    ("z3-inv", 1,
+     "88854d6ed472faf071482513cfe48098d4a7c573ca947c64e57d0fde8c245256"),
+    ("z3-inv", 2,
+     "11fab10b025213d17e24eab52bd30c9e18b0552a23d377353e8e3c271b6f0892"),
+    ("z3-inv", 6,
+     "b88647b90034ada117430ed16b572218712b9e935ffcb13258ddcfbf57859011"),
+    ("z3-inv", 7,
+     "34c9504d78c0e7aeee1fffb1381bc6298c2105da75b20ba4d50b208352cdf392"),
+    ("zn-neg", 1,
+     "d4e379bc78f5d17548bbae3c380f17a2cb7172cce25b092d2e3692102bd52c6f"),
+    ("zn-neg", 2,
+     "43632a8f5e938318ffa4f53e73eb0abb916078f6ddf604ce32319a261aa5dab5"),
+    ("zn-neg", 3,
+     "64a797d0272ba733d4a0107c30373b9d3ed39294d83b56f0c65e0ed20963a0a3"),
+    ("zn-neg", 8,
+     "3cbf301c595a27e22542e5b42119fb11399a90ec8359b3fc11c3484080e5b077"),
+    ("zn-neg", 9,
+     "37ca42a977a88a8d3a603461dc73717178d68d4aa6c1e347b6881c67b8f83e25"),
+])
+def test_analyze_center_stdout_pinned(tmp_path, capsys, family, k, digest):
+    # digests of analyze --center k from the integer row reduction of the
+    # center equations, on SOL_Z3INV (dimensions 1, 2, 2, 1) and Z_8 with
+    # x -> -x (dimensions 2, 5, 2, 5, 2): partial bases of either size
+    from ybx.core import solution_from_lambda
+    from ybx.fixtures import SOL_Z3INV
+    s = SOL_Z3INV if family == "z3-inv" else \
+        solution_from_lambda(_family_rows(family, 8))
+    assert cli.main(["analyze", write_solution(tmp_path, s), "--center",
+                     str(k)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 # One table per identity, named by the first counterexample verify
 # reports: ybe1 at the last point (2, 2, 2) with every check failing,
 # ybe2 at (2, 0, 1) before ybe3 fails, ybe3 at (2, 0, 0), a

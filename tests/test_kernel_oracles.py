@@ -6,9 +6,8 @@ walks every pair of rules and reduces every overlap word, a
 right-cancellation scan that also runs over the length of the cancelled
 factor, the hand-written loops of ``check``, ``check_fineq`` and
 ``descriptor_diagnostics`` that the exhaustive scanner ``core.failures``
-replaced, the center rows before repeated rows were dropped, the
-nullspace eliminated in ``Fraction``s that the integer elimination
-replaced, the minimum over all n! relabelings that the branch-and-bound
+replaced, every center equation row eliminated in ``Fraction``s, which
+the cycles of the point maps of ``center_basis`` replaced, the minimum over all n! relabelings that the branch-and-bound
 canonical labeling replaced, the unpruned check of
 every lam tuple in Sym(n)^n, the row search that tested every candidate
 on every YBE1 quadruple before ``_pin`` solved the rows those quadruples
@@ -65,7 +64,7 @@ from ybx.invariants import (AllPhiReport, Descriptor, Discrepancy, FineqReport,
                             check_fineq, descriptor, descriptor_diagnostics,
                             phi_maps, q_image_in_idempotents, semigroup,
                             structure, torsion_iso)
-from ybx.monoid import (ONE, MElem, _nullspace, center_basis,
+from ybx.monoid import (ONE, MElem, center_basis,
                         conjugation_action, growth, is_cancellative, mul,
                         power, sigma, sigma_discrepancies)
 from ybx.perms import compose, exponent, inverse, is_perm
@@ -1022,39 +1021,6 @@ def nullspace_fractions(rows, unknowns):
     return basis
 
 
-@st.composite
-def integer_matrices(draw):
-    # up to 8 x 8, entries -3..3, with empty matrices and all-zero rows
-    cols = draw(st.integers(1, 8))
-    row = st.one_of(st.just((0,) * cols),
-                    st.tuples(*[st.integers(-3, 3)] * cols))
-    return draw(st.lists(row, max_size=8)), cols
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(integer_matrices())
-def test_nullspace_matches_fractions_on_integer_matrices(matrix):
-    basis = _nullspace(*matrix)
-    assert basis == nullspace_fractions(*matrix)
-    assert all(type(v) is Fraction for vec in basis for v in vec)
-
-
-@pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("family", [0, 1, 2], ids=["zn-neg", "cycle", "identity"])
-def test_nullspace_matches_fractions_on_center_rows(monkeypatch, family, n):
-    s = solution_from_lambda(families(n)[family])
-    systems = []
-
-    def recording_nullspace(rows, unknowns):
-        systems.append((rows, unknowns))
-        return _nullspace(rows, unknowns)
-
-    monkeypatch.setattr(monoid, "_nullspace", recording_nullspace)
-    for deg in sorted({1, s.d, s.d + 1}):
-        basis = center_basis(s, deg)
-        assert basis == nullspace_fractions(*systems[-1])
-
-
 def center_basis_all_rows(s, deg):
     n = s.n
     lam_deg = [lambda_word(s, x, deg) for x in range(n)]
@@ -1082,6 +1048,38 @@ def test_center_basis_matches_all_rows_on_families(family):
         s = solution_from_lambda(families(n)[family])
         for deg in sorted({1, 3, s.d, s.d + 1}):
             assert center_basis(s, deg) == center_basis_all_rows(s, deg)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+@pytest.mark.parametrize("family", [0, 1, 2], ids=["zn-neg", "cycle", "identity"])
+def test_nullspace_matches_fractions_on_center_rows(family, n):
+    # the indicator basis against the Fraction elimination of every
+    # equation row, on the benchmark's sizes
+    s = solution_from_lambda(families(n)[family])
+    for deg in sorted({1, s.d, s.d + 1}):
+        assert center_basis(s, deg) == center_basis_all_rows(s, deg)
+
+
+def test_center_basis_matches_all_rows_on_bent_records(census5):
+    # 1,000 records with one q entry or lam row bent and 500 with random
+    # permutation rows and a random q: their point maps have points off
+    # their cycles, and cycles that join only some classes
+    rng = random.Random(35)
+    records = [bent_record(rng, rng.choice(census5)) for _ in range(1000)]
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        lam = tuple(tuple(rng.sample(range(n), n)) for _ in range(n))
+        q = tuple(rng.randrange(n) for _ in range(n))
+        records.append(Solution(n, lam, forced_rho(lam, q), q,
+                                exponent(set(lam))))
+    partial = Counter()
+    for s in records:
+        for deg in sorted({1, 2, s.d, s.d + 1}):
+            basis = center_basis(s, deg)
+            assert basis == center_basis_all_rows(s, deg)
+            assert all(type(v) is Fraction for vec in basis for v in vec)
+            partial[0 < len(basis) < s.n] += 1
+    assert partial[True] > 0 and partial[False] > 0
 
 
 def _row(n):

@@ -25,6 +25,16 @@ def test_compose_applies_right_factor_first():
     assert compose(p, q) == tuple(p[q[i]] for i in range(3))
 
 
+def test_compose_gathers_short_and_list_indices():
+    # itemgetter returns the bare item for one index and needs one index
+    # at least, so these two lengths take the other branch
+    p = [5, 7, 9]
+    assert compose(p, ()) == ()
+    assert compose(p, [2]) == (9,)
+    assert compose(p, [2, 0, 0, 1]) == (9, 5, 5, 7)
+    assert compose((1, 2, 0), [0, 2, 1]) == (1, 0, 2)
+
+
 def test_inverse():
     for p in permutations(range(4)):
         assert compose(p, inverse(p)) == identity(4)
