@@ -60,6 +60,9 @@ def _emit(obj, pretty):
     print(json.dumps(obj, sort_keys=True, default=dataclasses.asdict, **layout))
 
 
+_row_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def cmd_verify(args):
     try:
         m = load_rmap(args.path)
@@ -195,9 +198,10 @@ def cmd_enumerate(args):
     except ValueError as exc:
         return _fail(str(exc))
     result = enumerate_solutions(opts)
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    text = functools.cache(_row_json)   # each distinct row encoded once
     for s in result.solutions:   # the bytes of _emit(rmap_to_dict(s))
-        sys.stdout.write(encode({"n": s.n, "lambda": s.lam, "rho": s.rho}) + "\n")
+        sys.stdout.write('{"lambda":[%s],"n":%d,"rho":[%s]}\n' % (
+            ",".join(map(text, s.lam)), s.n, ",".join(map(text, s.rho))))
     summary = {
         "n": args.n,
         "count": len(result.solutions),

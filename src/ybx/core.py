@@ -24,8 +24,9 @@ import json
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, product
+from itertools import chain, compress, islice, product, repeat
 from math import factorial
+from operator import add, mul
 
 from .perms import compose, exponent, inverse, is_perm
 
@@ -174,14 +175,15 @@ def check(m):
     two sides differs, and valid tables share the frozen :data:`ALL_VALID`.
     """
     lam, rho, n, nn = m.lam, m.rho, m.n, m.n * m.n
-    R = [w * n + v for lx, rx in zip(lam, rho) for w, v in zip(lx, rx)]
+    R = list(map(add, map(mul, chain.from_iterable(lam), repeat(n)),
+                 chain.from_iterable(rho)))
     cube = list(range(nn * n))   # every code below is one of its ints
-    r12, r23, h = [], [], []   # h = r23 r12
+    r12, r23 = [], []
     for a in range(0, nn * n, nn):
         r23 += compose(cube[a:a + nn], R)
     for k in R:   # t r12 has row r(a, b) of t as its row (a, b)
         r12 += cube[k * n:k * n + n]
-        h += r23[k * n:k * n + n]
+    h = compose(r23, r12)   # h = r23 r12
     left = compose(r12, h)
     right = compose(h, r23)
     if left == right and min(map(len, map(set, lam))) == n and \

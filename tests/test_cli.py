@@ -4,16 +4,18 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from ybx import cli, invariants
+from ybx import cli, invariants, search
 from ybx.core import RMap, rmap_to_dict
 from ybx.fixtures import SOL_SWAP2, SOL_Z2
 from ybx.invariants import Discrepancy
 from ybx.monoid import GrowthReport
+from ybx.search import EnumOptions, enumerate_solutions
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -190,6 +192,55 @@ def test_enumerate_n6_stdout_pinned(capsys):
     assert cli.main(["enumerate", "-n", "6"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "4f5c71aa37bfd83cad6af1b61c63bf985551af646002000d861a007e83ffa605"
+
+
+def dumped_tables(opts):
+    """One ``json.dumps(rmap_to_dict(s))`` per solution: the oracle of the
+    lines that ``enumerate`` puts together from its row texts."""
+    return [json.dumps(rmap_to_dict(s), sort_keys=True, separators=(",", ":"))
+            for s in enumerate_solutions(opts).solutions]
+
+
+@pytest.mark.parametrize("argv, opts", [
+    *((("-n", str(n)), EnumOptions(n)) for n in (1, 2, 3, 4)),
+    (("-n", "4", "--up-to-iso"), EnumOptions(4, up_to_iso=True)),
+], ids=["n1", "n2", "n3", "n4", "n4-iso"])
+def test_enumerate_lines_are_the_dumps_of_each_table(capsys, argv, opts):
+    want = dumped_tables(opts)
+    assert cli.main(["enumerate", *argv]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == want and json.loads(summary)["count"] == len(want)
+    if opts.n == 1:   # every row has one entry
+        assert lines == ['{"lambda":[[0]],"n":1,"rho":[[0]]}']
+
+
+def test_enumerate_partial_lines_are_the_dumps_of_each_table(monkeypatch,
+                                                             capsys):
+    # the walk ignores the deadline, so a spent budget stops only the
+    # relabeling: the run is partial and writes the 14 representatives
+    walk = search._search_slice
+    monkeypatch.setattr(search, "_search_slice",
+                        lambda n, first, deadline: walk(n, first))
+    want = dumped_tables(EnumOptions(4, budget_secs=0))
+    assert len(want) == 14
+    assert cli.main(["enumerate", "-n", "4", "--budget", "0"]) == 4
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == want and json.loads(summary)["incomplete"] is True
+
+
+def test_enumerate_encodes_each_distinct_row_once(monkeypatch, capsys):
+    # the row texts live for one run: a second n = 4 run encodes its 40
+    # distinct rows again
+    encoded = Counter()
+    encode = cli._row_json
+    monkeypatch.setattr(cli, "_row_json",
+                        lambda row: encoded.update([row]) or encode(row))
+    for n, rows, distinct in ((4, 960, 40), (4, 960, 40), (5, 2400, 125)):
+        encoded.clear()
+        assert cli.main(["enumerate", "-n", str(n)]) == 0
+        tables = capsys.readouterr().out.splitlines()[:-1]
+        assert 2 * n * len(tables) == rows
+        assert len(encoded) == sum(encoded.values()) == distinct
 
 
 def test_enumerate_budget_env_not_a_number():
